@@ -10,9 +10,9 @@ wherever the grid bound holds.
 
 Two coefficient forms are kept: the Chebyshev form, which is the numerically
 stable one and is used for every internal evaluation, and the monomial form,
-converted in extended precision, which downstream per-power estimators
-consume. Double-precision Horner on the monomial form degrades as
-sum|a_i| * 1e-16 and is exposed only through eval_poly.
+converted in extended precision on first use, which only the per-power
+sampled estimators consume. Double-precision Horner on the monomial form
+degrades as sum|a_i| * 1e-16 and is exposed only through eval_poly.
 """
 
 import functools
@@ -35,32 +35,44 @@ XI_MARGIN = 1e-8
 class RectanglePolynomial:
     """A verified rectangle filter.
 
-    coeffs: monomial coefficients a_0..a_d; cheb: Chebyshev coefficients of
-    the same polynomial; verified: whether the band checks passed, along with
-    the grid resolution used. The builder also keeps the extended-precision
-    monomial coefficients, because the double-rounded ones carry an
-    unavoidable absolute error near sum|a_i| * 2^-53 that swamps small values
-    of the polynomial once the coefficients grow large.
+    cheb: Chebyshev coefficients, which define the polynomial and its degree;
+    verified: whether the band checks passed, along with the grid resolution
+    used. The monomial form is converted from cheb in extended precision on
+    first access and cached: coeffs holds the monomial coefficients a_0..a_d
+    in double precision and coeffs_extended the extended-precision ones,
+    because the double-rounded ones carry an unavoidable absolute error near
+    sum|a_i| * 2^-53 that swamps small values of the polynomial once the
+    coefficients grow large.
     """
 
-    __slots__ = ("coeffs", "cheb", "degree", "tau", "theta", "xi",
-                 "verified", "grid_points", "coeffs_extended")
+    __slots__ = ("cheb", "degree", "tau", "theta", "xi", "verified",
+                 "grid_points", "_monomial")
 
-    def __init__(self, coeffs, cheb, tau, theta, xi, verified, grid_points,
-                 coeffs_extended=None):
-        self.coeffs = np.asarray(coeffs, dtype=float)
+    def __init__(self, cheb, tau, theta, xi, verified, grid_points):
         self.cheb = np.asarray(cheb, dtype=float)
-        self.coeffs.flags.writeable = False
         self.cheb.flags.writeable = False
-        self.degree = len(self.coeffs) - 1
+        self.degree = len(self.cheb) - 1
         self.tau = float(tau)
         self.theta = float(theta)
         self.xi = float(xi)
         self.verified = bool(verified)
         self.grid_points = int(grid_points)
-        self.coeffs_extended = (
-            tuple(coeffs_extended) if coeffs_extended is not None else None
-        )
+        self._monomial = None
+
+    def _monomial_form(self):
+        if self._monomial is None:
+            coeffs, extended = _cheb_to_monomial_extended(self.cheb)
+            coeffs.flags.writeable = False
+            self._monomial = (coeffs, extended)
+        return self._monomial
+
+    @property
+    def coeffs(self):
+        return self._monomial_form()[0]
+
+    @property
+    def coeffs_extended(self):
+        return self._monomial_form()[1]
 
     def eval_stable(self, x):
         """Evaluate via the Chebyshev form (Clenshaw recurrence)."""
@@ -89,9 +101,7 @@ def constant_one_polynomial(tau, theta, xi):
     Used by the interval scan when tau + theta exceeds 1: the low band is all
     of [0, tau] where 1 lies in [1 - xi, 1], and there is no high band.
     """
-    return RectanglePolynomial(
-        [1.0], [1.0], tau, theta, xi, True, 0, coeffs_extended=(mp.mpf(1),)
-    )
+    return RectanglePolynomial([1.0], tau, theta, xi, True, 0)
 
 
 def _rectangle_target(tau, theta, xi_eff):
@@ -187,11 +197,7 @@ def build_rectangle_polynomial(tau, theta, xi,
         ok, _ = _certify(full_vals, targets, grid, tau, theta, xi_eff)
         if not ok:
             continue
-        monomial, extended = _cheb_to_monomial_extended(fixed_cheb)
-        return RectanglePolynomial(
-            monomial, fixed_cheb, tau, theta, xi, True, grid_points,
-            coeffs_extended=extended,
-        )
+        return RectanglePolynomial(fixed_cheb, tau, theta, xi, True, grid_points)
     raise DegreeOverflowError(
         f"no degree <= {degree_cap} certifies the bands for "
         f"tau={tau}, theta={theta}, xi={xi} "
@@ -241,16 +247,14 @@ def _iter_cheb_rows(d):
 def eval_monomial_extended(P, xs, dps=None):
     """Horner on the monomial form in extended precision (for verification).
 
-    Uses the extended coefficients kept by the builder when available, so
-    the comparison against the Chebyshev form measures the conversion, not
-    the double rounding of huge coefficients.
+    Uses the extended monomial coefficients, so the comparison against the
+    Chebyshev form measures the conversion, not the double rounding of huge
+    coefficients.
     """
     if dps is None:
         dps = max(60, int(0.7 * P.degree) + 40)
     coeffs = P.coeffs_extended
     with mp.workdps(dps):
-        if coeffs is None:
-            coeffs = [mp.mpf(float(a)) for a in P.coeffs]
         out = []
         for x in np.atleast_1d(xs):
             acc = mp.mpf(0)

@@ -18,7 +18,7 @@ differ by many orders of magnitude:
               by roughly 10^3 e^-2 log t.
   * "exact"   dense evaluation of the chain value (memoized per index
               tuple), leaving only the outer sampling noise; for diagnosis
-              and tests, dimension permitting.
+              and tests, within the dense oracle's 12-qubit limit.
 
 All modes share the outer loop, the median amplification, and the
 predicted-cost gate.
@@ -31,6 +31,7 @@ import numpy as np
 from .errors import CostCapExceeded, UndefinedRatioError, ValidationError
 from .hamiltonian import _parity
 from .imm import MatrixChain, chain_entry, estimate_chain_sandwich
+from .oracle import _as_dense_vector, dense_term
 from .polyfilter import coefficient_l1
 from .rng import spawn_streams
 from .state_access import median_amplify
@@ -143,9 +144,9 @@ class _ExactChainOracle:
 
     def __init__(self, decomp, psi, phi):
         n = decomp.dimension
-        self._mats = [_dense_of_handle(h) for h in decomp.terms]
-        self._psi = _dense_of_accessor(psi, n)
-        self._phi = _dense_of_accessor(phi, n)
+        self._mats = [dense_term(h) for h in decomp.terms]
+        self._psi = _as_dense_vector(psi, n)
+        self._phi = _as_dense_vector(phi, n)
         self._cache = {}
 
     def value(self, x):
@@ -157,21 +158,6 @@ class _ExactChainOracle:
                 w = self._mats[k] @ w
             hit = self._cache[key] = complex(np.vdot(self._psi, w))
         return hit
-
-
-def _dense_of_handle(handle):
-    n = handle.dimension
-    mat = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        for col, val in handle.row(i):
-            mat[i, col] += val
-    return mat
-
-
-def _dense_of_accessor(vec, n):
-    if hasattr(vec, "to_array"):
-        return vec.to_array()
-    return np.asarray(vec.query_many(np.arange(n, dtype=np.int64)), dtype=complex)
 
 
 def estimate_power(psi, phi, decomp, r, err, delta, rng,

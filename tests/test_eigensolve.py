@@ -19,11 +19,12 @@ from eigensampler import (
     solve_guided,
     solve_unguided,
 )
+from eigensampler import oracle, polyfilter
 from eigensampler import test_threshold as threshold_test
 from eigensampler.eigensolve import doubled_terms
 from eigensampler.oracle import ground_vector
 
-from helpers import hamiltonian_matrix, random_pauli_terms
+from helpers import hamiltonian_matrix, random_block_term, random_pauli_terms
 
 Z_TERMS = [LocalTerm.from_pauli(1.0, "Z")]
 X_NEG_TERMS = [LocalTerm.from_pauli(-1.0, "X")]
@@ -271,6 +272,47 @@ class TestSolveEntryPoints:
         lam = exact_ground_energy(reconstruct(d))
         est = solve_unguided((2, terms), oracle_cfg(epsilon=0.5))
         assert abs(est.e_star - lam) <= 0.5 * d.kappa
+
+
+def watch_oracle(monkeypatch):
+    """Count oracle.reconstruct calls; refuse eigh and the monomial conversion."""
+    calls = []
+    real = oracle.reconstruct
+
+    def counting(decomp):
+        calls.append(decomp)
+        return real(decomp)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("diagonalization or monomial conversion called")
+
+    polyfilter.build_rectangle_polynomial.cache_clear()
+    monkeypatch.setattr(oracle, "reconstruct", counting)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(polyfilter, "_cheb_to_monomial_extended", refuse)
+    return calls
+
+
+class TestOracleExactScan:
+    """An oracle-exact scan reconstructs once and never diagonalizes."""
+
+    def test_guided(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        terms = random_pauli_terms(rng, 3, 4) + [random_block_term(rng, 3, 2)]
+        guide = DenseState(np.linalg.eigh(hamiltonian_matrix(3, terms))[1][:, 0])
+        calls = watch_oracle(monkeypatch)
+        est = solve_guided((3, terms), guide, oracle_cfg(epsilon=0.25))
+        assert len(calls) == 1
+        assert len(est.transcript) > 1
+
+    def test_unguided(self, monkeypatch):
+        # the loose norm bound lifts the ground energy of A' to about 0.3
+        terms = [LocalTerm.from_pauli(1.0, "ZX", kappa=3.0),
+                 LocalTerm.from_pauli(0.5, "XI")]
+        calls = watch_oracle(monkeypatch)
+        est = solve_unguided((2, terms), oracle_cfg(epsilon=0.5))
+        assert len(calls) == 1
+        assert len(est.transcript) > 1
 
 
 class TestDecide:

@@ -20,16 +20,41 @@ from eigensampler import (
     reconstruct,
     shift_rescale,
 )
-from eigensampler.eigensolve import doubled_terms
-from eigensampler.oracle import ground_vector, polynomial_matrix
+from eigensampler.eigensolve import _test_polynomial, doubled_terms
+from eigensampler.hamiltonian import (
+    BlockTermHandle,
+    IdentityHandle,
+    PauliTermHandle,
+    ScaledTermHandle,
+)
+from eigensampler.oracle import dense_term, ground_vector, polynomial_matrix
 
 from helpers import (
     PAULI,
     hamiltonian_matrix,
     pauli_matrix,
+    random_block_term,
     random_pauli_terms,
+    random_sparse_handle,
     random_state_vector,
 )
+
+
+def row_query_dense(handle):
+    """Reference dense build: one row query at a time."""
+    n = handle.dimension
+    mat = np.zeros((n, n), dtype=complex)
+    for i in range(n):
+        for col, val in handle.row(i):
+            mat[i, col] += val
+    return mat
+
+
+def random_mixed_decomposition(rng, n, m_pauli, m_block):
+    terms = random_pauli_terms(rng, n, m_pauli)
+    terms += [random_block_term(rng, n, int(rng.integers(1, min(n, 3) + 1)))
+              for _ in range(m_block)]
+    return build_decomposition(n, terms)
 
 
 class TestDenseOperator:
@@ -59,6 +84,68 @@ class TestDenseOperator:
     def test_dimension_limit(self):
         with pytest.raises(DenseLimitError):
             DenseOperator(np.eye(2**12 + 1))
+
+    def test_construction_does_not_diagonalize(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigh called")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        op = DenseOperator(np.diag([1.0, 2.0]))
+        assert op.dimension == 2
+        with pytest.raises(AssertionError, match="eigh called"):
+            op.eigenvalues
+
+    def test_eigenpairs_are_cached(self, monkeypatch):
+        op = DenseOperator(np.diag([2.0, 1.0]))
+        first = op.eigenvalues
+        monkeypatch.setattr(np.linalg, "eigh", None)
+        assert op.eigenvalues is first
+        assert op.eigenvectors.shape == (2, 2)
+
+    def test_residual_checked_when_eigenpairs_used(self, monkeypatch):
+        monkeypatch.setattr(
+            np.linalg, "eigh", lambda m: (np.array([0.0, 5.0]), np.eye(2))
+        )
+        op = DenseOperator(np.array([[1.0, 1.0], [1.0, 1.0]]))
+        with pytest.raises(ValidationError, match="reconstruct"):
+            op.eigenvectors
+
+
+class TestDenseTerm:
+    """The mask and scatter builds agree exactly with row-by-row queries."""
+
+    @staticmethod
+    def handles(rng, n):
+        string = "".join(rng.choice(list("IXYZ"), size=n))
+        pauli = PauliTermHandle(string, float(rng.normal()), n)
+        identity = IdentityHandle(2**n, complex(rng.normal(), rng.normal()))
+        block_term = random_block_term(rng, n, int(rng.integers(1, n + 1)))
+        block = BlockTermHandle(block_term, n)
+        explicit, _ = random_sparse_handle(rng, 2**n, min(3, 2**n))
+        base = [pauli, identity, block, explicit]
+        factor = complex(rng.normal(), rng.normal())
+        return base + [ScaledTermHandle(h, factor) for h in base]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_handle_class_matches_row_queries(self, n):
+        rng = np.random.default_rng(100 + n)
+        for _ in range(5):
+            for handle in self.handles(rng, n):
+                assert np.array_equal(dense_term(handle), row_query_dense(handle))
+
+    def test_block_with_zero_entries(self):
+        block = np.diag([1.0, -1.0, 2.0, 0.0]).astype(complex)
+        block[0, 3] = block[3, 0] = 0.5
+        handle = BlockTermHandle(LocalTerm.from_block((2, 0), block), 3)
+        assert np.array_equal(dense_term(handle), row_query_dense(handle))
+
+    def test_reconstruct_sums_terms_in_order(self):
+        rng = np.random.default_rng(3)
+        d = shift_rescale(random_mixed_decomposition(rng, 4, 5, 3))
+        want = np.zeros((16, 16), dtype=complex)
+        for handle in d.terms:
+            want += row_query_dense(handle)
+        assert np.array_equal(reconstruct(d).matrix, want)
 
 
 def test_reconstruct_pauli_sum():
@@ -150,6 +237,53 @@ class TestExactSandwich:
         for a in reversed(P.coeffs):
             horner = horner @ op.matrix + a * np.eye(4)
         assert np.max(np.abs(eig_mat - horner)) <= 1e-7
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_power_and_polynomial_match_eigenbasis(self, n):
+        rng = np.random.default_rng(20 + n)
+        op = reconstruct(shift_rescale(random_mixed_decomposition(rng, n, 6, 2)))
+        psi_v = random_state_vector(rng, 2**n)
+        phi_v = random_state_vector(rng, 2**n)
+        lam, vecs = op.eigenvalues, op.eigenvectors
+        left, right = vecs.conj().T @ psi_v, vecs.conj().T @ phi_v
+        for r in (0, 1, 2, 5):
+            want = np.sum(np.conj(left) * lam**r * right)
+            got = exact_sandwich(psi_v, op, phi_v, power=r)
+            assert abs(got - want) <= 1e-12
+        for P in (build_rectangle_polynomial(0.25, 0.25, 1 / 12),
+                  build_rectangle_polynomial(0.5, 0.125, 0.05)):
+            want = np.sum(np.conj(left) * P.eval_stable(lam) * right)
+            got = exact_sandwich(psi_v, op, phi_v, polynomial=P)
+            assert abs(got - want) <= 1e-12
+            via_matrix = np.vdot(psi_v, polynomial_matrix(op, P) @ phi_v)
+            assert abs(got - via_matrix) <= 1e-12
+
+    def test_unguided_filter_matches_eigenbasis(self):
+        # the 4-qubit unguided scan at epsilon 0.35: chi = 1/4, degree 176
+        n = 4
+        rng = np.random.default_rng(31)
+        terms = random_pauli_terms(rng, n, 6) + [random_block_term(rng, n, 2)]
+        decomp = build_decomposition(2 * n, doubled_terms(terms, n))
+        op = reconstruct(shift_rescale(decomp))
+        psi = MaxEntState(n)
+        psi_v = psi.query_many(np.arange(2 ** (2 * n)))
+        P = _test_polynomial(1, 0.35, 2.0 ** (-n / 2))
+        assert P.degree >= 150
+        lam, vecs = op.eigenvalues, op.eigenvectors
+        comps = vecs.conj().T @ psi_v
+        want = np.sum(np.abs(comps) ** 2 * P.eval_stable(lam))
+        got = exact_sandwich(psi, op, psi, polynomial=P)
+        assert abs(got - want) <= 1e-12
+        assert abs(got - np.vdot(psi_v, polynomial_matrix(op, P) @ psi_v)) <= 1e-12
+
+    def test_sandwich_does_not_diagonalize(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        d = shift_rescale(random_mixed_decomposition(rng, 3, 4, 1))
+        psi = random_state_vector(rng, 8)
+        P = build_rectangle_polynomial(0.25, 0.25, 1 / 12)
+        monkeypatch.setattr(np.linalg, "eigh", None)
+        exact_sandwich(psi, d, psi, polynomial=P)
+        exact_sandwich(psi, d, psi, power=3)
 
     def test_chain_dispatch_applies_sequentially(self):
         d = build_decomposition(1, [LocalTerm.from_pauli(1.0, "X"),

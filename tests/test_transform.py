@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from eigensampler import (
+    BasisState,
     ChainSampler,
     CostCapExceeded,
     Counters,
+    DenseLimitError,
     DenseState,
     ValidationError,
     build_rectangle_polynomial,
@@ -173,6 +175,13 @@ class TestPowerEstimator:
             np.random.default_rng(0), chain_mode="exact",
         )
         assert abs(est - want) <= 0.05
+
+    def test_exact_mode_respects_dense_limit(self):
+        d = random_normalized_decomposition(np.random.default_rng(16), 13, 2)
+        psi = BasisState(0, 2**13)
+        with pytest.raises(DenseLimitError):
+            estimate_power(psi, psi, d, 1, 0.5, 0.5, np.random.default_rng(0),
+                           chain_mode="exact")
 
     def test_nested_mode_agrees(self):
         # the two-layer estimator is orders of magnitude costlier per unit of
