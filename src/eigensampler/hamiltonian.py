@@ -130,6 +130,9 @@ class SparseTermHandle:
 
     Subclasses fill in dimension, sparsity (a bound on nonzeros per row) and
     the two row queries. Handles are immutable and queries are pure.
+    rows_many answers many rows at once: signed permutations read it off
+    their masks, other handles loop over the scalar queries unless they
+    override it with a vectorized version.
     """
 
     dimension = None
@@ -137,7 +140,7 @@ class SparseTermHandle:
 
     # Set on signed-permutation handles (exactly one nonzero per row with
     # column = row XOR perm_xmask and value = perm_phase * (-1)^parity(row &
-    # perm_signmask)); the vectorized chain tracer keys off these.
+    # perm_signmask)); rows_many and the chain kernel key off these.
     perm_xmask = None
     perm_signmask = None
     perm_phase = None
@@ -153,6 +156,29 @@ class SparseTermHandle:
         for ell in range(self.row_nnz(i)):
             yield self.row_entry(i, ell)
 
+    def rows_many(self, rows):
+        """Nonzero entries of many rows, as (parent, cols, vals) arrays.
+
+        Entry e sits in row rows[parent[e]]; entries come row by row, in
+        row_entry order, and stored zeros are left out.
+        """
+        if self.perm_xmask is not None:
+            rows = np.asarray(rows, dtype=np.int64)
+            if self.perm_phase == 0:
+                rows = rows[:0]
+            signs = 1.0 - 2.0 * _parity(rows & self.perm_signmask)
+            return (np.arange(rows.size, dtype=np.int64), rows ^ self.perm_xmask,
+                    self.perm_phase * signs)
+        parent, cols, vals = [], [], []
+        for p, i in enumerate(np.asarray(rows, dtype=np.int64).tolist()):
+            for col, val in self.row(i):
+                if val != 0:
+                    parent.append(p)
+                    cols.append(col)
+                    vals.append(val)
+        return (np.array(parent, dtype=np.int64), np.array(cols, dtype=np.int64),
+                np.array(vals, dtype=complex))
+
 
 def _parity(v):
     """Parity of the set bits of v (int or uint64 ndarray)."""
@@ -163,6 +189,15 @@ def _parity(v):
     v = v ^ (v >> 2)
     v = v ^ (v >> 1)
     return v & 1
+
+
+def _scale(vals, factor):
+    # The scalar complex product, spelled out: numpy's vectorized complex
+    # multiply may round differently from the row query's val * factor.
+    out = np.empty(vals.shape, dtype=complex)
+    out.real = vals.real * factor.real - vals.imag * factor.imag
+    out.imag = vals.real * factor.imag + vals.imag * factor.real
+    return out
 
 
 class PauliTermHandle(SparseTermHandle):
@@ -253,17 +288,17 @@ class BlockTermHandle(SparseTermHandle):
                 if (b >> p) & 1:
                     pos |= 1 << q
             scatter[b] = pos
-        self._scatter = scatter
         self._support_mask = int(scatter[-1]) if k else 0
-        rows_cols = []
-        rows_vals = []
-        for a in range(2**k):
-            nz = np.nonzero(term.block[a])[0]
-            rows_cols.append(nz)
-            rows_vals.append(term.block[a, nz])
-        self._rows_cols = rows_cols
-        self._rows_vals = rows_vals
-        self.sparsity = max((len(c) for c in rows_cols), default=0)
+        # Row a of the small block as padded tables: its nonzero columns,
+        # placed at the support qubits, and their values (padding holds 0).
+        nonzero = [np.flatnonzero(term.block[a]) for a in range(2**k)]
+        self._nnz = [len(cols) for cols in nonzero]
+        self.sparsity = max(self._nnz, default=0)
+        self._col_table = np.zeros((2**k, self.sparsity), dtype=np.int64)
+        self._val_table = np.zeros((2**k, self.sparsity), dtype=complex)
+        for a, cols in enumerate(nonzero):
+            self._col_table[a, :len(cols)] = scatter[cols]
+            self._val_table[a, :len(cols)] = term.block[a, cols]
 
     def _small_row(self, i):
         a = 0
@@ -273,15 +308,24 @@ class BlockTermHandle(SparseTermHandle):
         return a
 
     def row_nnz(self, i):
-        return len(self._rows_cols[self._small_row(i)])
+        return self._nnz[self._small_row(i)]
 
     def row_entry(self, i, ell):
         a = self._small_row(i)
-        cols = self._rows_cols[a]
-        if ell >= len(cols):
+        if ell >= self._nnz[a]:
             raise IndexError(f"row {i} has no entry {ell}")
-        col = (i & ~self._support_mask) | int(self._scatter[cols[ell]])
-        return col, complex(self._rows_vals[a][ell])
+        col = (i & ~self._support_mask) | int(self._col_table[a, ell])
+        return col, complex(self._val_table[a, ell])
+
+    def rows_many(self, rows):
+        rows = np.asarray(rows, dtype=np.int64)
+        small = np.zeros(rows.shape, dtype=np.int64)
+        for p, q in enumerate(self.support):
+            small |= ((rows >> q) & 1) << p
+        parent, pos = np.nonzero(self._val_table[small])
+        a = small[parent]
+        cols = (rows[parent] & ~self._support_mask) | self._col_table[a, pos]
+        return parent, cols, self._val_table[a, pos]
 
 
 class ScaledTermHandle(SparseTermHandle):
@@ -303,6 +347,14 @@ class ScaledTermHandle(SparseTermHandle):
     def row_entry(self, i, ell):
         col, val = self.inner.row_entry(i, ell)
         return col, val * self.factor
+
+    def rows_many(self, rows):
+        parent, cols, vals = self.inner.rows_many(rows)
+        vals = _scale(vals, self.factor)
+        keep = vals != 0
+        if keep.all():
+            return parent, cols, vals
+        return parent[keep], cols[keep], vals[keep]
 
 
 class ExplicitSparseHandle(SparseTermHandle):

@@ -1,11 +1,18 @@
-"""Recursive row-query evaluation of sparse matrix chain products.
+"""Batched frontier evaluation of sparse matrix chain products.
 
-Entries of B_r ... B_1 |phi> are computed by depth-r recursion over the rows
-of the sparse factors, touching at most s^r coordinates of phi and never
-materializing an intermediate vector. The sampled sandwich estimator reuses
-the inner-product machinery with the chain entry map as the target vector.
+chain_values computes entries of B_r ... B_1 |phi> for many (chain, row)
+samples at once. It expands a frontier of (sample, row, weight) arrays one
+factor at a time, top factor first: signed permutations through their masks,
+other terms grouped by term through their vectorized row queries. The leaves
+are the only queries of phi and are summed per sample with np.bincount. A
+frontier that could grow past FRONTIER_LIMIT entries is split and finished
+piece by piece, depth first, so memory stays O(r * max(FRONTIER_LIMIT, s))
+whatever the number of samples and the s^r leaves per sample. The sampled
+sandwich estimator reuses the inner-product machinery with the chain entry
+map as the target vector.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -13,6 +20,10 @@ import numpy as np
 from .errors import ValidationError
 from .hamiltonian import _parity
 from .state_access import VectorAccessor, estimate_inner_product
+
+# Largest frontier (in entries) that one expansion may build, unless a
+# single entry has more successors than this.
+FRONTIER_LIMIT = 1 << 16
 
 
 class MatrixChain:
@@ -43,36 +54,148 @@ class MatrixChain:
     def s(self):
         return max((m.sparsity for m in self.matrices), default=0)
 
-    def is_signed_permutation(self):
-        return all(m.perm_phase is not None for m in self.matrices)
+
+def chain_values(terms, chains, rows, phi, counters=None):
+    """Entries (B_{x_r} ... B_{x_1} phi)(rows[i]) for every sample i.
+
+    chains is a (t, r) index array into terms, column 0 holding the factor
+    applied to phi first. Stored zeros are skipped, so sample i costs
+    prod(row nnz) <= s^r leaf queries of phi; counters records exactly those.
+    """
+    rows = np.asarray(rows, dtype=np.int64).ravel()
+    chains = np.asarray(chains, dtype=np.int64)
+    front = _Frontier(terms, chains, phi, rows.size)
+    for start in range(0, rows.size, FRONTIER_LIMIT):
+        front.finish(start, None, rows[start:start + FRONTIER_LIMIT], None,
+                     chains.shape[1] - 1)
+    if counters is not None and rows.size:
+        counters.add(leaf_queries=front.leaves, vector_queries=front.leaves,
+                     depth=front.depth)
+    return np.zeros(rows.size, dtype=complex) if front.out is None else front.out
+
+
+@functools.lru_cache(maxsize=8)
+def _term_tables(terms):
+    """Per-term (perm, xmask, signmask, phase, width) arrays for a handle tuple.
+
+    A permutation of phase 0 has no entries; it counts as a general term,
+    whose row queries return none. width bounds the successors of one entry.
+    Cached: a sampled transform calls the kernel once per batch with the same
+    terms, and building the tables costs as much as a small batch.
+    """
+    perm = np.array([bool(h.perm_phase) for h in terms], dtype=bool)
+    return (perm,
+            np.array([h.perm_xmask or 0 for h in terms], dtype=np.int64),
+            np.array([h.perm_signmask or 0 for h in terms], dtype=np.int64),
+            np.array([h.perm_phase or 0 for h in terms], dtype=complex),
+            np.array([1 if p else h.sparsity for h, p in zip(terms, perm)], dtype=np.int64))
+
+
+class _Frontier:
+    """One chain_values call: the term tables, the output and the tallies.
+
+    Entry i of a frontier (first, sample, row, weight) is row[i] of sample
+    sample[i], with weight[i]. While every entry has had exactly one
+    successor, sample is None and entry i belongs to sample first + i; weight
+    is None until a factor is applied. That spares signed-permutation chains
+    the gathers, the bincount and the extra copies.
+    """
+
+    def __init__(self, terms, chains, phi, t):
+        self.terms = tuple(terms)
+        self.perm, self.xmask, self.signmask, self.phase, self.width = _term_tables(self.terms)
+        self.any_general = not self.perm.all()
+        self.max_width = int(self.width.max(initial=1))
+        self.chains, self.phi, self.t = chains, phi, t
+        self.out, self.leaves, self.depth = None, 0, 0
+
+    def finish(self, first, sample, row, weight, col):
+        """Expand through chain columns col .. 0, then add the leaves."""
+        while col >= 0 and row.size:
+            if sample is None:
+                k = self.chains[first:first + row.size, col]
+            else:
+                k = self.chains[sample, col]
+            if (row.size > 1 and row.size * self.max_width > FRONTIER_LIMIT
+                    and self.width[k].sum() > FRONTIER_LIMIT):
+                # Halve until each piece expands to at most the limit (or is
+                # a single entry), and finish the pieces one after the other.
+                half = row.size // 2
+                for part in (slice(0, half), slice(half, row.size)):
+                    self.finish(first + part.start, _part(sample, part), row[part],
+                                _part(weight, part), col)
+                return
+            sample, row, weight = self._expand(first, sample, row, weight, k)
+            if row.size:
+                self.depth = max(self.depth, self.chains.shape[1] - col)
+            col -= 1
+        if row.size:
+            self._add_leaves(first, sample, row, weight)
+
+    def _expand(self, first, sample, row, weight, k):
+        """Apply one chain column, with term index k[i] for entry i."""
+        general = None
+        if self.any_general:
+            perm = self.perm[k]
+            if not perm.all():
+                if sample is None:
+                    sample = np.arange(first, first + row.size, dtype=np.int64)
+                if weight is None:
+                    weight = np.ones(row.size, dtype=complex)
+                rest = ~perm
+                general = self._expand_general(sample[rest], row[rest], weight[rest], k[rest])
+                sample, row, weight, k = sample[perm], row[perm], weight[perm], k[perm]
+        # Signed permutations: exactly one successor per entry.
+        factor = self.phase[k] * (1.0 - 2.0 * _parity(row & self.signmask[k]))
+        weight = factor if weight is None else weight * factor
+        row = row ^ self.xmask[k]
+        if general is None:
+            return sample, row, weight
+        return tuple(np.concatenate(pair) for pair in zip((sample, row, weight), general))
+
+    def _expand_general(self, sample, row, weight, k):
+        """Expand entries of non-permutation terms, one group per term."""
+        order = np.argsort(k, kind="stable")
+        parts = ([], [], [])
+        for group in np.split(order, np.flatnonzero(np.diff(k[order])) + 1):
+            parent, cols, vals = self.terms[k[group[0]]].rows_many(row[group])
+            picked = group[parent]
+            parts[0].append(sample[picked])
+            parts[1].append(cols)
+            parts[2].append(weight[picked] * vals)
+        return tuple(np.concatenate(p) for p in parts)
+
+    def _add_leaves(self, first, sample, row, weight):
+        leaf = np.asarray(self.phi.query_many(row), dtype=complex)
+        if weight is not None:
+            leaf = weight * leaf
+        self.leaves += row.size
+        if sample is None and row.size == self.t:
+            self.out = leaf
+            return
+        if self.out is None:
+            self.out = np.zeros(self.t, dtype=complex)
+        if sample is None:
+            self.out[first:first + row.size] += leaf
+            return
+        lo, span = sample.min(), sample.max() - sample.min() + 1
+        self.out.real[lo:lo + span] += np.bincount(sample - lo, leaf.real, span)
+        self.out.imag[lo:lo + span] += np.bincount(sample - lo, leaf.imag, span)
+
+
+def _part(array, part):
+    return None if array is None else array[part]
 
 
 def chain_entry(ell, chain, phi, counters=None):
-    """Exact <ell| B_r ... B_1 |phi> by recursion over sparse rows.
+    """Exact <ell| B_r ... B_1 |phi>, one sample of the frontier kernel.
 
-    Space is O(r) stack frames of O(r + log s) loop state each; the only
-    touches of phi are the leaf queries, at most prod(row nnz) <= s^r of them.
+    Touches phi only at the leaves, at most prod(row nnz) <= s^r of them, and
+    holds at most r + 1 frontiers of bounded size.
     """
     mats = chain.matrices if isinstance(chain, MatrixChain) else list(chain)
-    return _entry(int(ell), mats, len(mats), phi, counters, 0)
-
-
-def _entry(ell, mats, remaining, phi, counters, depth):
-    if counters is not None:
-        counters.note_depth(depth)
-    if remaining == 0:
-        if counters is not None:
-            counters.leaf_queries += 1
-            counters.vector_queries += 1
-        return complex(phi.query(ell))
-    handle = mats[remaining - 1]
-    total = 0.0j
-    for pos in range(handle.row_nnz(ell)):
-        col, val = handle.row_entry(ell, pos)
-        if val == 0:
-            continue
-        total += val * _entry(col, mats, remaining - 1, phi, counters, depth + 1)
-    return total
+    picks = np.arange(len(mats), dtype=np.int64)[None, :]
+    return complex(chain_values(mats, picks, [ell], phi, counters)[0])
 
 
 class ChainVector(VectorAccessor):
@@ -83,28 +206,16 @@ class ChainVector(VectorAccessor):
         self.phi = phi
         self.counters = counters
         self.dimension = chain.dimension if chain.dimension is not None else phi.dimension
-        self._fast = chain.is_signed_permutation() and hasattr(phi, "query_many")
 
     def query(self, j):
         return chain_entry(j, self.chain, self.phi, self.counters)
 
     def query_many(self, idx):
         idx = np.asarray(idx, dtype=np.int64)
-        if not self._fast:
-            return super().query_many(idx)
-        # Signed-permutation factors: trace each index through the chain in
-        # one vectorized pass, top factor first.
-        cur = idx.copy()
-        vals = np.ones(idx.shape, dtype=complex)
-        for handle in reversed(self.chain.matrices):
-            signs = _parity(cur & handle.perm_signmask)
-            vals = vals * (handle.perm_phase * (1.0 - 2.0 * signs))
-            cur = cur ^ handle.perm_xmask
-        if self.counters is not None:
-            self.counters.leaf_queries += idx.size
-            self.counters.vector_queries += idx.size
-            self.counters.note_depth(self.chain.r)
-        return vals * self.phi.query_many(cur)
+        picks = np.broadcast_to(np.arange(self.chain.r, dtype=np.int64),
+                                (idx.size, self.chain.r))
+        vals = chain_values(self.chain.matrices, picks, idx, self.phi, self.counters)
+        return vals.reshape(idx.shape)
 
 
 def estimate_chain_sandwich(psi, chain, phi, eps, delta, rng,

@@ -2,7 +2,11 @@
 
 A Counters object is threaded through the estimators so tests can assert the
 advertised leaf-query and sample counts instead of trusting asymptotics.
+Updates go through add(), which holds a lock, so the worker threads of a
+median amplification can share one object without losing counts.
 """
+
+import threading
 
 
 class Counters:
@@ -13,6 +17,7 @@ class Counters:
         "leaf_queries",
         "chain_samples",
         "max_depth",
+        "_lock",
     )
 
     def __init__(self):
@@ -22,10 +27,15 @@ class Counters:
         self.leaf_queries = 0
         self.chain_samples = 0
         self.max_depth = 0
+        self._lock = threading.Lock()
 
-    def note_depth(self, depth):
-        if depth > self.max_depth:
-            self.max_depth = depth
+    def add(self, depth=0, **counts):
+        """Add each named count, and raise max_depth to at least depth."""
+        with self._lock:
+            for name, value in counts.items():
+                setattr(self, name, getattr(self, name) + value)
+            if depth > self.max_depth:
+                self.max_depth = depth
 
     def as_dict(self):
         return {

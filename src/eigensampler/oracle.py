@@ -13,12 +13,7 @@ The eigendecomposition is computed on first use, for the spectral queries
 import numpy as np
 
 from .errors import DenseLimitError, ValidationError
-from .hamiltonian import (
-    BlockTermHandle,
-    Decomposition,
-    ScaledTermHandle,
-    _parity,
-)
+from .hamiltonian import Decomposition
 from .imm import MatrixChain
 from .state_access import VectorAccessor
 
@@ -85,53 +80,9 @@ class DenseOperator:
         return f"DenseOperator(N={self.dimension})"
 
 
-def _term_entries(handle):
-    """(rows, columns, values) of every stored entry of a row-query handle.
-
-    Signed permutations (Pauli and identity handles, and scalings of them)
-    are read off their masks and embedded blocks off their scatter arrays;
-    only handles with neither are queried row by row. Values equal the row
-    queries' exactly, in the same order within a row.
-    """
-    n = handle.dimension
-    if handle.perm_xmask is not None:
-        rows = np.arange(n, dtype=np.int64)
-        signs = 1.0 - 2.0 * _parity(rows & handle.perm_signmask)
-        return rows, rows ^ handle.perm_xmask, handle.perm_phase * signs
-    if isinstance(handle, BlockTermHandle):
-        base = np.arange(n, dtype=np.int64)
-        base = base[(base & handle._support_mask) == 0]
-        # local[c, a] is the full index of local basis state a in coset c
-        local = base[:, None] | handle._scatter[None, :]
-        shape = local.shape + (local.shape[1],)
-        rows = np.broadcast_to(local[:, :, None], shape)
-        cols = np.broadcast_to(local[:, None, :], shape)
-        vals = np.broadcast_to(handle.block, shape)
-        return rows.ravel(), cols.ravel(), vals.ravel()
-    if isinstance(handle, ScaledTermHandle):
-        rows, cols, vals = _term_entries(handle.inner)
-        return rows, cols, _scale(vals, handle.factor)
-    rows, cols, vals = [], [], []
-    for i in range(n):
-        for col, val in handle.row(i):
-            rows.append(i)
-            cols.append(col)
-            vals.append(val)
-    return (np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64),
-            np.array(vals, dtype=complex))
-
-
-def _scale(vals, factor):
-    # The scalar complex product, spelled out: numpy's vectorized complex
-    # multiply may round differently from the row query's val * factor.
-    out = np.empty(vals.shape, dtype=complex)
-    out.real = vals.real * factor.real - vals.imag * factor.imag
-    out.imag = vals.real * factor.imag + vals.imag * factor.real
-    return out
-
-
 def _add_term(out, handle):
-    rows, cols, vals = _term_entries(handle)
+    # Every row at once; the values equal the row queries' exactly.
+    rows, cols, vals = handle.rows_many(np.arange(handle.dimension, dtype=np.int64))
     np.add.at(out, (rows, cols), vals)
 
 

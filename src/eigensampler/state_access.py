@@ -100,12 +100,18 @@ class ProductState(StateAccessor):
                 )
         self.n = len(pairs)
         self.dimension = 2**self.n
+        self._pairs = pairs
         self._amp0 = np.array([a for a, _ in pairs])
         self._amp1 = np.array([b for _, b in pairs])
         self._p1 = np.abs(self._amp1) ** 2
 
     def query(self, j):
-        return complex(self.query_many(np.array([j]))[0])
+        j = int(j)
+        out = 1.0 + 0.0j
+        for a, b in self._pairs:
+            out *= b if j & 1 else a
+            j >>= 1
+        return out
 
     def query_many(self, idx):
         idx = np.asarray(idx, dtype=np.int64)
@@ -332,9 +338,7 @@ def sample_ratios(psi, w, count, rng, counters=None):
     amps = psi.query_many(j)
     wvals = w.query_many(j)
     if counters is not None:
-        counters.psi_samples += count
-        counters.psi_queries += count
-        counters.vector_queries += count
+        counters.add(psi_samples=count, psi_queries=count, vector_queries=count)
     dead = amps == 0
     if np.any(dead):
         bad = dead & (wvals != 0)

@@ -29,8 +29,8 @@ import math
 import numpy as np
 
 from .errors import CostCapExceeded, UndefinedRatioError, ValidationError
-from .hamiltonian import _parity
-from .imm import MatrixChain, chain_entry, estimate_chain_sandwich
+# chain_entry stays a module attribute, so instrumentation can patch it.
+from .imm import MatrixChain, chain_entry, chain_values, estimate_chain_sandwich  # noqa: F401
 from .oracle import _as_dense_vector, dense_term
 from .polyfilter import coefficient_l1
 from .rng import spawn_streams
@@ -80,7 +80,7 @@ class ChainSampler:
     def sample_many(self, rng, count, counters=None):
         """Draw `count` chains as a (count, r) index array."""
         if counters is not None:
-            counters.chain_samples += count
+            counters.add(chain_samples=count)
         if self.r == 0:
             return np.empty((count, 0), dtype=np.int64)
         draws = rng.choice(self.m, size=(count, self.r), p=self._probs)
@@ -97,46 +97,6 @@ def _chain_masses(decomp, chains):
         return np.ones(chains.shape[0])
     kappas = np.asarray(decomp.kappa_i, dtype=float)
     return np.prod(kappas[chains], axis=1)
-
-
-def _all_signed_permutations(decomp):
-    return all(t.perm_phase is not None for t in decomp.terms)
-
-
-def _batch_chain_values(decomp, chains, idx, phi, counters=None):
-    """Entries (A_{x_r} ... A_{x_1} phi)(j) for chain/index pairs, batched.
-
-    chains is (t, r) with draw order x_1 .. x_r along the row; the first draw
-    is the factor applied to phi first, so the row trace starts from the last
-    column.
-    """
-    t, r = chains.shape
-    if r == 0:
-        if counters is not None:
-            counters.vector_queries += t
-        return np.asarray(phi.query_many(idx), dtype=complex)
-    if _all_signed_permutations(decomp):
-        xmasks = np.array([h.perm_xmask for h in decomp.terms], dtype=np.int64)
-        signmasks = np.array([h.perm_signmask for h in decomp.terms], dtype=np.int64)
-        phases = np.array([h.perm_phase for h in decomp.terms], dtype=complex)
-        cur = np.asarray(idx, dtype=np.int64).copy()
-        vals = np.ones(t, dtype=complex)
-        for col in range(r - 1, -1, -1):
-            k = chains[:, col]
-            signs = _parity(cur & signmasks[k])
-            vals *= phases[k] * (1.0 - 2.0 * signs)
-            cur ^= xmasks[k]
-        if counters is not None:
-            counters.leaf_queries += t
-            counters.vector_queries += t
-            counters.note_depth(r)
-        return vals * np.asarray(phi.query_many(cur), dtype=complex)
-    terms = decomp.terms
-    out = np.empty(t, dtype=complex)
-    for i in range(t):
-        mats = [terms[int(k)] for k in chains[i]]
-        out[i] = chain_entry(int(idx[i]), mats, phi, counters)
-    return out
 
 
 class _ExactChainOracle:
@@ -215,9 +175,8 @@ def estimate_power(psi, phi, decomp, r, err, delta, rng,
             j = psi.sample_many(stream, t)
             amps = np.asarray(psi.query_many(j), dtype=complex)
             if counters is not None:
-                counters.psi_samples += t
-                counters.psi_queries += t
-            vals = _batch_chain_values(decomp, chains, j, phi, counters)
+                counters.add(psi_samples=t, psi_queries=t)
+            vals = chain_values(decomp.terms, chains, j, phi, counters)
             dead = amps == 0
             if np.any(dead):
                 bad = dead & (vals != 0)

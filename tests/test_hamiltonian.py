@@ -13,9 +13,12 @@ from eigensampler import (
     term_to_sparse,
 )
 from eigensampler.hamiltonian import (
+    BlockTermHandle,
     ExplicitSparseHandle,
     HamiltonianFormatError,
+    IdentityHandle,
     PauliTermHandle,
+    ScaledTermHandle,
 )
 
 from helpers import PAULI, hamiltonian_matrix, pauli_matrix, random_block_term
@@ -96,6 +99,34 @@ class TestBlockHandle:
         term = LocalTerm.from_block([3], np.eye(2))
         with pytest.raises(ValidationError):
             term_to_sparse(term, 2)
+
+
+def test_rows_many_matches_row_queries():
+    """Vectorized rows equal the scalar queries, in order, without zeros."""
+    rng = np.random.default_rng(31)
+    n = 3
+    block = np.diag([1.0, 0.0, 2.0, -1.0]).astype(complex)
+    block[0, 3] = block[3, 0] = -0.5
+    explicit = ExplicitSparseHandle(
+        [([1, 5], [1.0, 0.0]), ([], []), ([7, 0, 2], [2j, -1.0, 0.5])] + [([3], [1.0])] * 5
+    )
+    base = [
+        PauliTermHandle("XYZ", -0.7, n),
+        PauliTermHandle("ZIY", 0.0, n),
+        IdentityHandle(2**n, 0.25j),
+        IdentityHandle(2**n, 0.0),
+        BlockTermHandle(random_block_term(rng, n, 2), n),
+        BlockTermHandle(LocalTerm.from_block((2, 0), block), n),
+        explicit,
+    ]
+    handles = base + [ScaledTermHandle(h, f) for h in base for f in (0.3 - 1.2j, 0.0)]
+    rows = rng.integers(0, 2**n, size=40)
+    for h in handles:
+        want = [(p, col, val) for p, i in enumerate(rows.tolist())
+                for col, val in h.row(i) if val != 0]
+        parent, cols, vals = h.rows_many(rows)
+        got = list(zip(parent.tolist(), cols.tolist(), vals.tolist()))
+        assert got == want, h
 
 
 def test_compute_term_norm_matches_numpy():

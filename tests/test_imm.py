@@ -170,3 +170,24 @@ def test_counters_flow_through_sandwich():
                             np.random.default_rng(1), counters=c)
     assert c.psi_samples > 0
     assert c.leaf_queries > 0
+
+
+def test_counters_add_is_safe_across_threads():
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    c = Counters()
+
+    def bump(depth):
+        for _ in range(5000):
+            c.add(leaf_queries=1, vector_queries=2, depth=depth)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            list(pool.map(bump, range(8), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert c.leaf_queries == 40000 and c.vector_queries == 80000
+    assert c.max_depth == 7

@@ -63,6 +63,22 @@ def test_product_state_amplitudes_factorize():
         assert abs(st.query(idx) - want) <= 1e-15
 
 
+def test_product_state_query_equals_query_many():
+    rng = np.random.default_rng(12)
+    pairs = []
+    for _ in range(7):
+        a, b = rng.normal(size=2) + 1j * rng.normal(size=2)
+        nrm = math.sqrt(abs(a) ** 2 + abs(b) ** 2)
+        pairs.append((a / nrm, b / nrm))
+    st = ProductState(pairs)
+    idx = rng.integers(0, st.dimension, size=200)
+    batch = st.query_many(idx)
+    # numpy's vectorized complex multiply may round differently in the last bit
+    scalar = np.array([st.query(j) for j in idx])
+    assert np.allclose(scalar, batch, rtol=1e-14, atol=0)
+    assert isinstance(st.query(np.int64(idx[0])), complex)
+
+
 def test_maxent_state_amplitudes():
     st = MaxEntState(2)
     assert st.dimension == 16

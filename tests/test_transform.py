@@ -13,6 +13,7 @@ from eigensampler import (
     DenseLimitError,
     DenseState,
     ValidationError,
+    build_decomposition,
     build_rectangle_polynomial,
     chain_entry,
     estimate_polynomial_transform,
@@ -20,11 +21,16 @@ from eigensampler import (
     predict_cost,
     reconstruct,
     sample_chain,
+    shift_rescale,
 )
 from eigensampler.imm import MatrixChain
 from eigensampler.transform import CHAIN_MODES, POLICIES, power_error_budget
 
-from helpers import random_normalized_decomposition, random_state_vector
+from helpers import (
+    random_block_term,
+    random_normalized_decomposition,
+    random_state_vector,
+)
 
 T2 = SimpleNamespace(coeffs=np.array([-1.0, 0.0, 2.0]), degree=2)
 LINEAR = SimpleNamespace(coeffs=np.array([0.0, 1.0]), degree=1)
@@ -205,6 +211,20 @@ class TestPowerEstimator:
         b = estimate_power(psi, psi, d, 2, 0.3, 0.2, np.random.default_rng(6), workers=3)
         assert a == b
 
+    def test_workers_share_counters_on_block_terms(self):
+        gen = np.random.default_rng(16)
+        d = shift_rescale(build_decomposition(3, [random_block_term(gen, 3, 2)
+                                                  for _ in range(3)]))
+        psi = DenseState(random_state_vector(gen, 8))
+        runs = []
+        for workers in (1, 3):
+            c = Counters()
+            est = estimate_power(psi, psi, d, 2, 0.3, 0.05,
+                                 np.random.default_rng(6), workers=workers, counters=c)
+            runs.append((est, c.as_dict()))
+        assert runs[0] == runs[1]
+        assert runs[0][1]["leaf_queries"] > 0
+
     def test_argument_validation(self):
         gen = np.random.default_rng(15)
         d = random_normalized_decomposition(gen, 2, 3)
@@ -358,6 +378,20 @@ class TestPolynomialTransform:
         assert err.predicted > err.cap == 10.0
         assert "per_power" in err.breakdown
 
+    def test_leaf_queries_within_predicted_cost_on_block_terms(self):
+        gen = np.random.default_rng(26)
+        d = shift_rescale(build_decomposition(4, [random_block_term(gen, 4, 2)
+                                                  for _ in range(4)]))
+        psi = DenseState(random_state_vector(gen, 16))
+        for P in (T2, LINEAR):
+            c = Counters()
+            estimate_polynomial_transform(
+                psi, psi, d, P, 0.5, 0.2, np.random.default_rng(1),
+                policy="tight", counters=c,
+            )
+            predicted, _ = predict_cost(d, P, 0.5, 0.2, policy="tight")
+            assert 0 < c.leaf_queries <= predicted
+
     def test_counters_accumulate(self):
         gen = np.random.default_rng(25)
         d = random_normalized_decomposition(gen, 2, 3)
@@ -368,6 +402,12 @@ class TestPolynomialTransform:
         )
         assert c.chain_samples > 0
         assert c.psi_samples > 0
+
+
+def test_chain_entry_stays_patchable_by_name():
+    from eigensampler import imm, transform
+
+    assert transform.chain_entry is imm.chain_entry
 
 
 def test_module_constant_tuples():
