@@ -181,14 +181,10 @@ class SparseTermHandle:
 
 
 def _parity(v):
-    """Parity of the set bits of v (int or uint64 ndarray)."""
-    v = v ^ (v >> 32)
-    v = v ^ (v >> 16)
-    v = v ^ (v >> 8)
-    v = v ^ (v >> 4)
-    v = v ^ (v >> 2)
-    v = v ^ (v >> 1)
-    return v & 1
+    """Parity of the set bits of v (a non-negative int or int64 ndarray)."""
+    if isinstance(v, int):
+        return v.bit_count() & 1
+    return np.bitwise_count(v) & 1
 
 
 def _scale(vals, factor):
@@ -281,13 +277,10 @@ class BlockTermHandle(SparseTermHandle):
         self.support = support
         self.block = term.block
         # scatter[b] = bits of the small index b placed at the support qubits
+        small = np.arange(2**k, dtype=np.int64)
         scatter = np.zeros(2**k, dtype=np.int64)
-        for b in range(2**k):
-            pos = 0
-            for p, q in enumerate(support):
-                if (b >> p) & 1:
-                    pos |= 1 << q
-            scatter[b] = pos
+        for p, q in enumerate(support):
+            scatter |= ((small >> p) & 1) << q
         self._support_mask = int(scatter[-1]) if k else 0
         # Row a of the small block as padded tables: its nonzero columns,
         # placed at the support qubits, and their values (padding holds 0).
@@ -300,11 +293,11 @@ class BlockTermHandle(SparseTermHandle):
             self._col_table[a, :len(cols)] = scatter[cols]
             self._val_table[a, :len(cols)] = term.block[a, cols]
 
-    def _small_row(self, i):
-        a = 0
+    def _small_row(self, rows):
+        """Small-block row read by each of rows (an int or an int64 array)."""
+        a = rows & 0
         for p, q in enumerate(self.support):
-            if (i >> q) & 1:
-                a |= 1 << p
+            a = a | (((rows >> q) & 1) << p)
         return a
 
     def row_nnz(self, i):
@@ -319,9 +312,7 @@ class BlockTermHandle(SparseTermHandle):
 
     def rows_many(self, rows):
         rows = np.asarray(rows, dtype=np.int64)
-        small = np.zeros(rows.shape, dtype=np.int64)
-        for p, q in enumerate(self.support):
-            small |= ((rows >> q) & 1) << p
+        small = self._small_row(rows)
         parent, pos = np.nonzero(self._val_table[small])
         a = small[parent]
         cols = (rows[parent] & ~self._support_mask) | self._col_table[a, pos]

@@ -1,18 +1,17 @@
 """Batched frontier evaluation of sparse matrix chain products.
 
-chain_values computes entries of B_r ... B_1 |phi> for many (chain, row)
+ChainKernel computes entries of B_r ... B_1 |phi> for many (chain, row)
 samples at once. It expands a frontier of (sample, row, weight) arrays one
 factor at a time, top factor first: signed permutations through their masks,
 other terms grouped by term through their vectorized row queries. The leaves
-are the only queries of phi and are summed per sample with np.bincount. A
+are the only queries of phi and are summed per sample with np.add.at. A
 frontier that could grow past FRONTIER_LIMIT entries is split and finished
-piece by piece, depth first, so memory stays O(r * max(FRONTIER_LIMIT, s))
-whatever the number of samples and the s^r leaves per sample. The sampled
-sandwich estimator reuses the inner-product machinery with the chain entry
-map as the target vector.
+piece by piece, depth first, so beyond the O(t) input and output of t
+samples, memory stays O(r * max(FRONTIER_LIMIT, s)) whatever t and the s^r
+leaves per sample. The sampled sandwich estimator reuses the inner-product
+machinery with the chain entry map as the target vector.
 """
 
-import functools
 import math
 
 import numpy as np
@@ -55,99 +54,77 @@ class MatrixChain:
         return max((m.sparsity for m in self.matrices), default=0)
 
 
-def chain_values(terms, chains, rows, phi, counters=None):
-    """Entries (B_{x_r} ... B_{x_1} phi)(rows[i]) for every sample i.
+class ChainKernel:
+    """The frontier kernel over a fixed list of terms.
 
-    chains is a (t, r) index array into terms, column 0 holding the factor
-    applied to phi first. Stored zeros are skipped, so sample i costs
-    prod(row nnz) <= s^r leaf queries of phi; counters records exactly those.
-    """
-    rows = np.asarray(rows, dtype=np.int64).ravel()
-    chains = np.asarray(chains, dtype=np.int64)
-    front = _Frontier(terms, chains, phi, rows.size)
-    for start in range(0, rows.size, FRONTIER_LIMIT):
-        front.finish(start, None, rows[start:start + FRONTIER_LIMIT], None,
-                     chains.shape[1] - 1)
-    if counters is not None and rows.size:
-        counters.add(leaf_queries=front.leaves, vector_queries=front.leaves,
-                     depth=front.depth)
-    return np.zeros(rows.size, dtype=complex) if front.out is None else front.out
-
-
-@functools.lru_cache(maxsize=8)
-def _term_tables(terms):
-    """Per-term (perm, xmask, signmask, phase, width) arrays for a handle tuple.
-
-    A permutation of phase 0 has no entries; it counts as a general term,
-    whose row queries return none. width bounds the successors of one entry.
-    Cached: a sampled transform calls the kernel once per batch with the same
-    terms, and building the tables costs as much as a small batch.
-    """
-    perm = np.array([bool(h.perm_phase) for h in terms], dtype=bool)
-    return (perm,
-            np.array([h.perm_xmask or 0 for h in terms], dtype=np.int64),
-            np.array([h.perm_signmask or 0 for h in terms], dtype=np.int64),
-            np.array([h.perm_phase or 0 for h in terms], dtype=complex),
-            np.array([1 if p else h.sparsity for h, p in zip(terms, perm)], dtype=np.int64))
-
-
-class _Frontier:
-    """One chain_values call: the term tables, the output and the tallies.
-
-    Entry i of a frontier (first, sample, row, weight) is row[i] of sample
-    sample[i], with weight[i]. While every entry has had exactly one
-    successor, sample is None and entry i belongs to sample first + i; weight
-    is None until a factor is applied. That spares signed-permutation chains
-    the gathers, the bincount and the extra copies.
+    The per-term tables are built once, here. A permutation of phase 0 has no
+    entries; it counts as a general term, whose row queries return none.
+    width bounds the successors of one entry. values() keeps its running
+    state per call, so worker threads may share one kernel.
     """
 
-    def __init__(self, terms, chains, phi, t):
-        self.terms = tuple(terms)
-        self.perm, self.xmask, self.signmask, self.phase, self.width = _term_tables(self.terms)
-        self.any_general = not self.perm.all()
+    def __init__(self, terms):
+        self.terms = list(terms)
+        self.perm = np.array([bool(h.perm_phase) for h in self.terms], dtype=bool)
+        self.xmask = np.array([h.perm_xmask or 0 for h in self.terms], dtype=np.int64)
+        self.signmask = np.array([h.perm_signmask or 0 for h in self.terms], dtype=np.int64)
+        self.phase = np.array([h.perm_phase or 0 for h in self.terms], dtype=complex)
+        self.width = np.array([1 if p else h.sparsity for h, p in zip(self.terms, self.perm)],
+                              dtype=np.int64)
         self.max_width = int(self.width.max(initial=1))
-        self.chains, self.phi, self.t = chains, phi, t
-        self.out, self.leaves, self.depth = None, 0, 0
 
-    def finish(self, first, sample, row, weight, col):
-        """Expand through chain columns col .. 0, then add the leaves."""
+    def values(self, chains, rows, phi, counters=None):
+        """Entries (B_{x_r} ... B_{x_1} phi)(rows[i]) for every sample i.
+
+        chains is a (t, r) index array into the terms, column 0 holding the
+        factor applied to phi first. Stored zeros are skipped, so sample i
+        costs prod(row nnz) <= s^r leaf queries of phi; counters records
+        exactly those.
+        """
+        rows = np.asarray(rows, dtype=np.int64).ravel()
+        call = _Call(chains, phi, rows.size)
+        # Every weight starts at 1: a read-only broadcast, never written.
+        ones = np.broadcast_to(np.complex128(1), rows.shape)
+        self._finish(call, np.arange(rows.size, dtype=np.int64), rows, ones, call.r - 1)
+        if counters is not None and rows.size:
+            counters.add(leaf_queries=call.leaves, vector_queries=call.leaves,
+                         depth=call.depth)
+        return call.out
+
+    def _finish(self, call, sample, row, weight, col):
+        """Expand through chain columns col .. 0, then add the leaves.
+
+        Entry i of the frontier is row[i] of sample sample[i], with weight[i].
+        """
         while col >= 0 and row.size:
-            if sample is None:
-                k = self.chains[first:first + row.size, col]
-            else:
-                k = self.chains[sample, col]
+            k = call.chains[:, col][sample]
             if (row.size > 1 and row.size * self.max_width > FRONTIER_LIMIT
                     and self.width[k].sum() > FRONTIER_LIMIT):
                 # Halve until each piece expands to at most the limit (or is
                 # a single entry), and finish the pieces one after the other.
                 half = row.size // 2
-                for part in (slice(0, half), slice(half, row.size)):
-                    self.finish(first + part.start, _part(sample, part), row[part],
-                                _part(weight, part), col)
+                for part in (slice(0, half), slice(half, None)):
+                    self._finish(call, sample[part], row[part], weight[part], col)
                 return
-            sample, row, weight = self._expand(first, sample, row, weight, k)
+            sample, row, weight = self._expand(sample, row, weight, k)
             if row.size:
-                self.depth = max(self.depth, self.chains.shape[1] - col)
+                call.depth = max(call.depth, call.r - col)
             col -= 1
         if row.size:
-            self._add_leaves(first, sample, row, weight)
+            leaf = weight * np.asarray(call.phi.query_many(row), dtype=complex)
+            call.leaves += row.size
+            np.add.at(call.out, sample, leaf)
 
-    def _expand(self, first, sample, row, weight, k):
+    def _expand(self, sample, row, weight, k):
         """Apply one chain column, with term index k[i] for entry i."""
+        perm = self.perm[k]
         general = None
-        if self.any_general:
-            perm = self.perm[k]
-            if not perm.all():
-                if sample is None:
-                    sample = np.arange(first, first + row.size, dtype=np.int64)
-                if weight is None:
-                    weight = np.ones(row.size, dtype=complex)
-                rest = ~perm
-                general = self._expand_general(sample[rest], row[rest], weight[rest], k[rest])
-                sample, row, weight, k = sample[perm], row[perm], weight[perm], k[perm]
+        if not perm.all():
+            rest = ~perm
+            general = self._expand_general(sample[rest], row[rest], weight[rest], k[rest])
+            sample, row, weight, k = sample[perm], row[perm], weight[perm], k[perm]
         # Signed permutations: exactly one successor per entry.
-        factor = self.phase[k] * (1.0 - 2.0 * _parity(row & self.signmask[k]))
-        weight = factor if weight is None else weight * factor
+        weight = weight * (self.phase[k] * (1.0 - 2.0 * _parity(row & self.signmask[k])))
         row = row ^ self.xmask[k]
         if general is None:
             return sample, row, weight
@@ -165,26 +142,15 @@ class _Frontier:
             parts[2].append(weight[picked] * vals)
         return tuple(np.concatenate(p) for p in parts)
 
-    def _add_leaves(self, first, sample, row, weight):
-        leaf = np.asarray(self.phi.query_many(row), dtype=complex)
-        if weight is not None:
-            leaf = weight * leaf
-        self.leaves += row.size
-        if sample is None and row.size == self.t:
-            self.out = leaf
-            return
-        if self.out is None:
-            self.out = np.zeros(self.t, dtype=complex)
-        if sample is None:
-            self.out[first:first + row.size] += leaf
-            return
-        lo, span = sample.min(), sample.max() - sample.min() + 1
-        self.out.real[lo:lo + span] += np.bincount(sample - lo, leaf.real, span)
-        self.out.imag[lo:lo + span] += np.bincount(sample - lo, leaf.imag, span)
 
+class _Call:
+    """Running state of one ChainKernel.values call."""
 
-def _part(array, part):
-    return None if array is None else array[part]
+    def __init__(self, chains, phi, t):
+        self.chains = np.asarray(chains, dtype=np.int64)
+        self.r, self.phi = self.chains.shape[1], phi
+        self.out = np.zeros(t, dtype=complex)
+        self.leaves = self.depth = 0
 
 
 def chain_entry(ell, chain, phi, counters=None):
@@ -195,7 +161,7 @@ def chain_entry(ell, chain, phi, counters=None):
     """
     mats = chain.matrices if isinstance(chain, MatrixChain) else list(chain)
     picks = np.arange(len(mats), dtype=np.int64)[None, :]
-    return complex(chain_values(mats, picks, [ell], phi, counters)[0])
+    return complex(ChainKernel(mats).values(picks, [ell], phi, counters)[0])
 
 
 class ChainVector(VectorAccessor):
@@ -205,6 +171,7 @@ class ChainVector(VectorAccessor):
         self.chain = chain
         self.phi = phi
         self.counters = counters
+        self.kernel = ChainKernel(chain.matrices)
         self.dimension = chain.dimension if chain.dimension is not None else phi.dimension
 
     def query(self, j):
@@ -214,7 +181,7 @@ class ChainVector(VectorAccessor):
         idx = np.asarray(idx, dtype=np.int64)
         picks = np.broadcast_to(np.arange(self.chain.r, dtype=np.int64),
                                 (idx.size, self.chain.r))
-        vals = chain_values(self.chain.matrices, picks, idx, self.phi, self.counters)
+        vals = self.kernel.values(picks, idx, self.phi, self.counters)
         return vals.reshape(idx.shape)
 
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import CostCapExceeded, UndefinedRatioError, ValidationError
 # chain_entry stays a module attribute, so instrumentation can patch it.
-from .imm import MatrixChain, chain_entry, chain_values, estimate_chain_sandwich  # noqa: F401
+from .imm import ChainKernel, MatrixChain, chain_entry, estimate_chain_sandwich  # noqa: F401
 from .oracle import _as_dense_vector, dense_term
 from .polyfilter import coefficient_l1
 from .rng import spawn_streams
@@ -168,6 +168,7 @@ def estimate_power(psi, phi, decomp, r, err, delta, rng,
             return complex(np.mean(vals / masses))
 
     else:
+        kernel = ChainKernel(decomp.terms)
 
         def one_batch(stream):
             chains = sampler.sample_many(stream, t, counters)
@@ -176,7 +177,7 @@ def estimate_power(psi, phi, decomp, r, err, delta, rng,
             amps = np.asarray(psi.query_many(j), dtype=complex)
             if counters is not None:
                 counters.add(psi_samples=t, psi_queries=t)
-            vals = chain_values(decomp.terms, chains, j, phi, counters)
+            vals = kernel.values(chains, j, phi, counters)
             dead = amps == 0
             if np.any(dead):
                 bad = dead & (vals != 0)

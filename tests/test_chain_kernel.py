@@ -15,7 +15,7 @@ from eigensampler.hamiltonian import (
     PauliTermHandle,
     ScaledTermHandle,
 )
-from eigensampler.imm import chain_values
+from eigensampler.imm import ChainKernel
 from eigensampler.oracle import dense_term
 
 from helpers import random_state_vector
@@ -88,7 +88,7 @@ def chain_problems(draw):
 def test_kernel_matches_dense_and_recursion(problem, limit):
     terms, chains, rows, phi = problem
     counters = Counters()
-    got = chain_values(terms, chains, rows, phi, counters)
+    got = ChainKernel(terms).values(chains, rows, phi, counters)
 
     dense = [dense_term(h) for h in terms]
     phi_v = phi.to_array()
@@ -107,7 +107,7 @@ def test_kernel_matches_dense_and_recursion(problem, limit):
 
     small = Counters()
     with mock.patch.object(imm, "FRONTIER_LIMIT", limit):
-        split = chain_values(terms, chains, rows, phi, small)
+        split = ChainKernel(terms).values(chains, rows, phi, small)
     assert np.allclose(split, got, rtol=0, atol=1e-12)
     assert small.as_dict() == counters.as_dict()
 
@@ -134,21 +134,21 @@ def test_frontier_stays_under_limit(monkeypatch, t):
     chains = rng.integers(0, len(terms), size=(t, r))
     rows = rng.integers(0, 2**n, size=t)
     phi = RecordingState(random_state_vector(rng, 2**n))
-    want = chain_values(terms, chains, rows, phi)
+    want = ChainKernel(terms).values(chains, rows, phi)
 
     sizes = []
-    expand = imm._Frontier._expand
+    expand = imm.ChainKernel._expand
 
     def recording_expand(self, *args):
         out = expand(self, *args)
         sizes.append(out[1].size)
         return out
 
-    monkeypatch.setattr(imm._Frontier, "_expand", recording_expand)
+    monkeypatch.setattr(imm.ChainKernel, "_expand", recording_expand)
     monkeypatch.setattr(imm, "FRONTIER_LIMIT", limit)
     phi.largest = 0
     counters = Counters()
-    got = chain_values(terms, chains, rows, phi, counters)
+    got = ChainKernel(terms).values(chains, rows, phi, counters)
     assert np.allclose(got, want, rtol=0, atol=1e-12)
     # every sample touches up to 4^5 leaves; the frontier never exceeds the limit
     assert counters.leaf_queries > 10 * limit
@@ -159,9 +159,9 @@ def test_frontier_stays_under_limit(monkeypatch, t):
 def test_empty_input_and_power_zero():
     phi = DenseState(random_state_vector(np.random.default_rng(2), 4))
     h = PauliTermHandle("XZ", 1.0, 2)
-    empty = chain_values([h], np.empty((0, 2), dtype=np.int64), [], phi)
+    empty = ChainKernel([h]).values(np.empty((0, 2), dtype=np.int64), [], phi)
     assert empty.shape == (0,)
     counters = Counters()
-    vals = chain_values([h], np.empty((3, 0), dtype=np.int64), [0, 3, 1], phi, counters)
+    vals = ChainKernel([h]).values(np.empty((3, 0), dtype=np.int64), [0, 3, 1], phi, counters)
     assert np.array_equal(vals, phi.query_many([0, 3, 1]))
     assert counters.leaf_queries == 3 and counters.max_depth == 0
