@@ -2,12 +2,19 @@
 
 The operator is shifted and rescaled to A' = (I + A/kappa)/2 with spectrum in
 [0, 1], which splits into T = ceil(4/epsilon) intervals of width epsilon/4.
-Test(t) applies a rectangle filter that passes [0, t*epsilon/4] and blocks
-above (t+1)*epsilon/4; a guiding state with ground-space overlap chi makes
-the filtered expectation large (at least 11 chi^2/12) once the interval
-reaches the ground energy and small (at most chi^2/12) while it is still
-strictly below, so the first accepted interval pins the ground energy of A
-to within epsilon*kappa.
+Test(t) asks whether the ground energy of A' lies at or below
+tau = t*epsilon/4 or at or above tau + epsilon/4. A guiding state with
+ground-space overlap chi separates the two cases, so the first accepted
+interval pins the ground energy of A to within epsilon*kappa.
+
+How a test filters the spectrum depends on the policy. Under `tight` it
+estimates one power <psi|(I - A')^r|psi> of the low-pass operator I - A',
+whose monomial coefficient mass is 1, so its sampled cost is
+reps * ceil(64/err^2) * s^r with no per-power error split (see
+LowPassTest). Under `strict` and `oracle-exact` it applies a rectangle
+polynomial that passes [0, tau] and blocks above tau + epsilon/4: the
+filtered expectation is at least 11 chi^2/12 in the first case and at most
+chi^2/12 in the second.
 
 The guided solver builds the decomposition from local terms; the unguided
 solver doubles the system to H (x) I and guides with the maximally entangled
@@ -18,14 +25,19 @@ import math
 from dataclasses import dataclass, field, replace
 
 from . import oracle
-from .errors import GapError, ValidationError
-from .hamiltonian import LocalTerm, build_decomposition, shift_rescale
+from .errors import CostCapExceeded, GapError, ValidationError
+from .hamiltonian import LocalTerm, build_decomposition, low_pass, shift_rescale
 from .instrument import Counters
 from .oracle import exact_sandwich
 from .polyfilter import build_rectangle_polynomial, constant_one_polynomial
 from .rng import make_generator, spawn_streams
 from .state_access import MaxEntState, make_state
-from .transform import POLICIES, estimate_polynomial_transform
+from .transform import (
+    POLICIES,
+    estimate_polynomial_transform,
+    estimate_power,
+    predict_power_cost,
+)
 
 
 @dataclass(frozen=True)
@@ -73,15 +85,25 @@ class SolverConfig:
 
 @dataclass
 class TestRecord:
+    """One threshold test: its estimate, its answer, and the filter it ran.
+
+    filter is "low-pass" (degree = the power r of I - A') or "rectangle"
+    (degree = the polynomial's degree).
+    """
+
     t: int
     estimate: complex
     yes: bool
+    filter: str
+    degree: int
 
     def to_dict(self):
         return {
             "t": self.t,
             "estimate": [float(self.estimate.real), float(self.estimate.imag)],
             "yes": self.yes,
+            "filter": self.filter,
+            "degree": int(self.degree),
         }
 
 
@@ -139,27 +161,114 @@ class DecisionOutcome:
         }
 
 
-def _test_polynomial(t, epsilon, chi):
+def _bands(t, epsilon):
+    """(tau, theta, empty) for test t; empty when the blocked band is."""
     tau = t * epsilon / 4.0
     theta = epsilon / 4.0
+    # With tau + theta above 1 every eigenvalue of A' already lies in the
+    # passed band, so the test has nothing to block.
+    return tau, theta, tau + theta > 1.0 + 1e-12
+
+
+def _test_polynomial(t, epsilon, chi):
+    tau, theta, empty = _bands(t, epsilon)
     xi = chi * chi / 12.0
-    if tau + theta > 1.0 + 1e-12:
-        # The blocked band is empty: every eigenvalue of A' already lies in
-        # the passed band, so the filter degenerates to the constant 1.
+    if empty:
         return constant_one_polynomial(tau, theta, xi)
     return build_rectangle_polynomial(tau, theta, xi)
 
 
+@dataclass(frozen=True)
+class LowPassTest:
+    """Test t as one power r of the low-pass operator I - A'.
+
+    Write tau = t*epsilon/4, theta = epsilon/4 and b = max(0, 1 - tau - theta).
+    Expand psi = sum_j c_j |v_j> over eigenvectors of A' with eigenvalues
+    lambda_j in [0, 1]. Then
+
+        <psi|(I - A')^r|psi> = sum_j |c_j|^2 (1 - lambda_j)^r,
+
+    a sum of nonnegative terms whose weights |c_j|^2 sum to 1.
+
+    * Yes bound: if lambda_0' <= tau and psi has weight at least chi^2 on the
+      ground space, the ground-space terms alone give at least
+      yes_bound = chi^2 (1 - tau)^r.
+    * No bound: if every eigenvalue is at least tau + theta, each factor
+      (1 - lambda_j)^r is at most b^r, so the sum is at most no_bound = b^r.
+
+    r is the smallest r >= 1 with chi^2 (1 - tau)^r >= 2 b^r, so
+    gap = yes_bound - no_bound >= yes_bound/2 > 0 (tau < 1 for every t < T).
+    An estimate within err = gap/4 lies above midpoint in the yes case and
+    below it in the no case. When the blocked band is empty the no case
+    cannot occur: r = 0, no_bound = 0, and the test is the constant-1 test
+    (err chi^2/4, threshold chi^2/2).
+    """
+
+    r: int
+    yes_bound: float
+    no_bound: float
+
+    @property
+    def err(self):
+        return (self.yes_bound - self.no_bound) / 4.0
+
+    @property
+    def midpoint(self):
+        return (self.yes_bound + self.no_bound) / 2.0
+
+
+def low_pass_test(t, epsilon, chi):
+    """The LowPassTest of interval t at accuracy epsilon and overlap chi."""
+    tau, theta, empty = _bands(t, epsilon)
+    chi2 = chi * chi
+    if empty:
+        return LowPassTest(0, chi2, 0.0)
+    b = max(0.0, 1.0 - tau - theta)
+
+    def separated(r):
+        return chi2 * (1.0 - tau) ** r >= 2.0 * b ** r
+
+    r = 1
+    while not separated(r):
+        r += 1
+    test = LowPassTest(r, chi2 * (1.0 - tau) ** r, b ** r)
+    # Below this the batch size ceil(64/err^2) is no longer a finite float.
+    if not test.err > 1e-150:
+        raise ValidationError(
+            f"test {t}: the low-pass gap at r = {r} is below float resolution "
+            f"(epsilon {epsilon}, chi {chi})"
+        )
+    return test
+
+
 def _threshold_detail(t, decomp_prime, psi, cfg, rng, T,
                       workers=1, counters=None):
-    """One test's (yes, estimate).
+    """One test's TestRecord.
 
-    Under oracle-exact, decomp_prime may already be the dense reconstruction
-    of the normalized operator, so a scan builds it only once.
+    Under tight the test is one estimate_power call on I - A', refused
+    before any sampling when its predicted cost exceeds the cost cap. Under
+    oracle-exact, decomp_prime may already be the dense reconstruction of
+    the normalized operator, so a scan builds it only once.
     """
+    per_test_delta = cfg.delta / T
+    if cfg.policy == "tight":
+        test = low_pass_test(t, cfg.epsilon, cfg.chi)
+        low = low_pass(decomp_prime)
+        if cfg.cost_cap is not None:
+            predicted, breakdown = predict_power_cost(
+                low, test.r, test.err, per_test_delta
+            )
+            if predicted > cfg.cost_cap:
+                breakdown.update(policy=cfg.policy, filter="low-pass")
+                raise CostCapExceeded(predicted, cfg.cost_cap, breakdown)
+        estimate = estimate_power(
+            psi, psi, low, test.r, test.err, per_test_delta, rng,
+            workers=workers, counters=counters,
+        )
+        yes = estimate.real >= test.midpoint
+        return TestRecord(t, estimate, yes, "low-pass", test.r)
     P = _test_polynomial(t, cfg.epsilon, cfg.chi)
     precision = cfg.chi * cfg.chi / 4.0
-    per_test_delta = cfg.delta / T
     if cfg.policy == "oracle-exact":
         estimate = exact_sandwich(psi, decomp_prime, psi, polynomial=P)
     else:
@@ -169,7 +278,7 @@ def _threshold_detail(t, decomp_prime, psi, cfg, rng, T,
             workers=workers, counters=counters,
         )
     yes = abs(estimate) >= cfg.chi * cfg.chi / 2.0
-    return yes, estimate
+    return TestRecord(t, estimate, yes, "rectangle", P.degree)
 
 
 def test_threshold(t, decomp_prime, psi, cfg, rng, workers=1, counters=None):
@@ -182,10 +291,10 @@ def test_threshold(t, decomp_prime, psi, cfg, rng, workers=1, counters=None):
     t = int(t)
     if not 0 <= t < T:
         raise ValidationError(f"interval index {t} outside [0, {T})")
-    yes, _ = _threshold_detail(
+    record = _threshold_detail(
         t, decomp_prime, psi, cfg, rng, T, workers=workers, counters=counters
     )
-    return yes
+    return record.yes
 
 
 def estimate_smallest_eigenvalue(decomp, psi, cfg, rng, workers=1):
@@ -219,11 +328,11 @@ def estimate_smallest_eigenvalue(decomp, psi, cfg, rng, workers=1):
     transcript = []
     t_star = None
     for t in range(T):
-        yes, estimate = _threshold_detail(
+        record = _threshold_detail(
             t, prime, psi, cfg, streams[t], T, workers=workers, counters=counters
         )
-        transcript.append(TestRecord(t, estimate, yes))
-        if yes:
+        transcript.append(record)
+        if record.yes:
             t_star = t
             break
     no_yes_found = t_star is None

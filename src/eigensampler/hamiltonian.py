@@ -27,6 +27,9 @@ from .errors import (
 # Dense eigendecomposition of a single term is allowed up to this many qubits.
 DENSE_TERM_LIMIT = 12
 
+# Basis indices, masks and rows are int64 throughout, so bit 63 is out of reach.
+MAX_QUBITS = 63
+
 _PAULI_CHARS = "IXYZ"
 
 
@@ -416,8 +419,14 @@ def build_decomposition(n, local_terms, dense_limit=DENSE_TERM_LIMIT):
     """Embed local terms on n qubits into a Decomposition.
 
     Norm bounds are the exact per-term spectral norms unless a term carries an
-    override (which has already been validated to dominate the norm).
+    override (which has already been validated to dominate the norm). At most
+    MAX_QUBITS qubits are accepted.
     """
+    if n > MAX_QUBITS:
+        raise ValidationError(
+            f"{n} qubits exceed the limit of {MAX_QUBITS}: basis indices are "
+            f"64-bit signed integers"
+        )
     handles = []
     bounds = []
     for idx, term in enumerate(local_terms):
@@ -447,6 +456,26 @@ def shift_rescale(decomp):
         terms.append(ScaledTermHandle(handle, half))
         bounds.append(ki * half)
     return Decomposition(terms, bounds)
+
+
+def low_pass(decomp_prime):
+    """Decomposition of I - A' from shift_rescale's decomposition of A'.
+
+    I - A' = (I - A/kappa)/2: the identity term at index 0 is kept, and every
+    other term's factor changes sign, so the norm bounds still sum to 1 and
+    the spectrum still lies in [0, 1]. Any other shape is refused.
+    """
+    terms, bounds = decomp_prime.terms, decomp_prime.kappa_i
+    head = terms[0] if terms else None
+    if (not isinstance(head, IdentityHandle) or head.scale != 0.5
+            or bounds[0] != 0.5
+            or not all(isinstance(h, ScaledTermHandle) for h in terms[1:])):
+        raise ValidationError(
+            "low_pass needs shift_rescale's decomposition: the identity with "
+            "bound 1/2 first, then scaled terms"
+        )
+    flipped = [ScaledTermHandle(h.inner, -h.factor) for h in terms[1:]]
+    return Decomposition([head] + flipped, bounds)
 
 
 # ---------------------------------------------------------------------------

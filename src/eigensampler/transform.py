@@ -210,6 +210,38 @@ def power_error_budget(P, eta, policy):
     return min(1.0, eta / denom)
 
 
+def batch_shape(err, delta):
+    """(reps, t): the median repetitions and chains per batch of one power."""
+    reps = max(1, math.ceil(18.0 * math.log(1.0 / delta)))
+    t = math.ceil(64.0 / (err * err))
+    return reps, t
+
+
+def power_cost(decomp, r, reps, t, per_chain=1.0):
+    """Planned leaf operations of power r: reps batches of t chains, each
+    costing per_chain times s^r leaves. Saturates to inf."""
+    return float(reps) * float(t) * per_chain * _power_pow(max(decomp.s, 1), r)
+
+
+def predict_power_cost(decomp, r, err, delta):
+    """Planned leaf operations of one single-chain estimate_power call.
+
+    Returns (total, breakdown), with the breakdown in predict_cost's shape
+    for a polynomial whose only power is r.
+    """
+    reps, t = batch_shape(err, delta)
+    cost = power_cost(decomp, r, reps, t)
+    breakdown = {
+        "chain_mode": "single",
+        "degree": r,
+        "err_per_power": err,
+        "reps_per_power": reps,
+        "chains_per_batch": float(t),
+        "per_power": {r: cost},
+    }
+    return cost, breakdown
+
+
 def predict_cost(decomp, P, eta, delta_total, policy="tight",
                  chain_mode="single"):
     """Planned leaf-operation count for a polynomial transform, pre-run.
@@ -221,9 +253,7 @@ def predict_cost(decomp, P, eta, delta_total, policy="tight",
     d = P.degree
     err = power_error_budget(P, eta, policy)
     delta = delta_total / (d + 1)
-    reps = max(1, math.ceil(18.0 * math.log(1.0 / delta)))
-    t = math.ceil(64.0 / (err * err))
-    s_eff = max(decomp.s, 1)
+    reps, t = batch_shape(err, delta)
     if chain_mode == "nested":
         inner_eps = min(1.0, err * _INV_2SQRT2)
         inner_t = math.ceil(8.0 / (inner_eps * inner_eps))
@@ -241,7 +271,7 @@ def predict_cost(decomp, P, eta, delta_total, policy="tight",
         if per_chain_base is None:
             cost = float(reps) * float(t)
         else:
-            cost = float(reps) * float(t) * per_chain_base * _power_pow(s_eff, r)
+            cost = power_cost(decomp, r, reps, t, per_chain_base)
         per_power[r] = cost
         total += cost
     breakdown = {

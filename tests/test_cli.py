@@ -62,6 +62,19 @@ class TestEstimate:
         assert code1 == code2 == 0
         assert out1 == out2
 
+    def test_tight_transcript_reruns_are_byte_identical(self, capsys, z_file):
+        argv = (
+            "estimate", "--hamiltonian", z_file, "--state", "basis:1",
+            "--epsilon", "0.5", "--seed", "9", "--transcript", "--json",
+        )
+        code1, out1, _ = run(capsys, *argv)
+        code2, out2, _ = run(capsys, *argv)
+        assert code1 == code2 == 0
+        assert out1 == out2
+        record = json.loads(out1)["result"]["transcript"][0]
+        assert record["filter"] == "low-pass"
+        assert record["degree"] == 6
+
     def test_worker_count_does_not_change_result(self, capsys, pair_file):
         base = (
             "estimate", "--hamiltonian", pair_file, "--state", "basis:0",
@@ -72,15 +85,25 @@ class TestEstimate:
         assert doc1["result"] == doc2["result"]
 
     def test_default_policy_hits_cost_cap(self, capsys, z_file):
-        code, _, edoc = run_json(
-            capsys, "estimate", "--hamiltonian", z_file, "--state", "basis:1",
-            "--epsilon", "0.25", "--json",
-        )
-        assert code == 2
-        err = edoc["error"]
-        assert err["type"] == "CostCapExceeded"
-        assert err["predicted"] > err["cap"]
-        assert "per_power" in err["breakdown"]
+        # The default tight policy now finishes within epsilon * kappa; strict
+        # and a tight run capped below its prediction still exit 2 with the
+        # cost breakdown.
+        argv = ("estimate", "--hamiltonian", z_file, "--state", "basis:1",
+                "--epsilon", "0.25", "--json")
+        code, doc, _ = run_json(capsys, *argv)
+        assert code == 0
+        assert abs(doc["result"]["e_star"] - (-1.0)) <= 0.25 * doc["result"]["kappa"]
+        for extra in (("--policy", "strict"), ("--cost-cap", "1000")):
+            code, _, edoc = run_json(capsys, *argv, *extra)
+            assert code == 2
+            err = edoc["error"]
+            assert err["type"] == "CostCapExceeded"
+            assert err["predicted"] > err["cap"]
+            assert "per_power" in err["breakdown"]
+        assert err["breakdown"]["filter"] == "low-pass"
+        assert err["breakdown"]["per_power"] == {
+            str(err["breakdown"]["degree"]): err["predicted"]
+        }
 
     def test_strict_policy_exceeds_large_cap(self, capsys, z_file):
         code, _, edoc = run_json(
@@ -166,6 +189,18 @@ class TestEstimate:
             "--policy", "oracle-exact", "--json",
         )
         assert code == 1
+
+    def test_64_qubits_exit_one(self, capsys, tmp_path):
+        path = tmp_path / "wide.txt"
+        path.write_text("n=64\n1.0 Z" + "I" * 63 + "\n")
+        code, doc, edoc = run_json(
+            capsys, "estimate", "--hamiltonian", str(path), "--state", "basis:0",
+            "--epsilon", "1.0", "--json",
+        )
+        assert code == 1
+        assert doc is None
+        assert edoc["error"]["type"] == "ValidationError"
+        assert "64 qubits" in edoc["error"]["message"]
 
     def test_bad_flag_exits_one(self, capsys, z_file):
         code, _, _ = run(
@@ -283,16 +318,23 @@ class TestBench:
         assert out1 == out2
 
     def test_sampled_policy_records_aborts(self, capsys):
-        code, doc, _ = run_json(
-            capsys, "bench", "--count", "2", "--n", "2", "--m", "3", "--k", "2",
-            "--pauli-only", "--policy", "tight", "--epsilon", "0.5",
-            "--seed", "3", "--json",
-        )
+        # tight instances now finish and match the oracle; strict ones and
+        # tight ones capped below their prediction are recorded as aborts.
+        argv = ("bench", "--count", "2", "--n", "2", "--m", "3", "--k", "2",
+                "--pauli-only", "--epsilon", "0.5", "--seed", "3", "--json")
+        code, doc, _ = run_json(capsys, *argv, "--policy", "tight")
         assert code == 0
-        assert doc["summary"]["aborted"] == 2
+        assert doc["summary"]["aborted"] == 0
+        assert doc["summary"]["success_fraction"] == 1.0
         for inst in doc["instances"]:
-            assert inst["aborted"] == "cost-cap"
-            assert inst["predicted"] > inst["cap"]
+            assert abs(inst["e_star"] - inst["lambda_min"]) <= 0.5 * inst["kappa"]
+        for extra in (("--policy", "strict"), ("--cost-cap", "1000")):
+            code, doc, _ = run_json(capsys, *argv, *extra)
+            assert code == 0
+            assert doc["summary"]["aborted"] == 2
+            for inst in doc["instances"]:
+                assert inst["aborted"] == "cost-cap"
+                assert inst["predicted"] > inst["cap"]
 
 
 def test_no_subcommand_exits_one(capsys):

@@ -1,10 +1,13 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from eigensampler import (
     BasisState,
+    CostCapExceeded,
+    Counters,
     DenseState,
     GapError,
     LocalTerm,
@@ -19,12 +22,19 @@ from eigensampler import (
     solve_guided,
     solve_unguided,
 )
-from eigensampler import oracle, polyfilter
+from eigensampler import eigensolve, oracle, polyfilter
 from eigensampler import test_threshold as threshold_test
-from eigensampler.eigensolve import doubled_terms
+from eigensampler.eigensolve import _test_polynomial, doubled_terms, low_pass_test
+from eigensampler.hamiltonian import low_pass
+from eigensampler.rng import spawn_streams
 from eigensampler.oracle import ground_vector
 
-from helpers import hamiltonian_matrix, random_block_term, random_pauli_terms
+from helpers import (
+    hamiltonian_matrix,
+    random_block_term,
+    random_pauli_terms,
+    sparse_decomposition,
+)
 
 Z_TERMS = [LocalTerm.from_pauli(1.0, "Z")]
 X_NEG_TERMS = [LocalTerm.from_pauli(-1.0, "X")]
@@ -208,19 +218,26 @@ class TestEstimate:
             )
 
     def test_sampling_policies_abort_on_cost_cap(self):
-        # the rectangle filter's coefficient mass forces >= 1e15 samples per
-        # threshold test even at the loosest legal accuracy, so every sampled
-        # policy must hit the preflight cap instead of silently running
-        from eigensampler import CostCapExceeded
-
+        # tight runs the low-pass tests, whose cost fits under the default
+        # cap; strict still pays the rectangle's 4^degree worst case, and a
+        # tight run under a cap below its first test's prediction aborts
+        # before sampling with the low-pass breakdown.
         d = build_decomposition(1, Z_TERMS)
-        for policy in ("tight", "strict"):
-            cfg = SolverConfig(epsilon=1.0, chi=1.0, delta=0.5, policy=policy)
+        tight = SolverConfig(epsilon=1.0, chi=1.0, delta=0.5, policy="tight")
+        est = estimate_smallest_eigenvalue(
+            d, BasisState(1, 2), tight, np.random.default_rng(0)
+        )
+        assert abs(est.e_star - (-1.0)) <= tight.epsilon * d.kappa
+        assert est.samples_used > 0
+        for cfg in (replace(tight, policy="strict"), replace(tight, cost_cap=1e3)):
             with pytest.raises(CostCapExceeded) as info:
                 estimate_smallest_eigenvalue(
                     d, BasisState(1, 2), cfg, np.random.default_rng(0)
                 )
             assert info.value.predicted > cfg.cost_cap
+            assert "per_power" in info.value.breakdown
+        assert info.value.breakdown["filter"] == "low-pass"
+        assert info.value.breakdown["degree"] == est.transcript[0].degree
 
     def test_oracle_exact_uses_no_samples(self):
         d = build_decomposition(1, Z_TERMS)
@@ -354,3 +371,164 @@ def test_energy_estimate_to_dict_round_trips_through_json():
     assert again["t_star"] == est.t_star
     doc_t = est.to_dict(include_transcript=True)
     assert len(doc_t["transcript"]) == est.t_star + 1
+
+
+def shifted_to(n, terms, target):
+    """terms plus c*I, with c chosen so that lambda_0 of A' equals target."""
+    d = build_decomposition(n, terms)
+    lam, kappa = exact_ground_energy(reconstruct(d)), d.kappa
+    num = (2.0 * target - 1.0) * kappa - lam
+    c = num / (2.0 - 2.0 * target) if num >= 0 else num / (2.0 * target)
+    return terms + [LocalTerm.from_pauli(c, "I" * n)]
+
+
+def guide_with_overlap(op, chi, rng):
+    """chi times a ground vector plus an excited part orthogonal to the ground space."""
+    vals, vecs = op.eigenvalues, op.eigenvectors
+    ground = vals <= vals[0] + 1e-9
+    excited = vecs[:, ~ground] @ (rng.normal(size=(~ground).sum())
+                                  + 1j * rng.normal(size=(~ground).sum()))
+    v = chi * vecs[:, 0] + math.sqrt(1 - chi * chi) * excited / np.linalg.norm(excited)
+    return DenseState(v / np.linalg.norm(v))
+
+
+class TestLowPass:
+    """The tight scan's low-pass test (I - A')^r."""
+
+    def test_choice_of_r(self):
+        for epsilon in (1.0, 0.5, 0.3, 0.25):
+            for chi in (1.0, 0.5, 0.1):
+                for t in range(math.ceil(4 / epsilon)):
+                    test = low_pass_test(t, epsilon, chi)
+                    tau, theta = t * epsilon / 4, epsilon / 4
+                    if tau + theta > 1:
+                        assert (test.r, test.yes_bound, test.no_bound) == (0, chi * chi, 0.0)
+                        continue
+                    b = max(0.0, 1 - tau - theta)
+
+                    def separated(r):
+                        return chi * chi * (1 - tau) ** r >= 2 * b ** r
+
+                    assert test.r >= 1 and separated(test.r)
+                    assert test.r == 1 or not separated(test.r - 1)
+                    assert test.yes_bound == chi * chi * (1 - tau) ** test.r
+                    assert test.no_bound == b ** test.r
+                    assert test.err == (test.yes_bound - test.no_bound) / 4 > 0
+
+    def test_gap_below_float_resolution_is_refused(self):
+        # r = 2403 here, so the yes bound (1 - 0.13325)^2403 is about 6e-150
+        with pytest.raises(ValidationError, match="float resolution"):
+            low_pass_test(533, 0.001, 1.0)
+
+    def test_decomposition_reconstructs_identity_minus_a_prime(self):
+        rng = np.random.default_rng(61)
+        for n in (3, 4, 5, 6):
+            terms = random_pauli_terms(rng, n, 4) + [random_block_term(rng, n, 2)]
+            prime = shift_rescale(build_decomposition(n, terms))
+            low = low_pass(prime)
+            assert low.kappa_i == prime.kappa_i
+            want = np.eye(2**n) - reconstruct(prime).matrix
+            assert np.max(np.abs(reconstruct(low).matrix - want)) <= 1e-12
+
+    def test_decomposition_refuses_other_shapes(self):
+        d = build_decomposition(2, HEISENBERG)
+        prime = shift_rescale(d)
+        for bad in (d, sparse_decomposition(prime.terms[1:], prime.kappa_i[1:]),
+                    sparse_decomposition(prime.terms[:1] + d.terms,
+                                         prime.kappa_i[:1] + d.kappa_i)):
+            with pytest.raises(ValidationError):
+                low_pass(bad)
+
+    def test_bounds_hold_at_both_band_edges(self, monkeypatch):
+        # exact_sandwich(power=r) stands in for the sampled estimate, so the
+        # test's decision is checked along with the bounds it rests on
+        exact_calls = []
+
+        def exact_power(psi, phi, low, r, err, delta, rng, **kw):
+            exact_calls.append(r)
+            return oracle.exact_sandwich(psi, low, phi, power=r)
+
+        monkeypatch.setattr(eigensolve, "estimate_power", exact_power)
+        rng = np.random.default_rng(62)
+        checked = 0
+        for k in range(16):
+            n = 3 + k % 4
+            terms = random_pauli_terms(rng, n, 3) + [random_block_term(rng, n, 2)]
+            chi = (0.9, 0.6, 0.3)[k % 3]
+            epsilon = (1.0, 0.5, 0.3)[k % 3]
+            # both edges inside (0, 1): lambda_0' = 1 would need A' = I
+            t = int(rng.integers(1, math.ceil(4 / epsilon)))
+            while (t + 1) * epsilon / 4 > 0.99:
+                t -= 1
+            tau, theta = t * epsilon / 4, epsilon / 4
+            for edge, yes in ((tau, True), (tau + theta, False)):
+                shifted = shifted_to(n, terms, edge)
+                prime = shift_rescale(build_decomposition(n, shifted))
+                op = reconstruct(prime)
+                assert op.eigenvalues[0] == pytest.approx(edge, abs=1e-12)
+                psi = guide_with_overlap(op, chi, rng)
+                test = low_pass_test(t, epsilon, chi)
+                value = oracle.exact_sandwich(psi, low_pass(prime), psi, power=test.r)
+                assert abs(value.imag) <= 1e-12
+                if yes:
+                    assert value.real >= test.yes_bound - 1e-12
+                else:
+                    assert value.real <= test.no_bound + 1e-12
+                cfg = SolverConfig(epsilon=epsilon, chi=chi, policy="tight",
+                                   cost_cap=None)
+                assert threshold_test(t, prime, psi, cfg, None) is yes
+                checked += 1
+        assert checked == 32 and len(exact_calls) == 32
+
+    def test_every_test_predicts_under_a_unit_cap(self):
+        d = shift_rescale(build_decomposition(2, HEISENBERG))
+        cfg = SolverConfig(epsilon=0.3, chi=0.5, policy="tight", cost_cap=1.0)
+        for t in range(cfg.interval_count):
+            with pytest.raises(CostCapExceeded) as info:
+                threshold_test(t, d, BasisState(0, 4), cfg, np.random.default_rng(0))
+            b = info.value.breakdown
+            test = low_pass_test(t, cfg.epsilon, cfg.chi)
+            assert b["filter"] == "low-pass" and b["policy"] == "tight"
+            assert b["degree"] == test.r
+            assert b["err_per_power"] == test.err
+            assert b["per_power"] == {test.r: info.value.predicted}
+            assert info.value.predicted == (
+                b["reps_per_power"] * b["chains_per_batch"] * d.s ** test.r
+            )
+
+    def test_leaf_queries_within_prediction_in_a_tight_scan(self):
+        rng = np.random.default_rng(63)
+        terms = random_pauli_terms(rng, 3, 3) + [random_block_term(rng, 3, 2)]
+        prime = shift_rescale(build_decomposition(3, terms))
+        psi = guide_with_overlap(reconstruct(prime), 0.8, rng)
+        cfg = SolverConfig(epsilon=1.0, chi=0.8, delta=0.5, policy="tight")
+        capped = replace(cfg, cost_cap=1.0)
+        streams = spawn_streams(np.random.default_rng(0), cfg.interval_count)
+        ran = 0
+        for t in range(cfg.interval_count):
+            with pytest.raises(CostCapExceeded) as info:
+                threshold_test(t, prime, psi, capped, streams[t])
+            counters = Counters()
+            yes = threshold_test(t, prime, psi, cfg, streams[t], counters=counters)
+            assert 0 < counters.leaf_queries <= info.value.predicted
+            ran += 1
+            if yes:
+                break
+        assert ran >= 1
+
+    def test_transcript_names_the_filter(self):
+        d = build_decomposition(2, HEISENBERG)
+        psi = DenseState(ground_vector(reconstruct(d)))
+        runs = {}
+        for policy in ("tight", "oracle-exact"):
+            cfg = SolverConfig(epsilon=0.5, policy=policy, seed=3)
+            runs[policy] = estimate_smallest_eigenvalue(
+                d, psi, cfg, np.random.default_rng(3)
+            )
+        for rec in runs["tight"].transcript:
+            assert rec.filter == "low-pass"
+            assert rec.degree == low_pass_test(rec.t, 0.5, 1.0).r
+        for rec in runs["oracle-exact"].transcript:
+            assert rec.filter == "rectangle"
+            assert rec.degree == _test_polynomial(rec.t, 0.5, 1.0).degree
+            assert rec.to_dict()["degree"] == rec.degree

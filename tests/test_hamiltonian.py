@@ -160,6 +160,14 @@ def test_build_decomposition_totals():
     assert d.s == max(h.sparsity for h in d.terms)
 
 
+def test_build_decomposition_refuses_64_qubits():
+    # basis indices and masks are int64, so bit 63 cannot be addressed
+    top = [LocalTerm.from_pauli(1.0, "I" * 62 + "X")]
+    assert build_decomposition(63, top).dimension == 2**63
+    with pytest.raises(ValidationError, match="64 qubits"):
+        build_decomposition(64, [LocalTerm.from_pauli(1.0, "I" * 63 + "X")])
+
+
 def test_kappa_override_propagates_to_bounds():
     terms = [LocalTerm.from_pauli(0.5, "Z", kappa=0.9)]
     d = build_decomposition(1, terms)
