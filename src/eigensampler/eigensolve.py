@@ -10,11 +10,11 @@ interval pins the ground energy of A to within epsilon*kappa.
 How a test filters the spectrum depends on the policy. Under `tight` it
 estimates one power <psi|(I - A')^r|psi> of the low-pass operator I - A',
 whose monomial coefficient mass is 1, so its sampled cost is
-reps * ceil(64/err^2) * s^r with no per-power error split (see
-LowPassTest). Under `strict` and `oracle-exact` it applies a rectangle
-polynomial that passes [0, tau] and blocks above tau + epsilon/4: the
-filtered expectation is at least 11 chi^2/12 in the first case and at most
-chi^2/12 in the second.
+reps * ceil(64/err^2) * r * s^r with no per-power error split, and r is
+bounded by the filter degree cap (see LowPassTest). Under `strict` and
+`oracle-exact` it applies a rectangle polynomial that passes [0, tau] and
+blocks above tau + epsilon/4: the filtered expectation is at least
+11 chi^2/12 in the first case and at most chi^2/12 in the second.
 
 The guided solver builds the decomposition from local terms; the unguided
 solver doubles the system to H (x) I and guides with the maximally entangled
@@ -25,11 +25,20 @@ import math
 from dataclasses import dataclass, field, replace
 
 from . import oracle
-from .errors import CostCapExceeded, GapError, ValidationError
+from .errors import (
+    CostCapExceeded,
+    DegreeOverflowError,
+    GapError,
+    ValidationError,
+)
 from .hamiltonian import LocalTerm, build_decomposition, low_pass, shift_rescale
 from .instrument import Counters
 from .oracle import exact_sandwich
-from .polyfilter import build_rectangle_polynomial, constant_one_polynomial
+from .polyfilter import (
+    DEGREE_CAP,
+    build_rectangle_polynomial,
+    constant_one_polynomial,
+)
 from .rng import make_generator, spawn_streams
 from .state_access import MaxEntState, make_state
 from .transform import (
@@ -218,7 +227,12 @@ class LowPassTest:
 
 
 def low_pass_test(t, epsilon, chi):
-    """The LowPassTest of interval t at accuracy epsilon and overlap chi."""
+    """The LowPassTest of interval t at accuracy epsilon and overlap chi.
+
+    Raises DegreeOverflowError when r would pass the filter degree cap: the
+    chain masses are products of r bounds of at most 1/2, so past the cap
+    they head for float underflow.
+    """
     tau, theta, empty = _bands(t, epsilon)
     chi2 = chi * chi
     if empty:
@@ -228,9 +242,26 @@ def low_pass_test(t, epsilon, chi):
     def separated(r):
         return chi2 * (1.0 - tau) ** r >= 2.0 * b ** r
 
-    r = 1
-    while not separated(r):
+    def overflow():
+        return DegreeOverflowError(
+            f"test {t}: the low-pass test needs a power above the degree cap "
+            f"{DEGREE_CAP} (epsilon {epsilon}, chi {chi})",
+            degree_cap=DEGREE_CAP,
+        )
+
+    # separated(r) iff r ln((1 - tau)/b) >= ln(2/chi^2)
+    need = math.log(2.0) - 2.0 * math.log(chi)
+    rate = -math.log1p(-theta / (1.0 - tau)) if b > 0.0 else math.inf
+    if need > DEGREE_CAP * rate:
+        raise overflow()
+    r = max(1, math.ceil(need / rate))
+    # rounding can put the closed form one off the smallest separating r
+    if r > 1 and separated(r - 1):
+        r -= 1
+    elif not separated(r):
         r += 1
+    if r > DEGREE_CAP:
+        raise overflow()
     test = LowPassTest(r, chi2 * (1.0 - tau) ** r, b ** r)
     # Below this the batch size ceil(64/err^2) is no longer a finite float.
     if not test.err > 1e-150:
@@ -324,12 +355,14 @@ def estimate_smallest_eigenvalue(decomp, psi, cfg, rng, workers=1):
         prime = oracle.reconstruct(prime)
     T = cfg.interval_count
     counters = Counters()
-    streams = spawn_streams(rng, T)
     transcript = []
     t_star = None
     for t in range(T):
+        # Spawned as the scan reaches test t: the child streams of spawning
+        # all T up front, without their O(T) cost (T = 4e9 at epsilon 1e-9).
+        (stream,) = spawn_streams(rng, 1)
         record = _threshold_detail(
-            t, prime, psi, cfg, streams[t], T, workers=workers, counters=counters
+            t, prime, psi, cfg, stream, T, workers=workers, counters=counters
         )
         transcript.append(record)
         if record.yes:

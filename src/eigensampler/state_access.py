@@ -349,6 +349,11 @@ def sample_ratios(psi, w, count, rng, counters=None):
     return wvals / amps
 
 
+def median_reps(delta):
+    """Repetitions ceil(18 ln(1/delta)) that median_amplify runs at delta."""
+    return max(1, math.ceil(18.0 * math.log(1.0 / delta)))
+
+
 def median_amplify(run, delta, rng, workers=1):
     """Boost a 3/4-confidence estimator to confidence 1 - delta.
 
@@ -358,7 +363,7 @@ def median_amplify(run, delta, rng, workers=1):
     """
     if not 0 < delta <= 1:
         raise ValidationError(f"delta must be in (0, 1], got {delta}")
-    reps = max(1, math.ceil(18.0 * math.log(1.0 / delta)))
+    reps = median_reps(delta)
     streams = spawn_streams(rng, reps)
     if workers > 1 and reps > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -34,7 +34,7 @@ from .imm import ChainKernel, MatrixChain, chain_entry, estimate_chain_sandwich 
 from .oracle import _as_dense_vector, dense_term
 from .polyfilter import coefficient_l1
 from .rng import spawn_streams
-from .state_access import median_amplify
+from .state_access import median_amplify, median_reps
 
 _KAPPA_TOL = 1e-9
 _INV_2SQRT2 = 1.0 / (2.0 * math.sqrt(2.0))
@@ -135,7 +135,7 @@ def estimate_power(psi, phi, decomp, r, err, delta, rng,
     if chain_mode not in CHAIN_MODES:
         raise ValidationError(f"unknown chain_mode {chain_mode!r}")
     sampler = ChainSampler(decomp, r)
-    t = math.ceil(64.0 / (err * err))
+    _, t = batch_shape(err, delta)
     exact = _ExactChainOracle(decomp, psi, phi) if chain_mode == "exact" else None
 
     if chain_mode == "nested":
@@ -212,9 +212,7 @@ def power_error_budget(P, eta, policy):
 
 def batch_shape(err, delta):
     """(reps, t): the median repetitions and chains per batch of one power."""
-    reps = max(1, math.ceil(18.0 * math.log(1.0 / delta)))
-    t = math.ceil(64.0 / (err * err))
-    return reps, t
+    return median_reps(delta), math.ceil(64.0 / (err * err))
 
 
 def power_cost(decomp, r, reps, t, per_chain=1.0):
@@ -226,11 +224,13 @@ def power_cost(decomp, r, reps, t, per_chain=1.0):
 def predict_power_cost(decomp, r, err, delta):
     """Planned leaf operations of one single-chain estimate_power call.
 
-    Returns (total, breakdown), with the breakdown in predict_cost's shape
-    for a polynomial whose only power is r.
+    Each chain is charged max(r, 1) times s^r: r index draws, and a frontier
+    of at most s^r leaves. The cap therefore also bounds the (t, r) chain
+    arrays a batch holds. Returns (total, breakdown), with the breakdown in
+    predict_cost's shape for a polynomial whose only power is r.
     """
     reps, t = batch_shape(err, delta)
-    cost = power_cost(decomp, r, reps, t)
+    cost = power_cost(decomp, r, reps, t, per_chain=max(r, 1))
     breakdown = {
         "chain_mode": "single",
         "degree": r,
@@ -256,8 +256,9 @@ def predict_cost(decomp, P, eta, delta_total, policy="tight",
     reps, t = batch_shape(err, delta)
     if chain_mode == "nested":
         inner_eps = min(1.0, err * _INV_2SQRT2)
+        inner_delta = 1.0 / (8.0 * t)
         inner_t = math.ceil(8.0 / (inner_eps * inner_eps))
-        inner_reps = max(1, math.ceil(18.0 * math.log(8.0 * t)))
+        inner_reps = median_reps(inner_delta)
         per_chain_base = float(inner_t) * inner_reps
     elif chain_mode == "exact":
         per_chain_base = None

@@ -202,6 +202,16 @@ class TestEstimate:
         assert edoc["error"]["type"] == "ValidationError"
         assert "64 qubits" in edoc["error"]["message"]
 
+    def test_low_pass_power_past_degree_cap_exits_one(self, capsys, z_file):
+        code, doc, edoc = run_json(
+            capsys, "estimate", "--hamiltonian", z_file, "--state", "basis:1",
+            "--epsilon", "0.002", "--json",
+        )
+        assert code == 1
+        assert doc is None
+        assert edoc["error"]["type"] == "DegreeOverflowError"
+        assert "degree cap 200" in edoc["error"]["message"]
+
     def test_bad_flag_exits_one(self, capsys, z_file):
         code, _, _ = run(
             capsys, "estimate", "--hamiltonian", z_file, "--state", "basis:1",

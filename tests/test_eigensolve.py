@@ -8,6 +8,7 @@ from eigensampler import (
     BasisState,
     CostCapExceeded,
     Counters,
+    DegreeOverflowError,
     DenseState,
     GapError,
     LocalTerm,
@@ -396,12 +397,16 @@ class TestLowPass:
     """The tight scan's low-pass test (I - A')^r."""
 
     def test_choice_of_r(self):
-        for epsilon in (1.0, 0.5, 0.3, 0.25):
-            for chi in (1.0, 0.5, 0.1):
+        # r comes in closed form; it must be the smallest separating r, or
+        # a DegreeOverflowError when that r passes the degree cap
+        cap = polyfilter.DEGREE_CAP
+        refused = 0
+        for epsilon in (1.0, 0.5, 0.3, 0.25, 0.1, 0.05):
+            for chi in (1.0, 0.5, 0.1, 0.03):
                 for t in range(math.ceil(4 / epsilon)):
-                    test = low_pass_test(t, epsilon, chi)
                     tau, theta = t * epsilon / 4, epsilon / 4
                     if tau + theta > 1:
+                        test = low_pass_test(t, epsilon, chi)
                         assert (test.r, test.yes_bound, test.no_bound) == (0, chi * chi, 0.0)
                         continue
                     b = max(0.0, 1 - tau - theta)
@@ -409,16 +414,80 @@ class TestLowPass:
                     def separated(r):
                         return chi * chi * (1 - tau) ** r >= 2 * b ** r
 
-                    assert test.r >= 1 and separated(test.r)
-                    assert test.r == 1 or not separated(test.r - 1)
+                    smallest = next(r for r in range(1, cap + 2) if separated(r)
+                                    or r == cap + 1)
+                    if smallest > cap:
+                        with pytest.raises(DegreeOverflowError):
+                            low_pass_test(t, epsilon, chi)
+                        refused += 1
+                        continue
+                    test = low_pass_test(t, epsilon, chi)
+                    assert test.r == smallest
                     assert test.yes_bound == chi * chi * (1 - tau) ** test.r
                     assert test.no_bound == b ** test.r
                     assert test.err == (test.yes_bound - test.no_bound) / 4 > 0
+        assert refused > 0
 
     def test_gap_below_float_resolution_is_refused(self):
-        # r = 2403 here, so the yes bound (1 - 0.13325)^2403 is about 6e-150
+        # tau = 0.95 and theta = 2.5e-4 give r = 139, under the degree cap,
+        # and a yes bound 0.05^139 of about 1e-181
         with pytest.raises(ValidationError, match="float resolution"):
-            low_pass_test(533, 0.001, 1.0)
+            low_pass_test(3800, 0.001, 1.0)
+
+    def test_power_above_the_degree_cap_is_refused(self):
+        # The chain masses are products of r bounds of at most 1/2, so an
+        # unbounded r would underflow them to 0 and turn the estimate into
+        # nan. r is closed-form, so epsilon 1e-9 (r about 2.8e9) is refused
+        # without a search.
+        for t, epsilon, chi in ((0, 0.002, 1.0), (0, 1e-5, 1.0), (0, 1e-9, 1.0),
+                                (0, 0.5, 1e-200), (195, 0.02, 1e-20)):
+            with pytest.raises(DegreeOverflowError) as info:
+                low_pass_test(t, epsilon, chi)
+            assert info.value.degree_cap == polyfilter.DEGREE_CAP
+
+    def test_single_z_at_small_epsilon_stops_at_the_degree_cap(self):
+        # r about 1387 at test 0; before the cap this run returned an
+        # answer from a 0/0 estimate
+        cfg = SolverConfig(epsilon=0.002, policy="tight")
+        with pytest.raises(DegreeOverflowError):
+            solve_guided((1, Z_TERMS), BasisState(1, 2), cfg)
+
+    def test_scan_spawns_streams_as_it_goes(self):
+        # T = 4e9 here; spawning every test's stream before test 0 took
+        # hours. Streams spawned one per test are those of spawning all T.
+        with pytest.raises(DegreeOverflowError):
+            solve_guided((1, Z_TERMS), BasisState(1, 2),
+                         SolverConfig(epsilon=1e-9, policy="tight"))
+        d = build_decomposition(2, [
+            LocalTerm.from_pauli(0.5, "XZ"),
+            LocalTerm.from_pauli(-0.25, "ZI"),
+            LocalTerm.from_pauli(0.3, "IX"),
+        ])
+        psi = DenseState(ground_vector(reconstruct(d)))
+        cfg = SolverConfig(epsilon=0.5, policy="tight", seed=5)
+        est = estimate_smallest_eigenvalue(d, psi, cfg, np.random.default_rng(5))
+        assert len(est.transcript) > 1
+        streams = spawn_streams(np.random.default_rng(5), cfg.interval_count)
+        prime = shift_rescale(d)
+        for rec in est.transcript:
+            again = eigensolve._threshold_detail(
+                rec.t, prime, psi, cfg, streams[rec.t], cfg.interval_count
+            )
+            assert again == rec
+
+    def test_long_pauli_chain_stops_at_the_preflight(self):
+        # A Pauli-only operator has s = 1, so only the chain length makes
+        # the cost grow with r: r = 139 here, 139 draws per chain
+        cfg = SolverConfig(epsilon=0.02, policy="tight", cost_cap=1e7)
+        prime = shift_rescale(build_decomposition(1, Z_TERMS))
+        assert prime.s == 1
+        with pytest.raises(CostCapExceeded) as info:
+            threshold_test(0, prime, BasisState(1, 2), cfg, np.random.default_rng(0))
+        b = info.value.breakdown
+        assert b["degree"] == low_pass_test(0, 0.02, 1.0).r == 139
+        assert info.value.predicted == (
+            b["reps_per_power"] * b["chains_per_batch"] * 139
+        )
 
     def test_decomposition_reconstructs_identity_minus_a_prime(self):
         rng = np.random.default_rng(61)
@@ -493,7 +562,8 @@ class TestLowPass:
             assert b["err_per_power"] == test.err
             assert b["per_power"] == {test.r: info.value.predicted}
             assert info.value.predicted == (
-                b["reps_per_power"] * b["chains_per_batch"] * d.s ** test.r
+                b["reps_per_power"] * b["chains_per_batch"]
+                * max(test.r, 1) * d.s ** test.r
             )
 
     def test_leaf_queries_within_prediction_in_a_tight_scan(self):
