@@ -41,7 +41,7 @@ from .state_access import (
     make_state,
     median_amplify,
 )
-from .imm import MatrixChain, chain_entry, estimate_chain_sandwich
+from .imm import MatrixChain, chain_entry
 from .polyfilter import (
     RectanglePolynomial,
     build_rectangle_polynomial,
@@ -111,7 +111,6 @@ __all__ = [
     "coefficient_l1",
     "compute_term_norm",
     "decide",
-    "estimate_chain_sandwich",
     "estimate_inner_product",
     "estimate_polynomial_transform",
     "estimate_power",

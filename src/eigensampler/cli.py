@@ -118,9 +118,9 @@ def _error_json(exc):
     payload = {"type": type(exc).__name__, "message": str(exc)}
     if isinstance(exc, CostCapExceeded):
         breakdown = dict(exc.breakdown)
-        per_power = breakdown.pop("per_power", None)
-        if per_power is not None:
-            breakdown["per_power"] = {str(k): v for k, v in per_power.items()}
+        for key in ("per_power", "chains_per_power"):
+            if key in breakdown:
+                breakdown[key] = {str(k): v for k, v in breakdown[key].items()}
         payload.update(
             predicted=exc.predicted, cap=exc.cap, breakdown=breakdown
         )

@@ -10,8 +10,9 @@ interval pins the ground energy of A to within epsilon*kappa.
 How a test filters the spectrum depends on the policy. Under `tight` it
 estimates one power <psi|(I - A')^r|psi> of the low-pass operator I - A',
 whose monomial coefficient mass is 1, so its sampled cost is
-reps * ceil(64/err^2) * r * s^r with no per-power error split, and r is
-bounded by the filter degree cap (see LowPassTest). Under `strict` and
+reps * ceil(64/err^2) * max(r, 1) * s^r (the one-stratum case of the
+stratified estimator in transform), and r is bounded by the filter degree
+cap (see LowPassTest). Under `strict` and
 `oracle-exact` it applies a rectangle polynomial that passes [0, tau] and
 blocks above tau + epsilon/4: the filtered expectation is at least
 11 chi^2/12 in the first case and at most chi^2/12 in the second.

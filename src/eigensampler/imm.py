@@ -8,17 +8,13 @@ are the only queries of phi and are summed per sample with np.add.at. A
 frontier that could grow past FRONTIER_LIMIT entries is split and finished
 piece by piece, depth first, so beyond the O(t) input and output of t
 samples, memory stays O(r * max(FRONTIER_LIMIT, s)) whatever t and the s^r
-leaves per sample. The sampled sandwich estimator reuses the inner-product
-machinery with the chain entry map as the target vector.
+leaves per sample.
 """
-
-import math
 
 import numpy as np
 
 from .errors import ValidationError
 from .hamiltonian import _parity
-from .state_access import VectorAccessor, estimate_inner_product
 
 # Largest frontier (in entries) that one expansion may build, unless a
 # single entry has more successors than this.
@@ -162,41 +158,3 @@ def chain_entry(ell, chain, phi, counters=None):
     mats = chain.matrices if isinstance(chain, MatrixChain) else list(chain)
     picks = np.arange(len(mats), dtype=np.int64)[None, :]
     return complex(ChainKernel(mats).values(picks, [ell], phi, counters)[0])
-
-
-class ChainVector(VectorAccessor):
-    """Query access to the vector B_r ... B_1 |phi> without materializing it."""
-
-    def __init__(self, chain, phi, counters=None):
-        self.chain = chain
-        self.phi = phi
-        self.counters = counters
-        self.kernel = ChainKernel(chain.matrices)
-        self.dimension = chain.dimension if chain.dimension is not None else phi.dimension
-
-    def query(self, j):
-        return chain_entry(j, self.chain, self.phi, self.counters)
-
-    def query_many(self, idx):
-        idx = np.asarray(idx, dtype=np.int64)
-        picks = np.broadcast_to(np.arange(self.chain.r, dtype=np.int64),
-                                (idx.size, self.chain.r))
-        vals = self.kernel.values(picks, idx, self.phi, self.counters)
-        return vals.reshape(idx.shape)
-
-
-def estimate_chain_sandwich(psi, chain, phi, eps, delta, rng,
-                            workers=1, counters=None):
-    """Estimate <psi| B_r ... B_1 |phi> within eps * prod(norm bounds).
-
-    Runs the ratio estimator against the chain-entry vector; precision is
-    relative to the product of the per-matrix norm bounds, which dominates
-    the true vector norm for a unit phi.
-    """
-    if not isinstance(chain, MatrixChain):
-        chain = MatrixChain(chain)
-    bound = math.prod(chain.norm_bounds)
-    target = ChainVector(chain, phi, counters)
-    return estimate_inner_product(
-        psi, target, bound, eps, delta, rng, workers=workers, counters=counters
-    )

@@ -10,8 +10,8 @@ wherever the grid bound holds.
 
 Two coefficient forms are kept: the Chebyshev form, which is the numerically
 stable one and is used for every internal evaluation, and the monomial form,
-converted in extended precision on first use, which only the per-power
-sampled estimators consume. Double-precision Horner on the monomial form
+converted in extended precision on first use, which only the stratified
+sampled estimator consumes. Double-precision Horner on the monomial form
 degrades as sum|a_i| * 1e-16 and is exposed only through eval_poly.
 """
 

@@ -86,7 +86,12 @@ class BasisState(StateAccessor):
 
 
 class ProductState(StateAccessor):
-    """Tensor product of single-qubit states, one (a, b) amplitude pair each."""
+    """Tensor product of single-qubit states, one (a, b) amplitude pair each.
+
+    query_many reads amplitudes from tables built once per byte of the
+    index: table k holds the product over qubits 8k .. 8k+7 for each value
+    of that byte, so a batch costs one gather per 8 qubits.
+    """
 
     def __init__(self, pairs):
         pairs = [(complex(a), complex(b)) for a, b in pairs]
@@ -101,9 +106,8 @@ class ProductState(StateAccessor):
         self.n = len(pairs)
         self.dimension = 2**self.n
         self._pairs = pairs
-        self._amp0 = np.array([a for a, _ in pairs])
-        self._amp1 = np.array([b for _, b in pairs])
-        self._p1 = np.abs(self._amp1) ** 2
+        self._p1 = np.abs(np.array([b for _, b in pairs])) ** 2
+        self._tables = [_byte_table(pairs[lo:lo + 8]) for lo in range(0, self.n, 8)]
 
     def query(self, j):
         j = int(j)
@@ -115,10 +119,10 @@ class ProductState(StateAccessor):
 
     def query_many(self, idx):
         idx = np.asarray(idx, dtype=np.int64)
-        out = np.ones(idx.shape, dtype=complex)
-        for q in range(self.n):
-            bit = (idx >> q) & 1
-            out = out * np.where(bit == 1, self._amp1[q], self._amp0[q])
+        first, *rest = self._tables
+        out = first[idx & (first.size - 1)]
+        for k, table in enumerate(rest, 1):
+            out = out * table[(idx >> (8 * k)) & (table.size - 1)]
         return out
 
     def sample_many(self, rng, count):
@@ -158,6 +162,15 @@ class DenseState(StateAccessor):
         slot = rng.integers(0, self.dimension, size=count)
         keep = rng.random(count) < self._alias_prob[slot]
         return np.where(keep, slot, self._alias_idx[slot])
+
+
+def _byte_table(pairs):
+    """Amplitude products of up to 8 qubits, indexed by their bits."""
+    bits = np.arange(1 << len(pairs), dtype=np.int64)
+    table = np.ones(bits.size, dtype=complex)
+    for q, (a, b) in enumerate(pairs):
+        table = table * np.where((bits >> q) & 1 == 1, b, a)
+    return table
 
 
 def _build_alias_table(probs):

@@ -1,46 +1,38 @@
-"""Sampled estimation of powers and polynomials of a decomposed matrix.
+"""Sampled estimation of polynomials of a decomposed matrix.
 
 Given a normalized decomposition A = sum_i A_i with sum_i kappa_i = 1, a power
-r is estimated by importance sampling over index chains x in [m]^r with mass
-q(x) = kappa_{x_1} ... kappa_{x_r}: the chain contribution
-<psi| A_{x_r} ... A_{x_1} |phi> / q(x) has mean <psi| A^r |phi> and second
-moment at most 1. A polynomial transform sums per-power estimates weighted by
-the monomial coefficients, with the error budget split per power.
+r is sampled by drawing an index chain x in [m]^r with mass
+q(x) = kappa_{x_1} ... kappa_{x_r} and one guiding-state index j with
+probability |psi_j|^2. The single-chain sample
 
-Three ways to evaluate the chain contribution are kept, because their costs
-differ by many orders of magnitude:
+    Y_r = (A_{x_r} ... A_{x_1} phi)_j / (psi_j q(x))
 
-  * "single"  one guiding-state draw per chain; the two sampling layers
-              collapse into one unbiased estimator whose batch of
-              t = ceil(64/e^2) samples lands within e/sqrt(2) at odds 31/32.
-  * "nested"  a full sandwich estimate per chain at precision e/(2 sqrt 2)
-              and failure odds 1/(8t), which multiplies the per-chain cost
-              by roughly 10^3 e^-2 log t.
-  * "exact"   dense evaluation of the chain value (memoized per index
-              tuple), leaving only the outer sampling noise; for diagnosis
-              and tests, within the dense oracle's 12-qubit limit.
+has mean <psi| A^r |phi> and second moment at most 1 for a unit phi, because
+each ||A_i|| <= kappa_i. Its numerator is one entry of a sparse chain
+product, evaluated by imm.ChainKernel from at most s^r leaf queries of phi.
 
-All modes share the outer loop, the median amplification, and the
-predicted-cost gate.
+A polynomial P(A) = sum_r a_r A^r is estimated by one stratified estimator:
+every batch gives power r a fixed number of chains, proportional to |a_r|,
+and returns sum_r a_r times the mean of that stratum. One median
+amplification covers the whole polynomial; estimate_polynomial_transform
+proves the bound. A single power is the one-stratum case (estimate_power),
+and predict_cost charges the same strata before any sampling starts.
 """
 
+import itertools
 import math
 
 import numpy as np
 
 from .errors import CostCapExceeded, UndefinedRatioError, ValidationError
 # chain_entry stays a module attribute, so instrumentation can patch it.
-from .imm import ChainKernel, MatrixChain, chain_entry, estimate_chain_sandwich  # noqa: F401
-from .oracle import _as_dense_vector, dense_term
+from .imm import ChainKernel, chain_entry  # noqa: F401
 from .polyfilter import coefficient_l1
-from .rng import spawn_streams
 from .state_access import median_amplify, median_reps
 
 _KAPPA_TOL = 1e-9
-_INV_2SQRT2 = 1.0 / (2.0 * math.sqrt(2.0))
 
 POLICIES = ("strict", "tight", "oracle-exact")
-CHAIN_MODES = ("single", "nested", "exact")
 
 
 class ChainSampler:
@@ -99,93 +91,67 @@ def _chain_masses(decomp, chains):
     return np.prod(kappas[chains], axis=1)
 
 
-class _ExactChainOracle:
-    """Dense chain values <psi| A_{x_r} ... A_{x_1} |phi>, memoized per chain."""
-
-    def __init__(self, decomp, psi, phi):
-        n = decomp.dimension
-        self._mats = [dense_term(h) for h in decomp.terms]
-        self._psi = _as_dense_vector(psi, n)
-        self._phi = _as_dense_vector(phi, n)
-        self._cache = {}
-
-    def value(self, x):
-        key = tuple(int(k) for k in x)
-        hit = self._cache.get(key)
-        if hit is None:
-            w = self._phi
-            for k in key:
-                w = self._mats[k] @ w
-            hit = self._cache[key] = complex(np.vdot(self._psi, w))
-        return hit
+def _check_budget(name, value):
+    if not 0 < value <= 1:
+        raise ValidationError(f"{name} must be in (0, 1], got {value}")
 
 
 def estimate_power(psi, phi, decomp, r, err, delta, rng,
-                   chain_mode="single", workers=1, counters=None):
+                   workers=1, counters=None):
     """Estimate <psi| A^r |phi> within err with probability >= 1 - delta.
 
-    Requires the normalized decomposition (kappa = 1). Each batch draws
-    t = ceil(64 / err^2) chains; their contributions are evaluated per
-    chain_mode and averaged, and batches are median-combined.
+    Requires the normalized decomposition (kappa = 1). This is the
+    one-stratum case of the stratified estimator: each batch draws
+    t = ceil(64 / err^2) chains of length r, then t guiding-state indices,
+    and the batches are median-combined.
     """
-    if not 0 < err <= 1:
-        raise ValidationError(f"err must be in (0, 1], got {err}")
-    if not 0 < delta <= 1:
-        raise ValidationError(f"delta must be in (0, 1], got {delta}")
-    if chain_mode not in CHAIN_MODES:
-        raise ValidationError(f"unknown chain_mode {chain_mode!r}")
-    sampler = ChainSampler(decomp, r)
+    _check_budget("err", err)
+    _check_budget("delta", delta)
+    return _estimate_strata(psi, phi, decomp, {int(r): 1.0}, err, delta, rng,
+                            workers, counters)
+
+
+def _estimate_strata(psi, phi, decomp, coeffs, err, delta, rng, workers, counters):
+    """Median of batches of sum_r a_r * mean(Y_r over c_r chains).
+
+    coeffs maps each power r to its nonzero coefficient a_r, and c_r comes
+    from chain_counts. A batch draws every stratum's chains in order of r,
+    then one guiding-state index per chain.
+    """
     _, t = batch_shape(err, delta)
-    exact = _ExactChainOracle(decomp, psi, phi) if chain_mode == "exact" else None
+    counts = chain_counts(coeffs, t)
+    if not counts:
+        return 0j
+    strata = [(ChainSampler(decomp, r), float(coeffs[r]), c) for r, c in counts.items()]
+    bounds = list(itertools.accumulate(counts.values(), initial=0))
+    spans = list(zip(bounds, bounds[1:]))
+    total = bounds[-1]
+    kernel = ChainKernel(decomp.terms)
 
-    if chain_mode == "nested":
-        inner_eps = min(1.0, err * _INV_2SQRT2)
-        inner_delta = 1.0 / (8.0 * t)
-
-        def one_batch(stream):
-            chains = sampler.sample_many(stream, t, counters)
-            masses = _chain_masses(decomp, chains)
-            total = 0.0j
-            for i in range(t):
-                picks = chains[i]
-                chain = MatrixChain(
-                    [decomp.terms[int(k)] for k in picks],
-                    [decomp.kappa_i[int(k)] for k in picks],
-                )
-                alpha = estimate_chain_sandwich(
-                    psi, chain, phi, inner_eps, inner_delta, stream,
-                    counters=counters,
-                )
-                total += alpha / masses[i]
-            return total / t
-
-    elif chain_mode == "exact":
-
-        def one_batch(stream):
-            chains = sampler.sample_many(stream, t, counters)
-            masses = _chain_masses(decomp, chains)
-            vals = np.array([exact.value(row) for row in chains])
-            return complex(np.mean(vals / masses))
-
-    else:
-        kernel = ChainKernel(decomp.terms)
-
-        def one_batch(stream):
-            chains = sampler.sample_many(stream, t, counters)
-            masses = _chain_masses(decomp, chains)
-            j = psi.sample_many(stream, t)
-            amps = np.asarray(psi.query_many(j), dtype=complex)
-            if counters is not None:
-                counters.add(psi_samples=t, psi_queries=t)
-            vals = kernel.values(chains, j, phi, counters)
-            dead = amps == 0
-            if np.any(dead):
-                bad = dead & (vals != 0)
-                if np.any(bad):
-                    raise UndefinedRatioError(int(j[np.argmax(bad)]))
-                amps = np.where(dead, 1.0, amps)
-                vals = np.where(dead, 0.0, vals)
-            return complex(np.mean(vals / (amps * masses)))
+    def one_batch(stream):
+        chains = [sampler.sample_many(stream, c, counters) for sampler, _, c in strata]
+        j = psi.sample_many(stream, total)
+        amps = np.asarray(psi.query_many(j), dtype=complex)
+        if counters is not None:
+            counters.add(psi_samples=total, psi_queries=total)
+        vals = np.concatenate([kernel.values(x, j[lo:hi], phi, counters)
+                               for x, (lo, hi) in zip(chains, spans)])
+        masses = np.concatenate([_chain_masses(decomp, x) for x in chains])
+        dead = amps == 0
+        if np.any(dead):
+            bad = dead & (vals != 0)
+            if np.any(bad):
+                raise UndefinedRatioError(int(j[np.argmax(bad)]))
+            amps = np.where(dead, 1.0, amps)
+            vals = np.where(dead, 0.0, vals)
+        ys = vals / (amps * masses)
+        value = None
+        for (_, a, _), (lo, hi) in zip(strata, spans):
+            mean = np.mean(ys[lo:hi])
+            # Scale each part on its own, so a == 1 leaves the mean bit for bit.
+            term = complex(a * mean.real, a * mean.imag)
+            value = term if value is None else value + term
+        return value
 
     return median_amplify(one_batch, delta, rng, workers=workers)
 
@@ -198,7 +164,12 @@ def _power_pow(base, exponent):
 
 
 def power_error_budget(P, eta, policy):
-    """Per-power additive error target for the given budget policy."""
+    """Error target err of the strata, for the given budget policy.
+
+    The stratified estimate lands within coefficient_l1(P) * err: tight sets
+    err = eta / coefficient_l1(P); strict divides by the worst-case mass
+    4^degree instead.
+    """
     if policy == "strict":
         denom = _power_pow(4.0, P.degree)
     elif policy == "tight":
@@ -211,118 +182,113 @@ def power_error_budget(P, eta, policy):
 
 
 def batch_shape(err, delta):
-    """(reps, t): the median repetitions and chains per batch of one power."""
+    """(reps, t): the median repetitions, and the chains per batch of a
+    single power."""
     return median_reps(delta), math.ceil(64.0 / (err * err))
 
 
-def power_cost(decomp, r, reps, t, per_chain=1.0):
-    """Planned leaf operations of power r: reps batches of t chains, each
-    costing per_chain times s^r leaves. Saturates to inf."""
-    return float(reps) * float(t) * per_chain * _power_pow(max(decomp.s, 1), r)
+def chain_counts(coeffs, t):
+    """Chains per batch of each power: c_r = ceil(t |a_r| / L1), at least 1.
+
+    coeffs maps each power r to a_r; zero coefficients get no stratum.
+    With L1 = sum_r |a_r|, a single power gets exactly t chains.
+    """
+    coeffs = {r: abs(float(a)) for r, a in coeffs.items() if a != 0}
+    l1 = sum(coeffs.values())
+    return {r: max(1, math.ceil(t * a / l1)) for r, a in sorted(coeffs.items())}
+
+
+def power_cost(decomp, r, reps, count):
+    """Planned leaf operations of the power-r stratum: reps batches of count
+    chains, each charged max(r, 1) * s^r (r index draws, and a frontier of
+    at most s^r leaves). Saturates to inf."""
+    return float(reps) * float(count) * max(r, 1) * _power_pow(max(decomp.s, 1), r)
+
+
+def _predict_strata(decomp, coeffs, err, delta):
+    reps, t = batch_shape(err, delta)
+    counts = chain_counts(coeffs, t)
+    per_power = {r: power_cost(decomp, r, reps, c) for r, c in counts.items()}
+    breakdown = {
+        "err_per_power": err,
+        "reps_per_power": reps,
+        "chains_per_batch": float(sum(counts.values())),
+        "chains_per_power": counts,
+        "per_power": per_power,
+    }
+    return sum(per_power.values(), 0.0), breakdown
 
 
 def predict_power_cost(decomp, r, err, delta):
-    """Planned leaf operations of one single-chain estimate_power call.
+    """Planned leaf operations of one estimate_power call.
 
-    Each chain is charged max(r, 1) times s^r: r index draws, and a frontier
-    of at most s^r leaves. The cap therefore also bounds the (t, r) chain
-    arrays a batch holds. Returns (total, breakdown), with the breakdown in
-    predict_cost's shape for a polynomial whose only power is r.
+    Returns (total, breakdown), with the breakdown in predict_cost's shape
+    for a polynomial whose only power is r. Because each chain is charged
+    its r index draws, the cap also bounds the (t, r) chain arrays a batch
+    holds.
     """
-    reps, t = batch_shape(err, delta)
-    cost = power_cost(decomp, r, reps, t, per_chain=max(r, 1))
-    breakdown = {
-        "chain_mode": "single",
-        "degree": r,
-        "err_per_power": err,
-        "reps_per_power": reps,
-        "chains_per_batch": float(t),
-        "per_power": {r: cost},
-    }
-    return cost, breakdown
+    total, breakdown = _predict_strata(decomp, {int(r): 1.0}, err, delta)
+    return total, {"degree": r, **breakdown}
 
 
-def predict_cost(decomp, P, eta, delta_total, policy="tight",
-                 chain_mode="single"):
+def predict_cost(decomp, P, eta, delta_total, policy="tight"):
     """Planned leaf-operation count for a polynomial transform, pre-run.
 
-    Returns (total, breakdown); the breakdown records the shared batch shape
-    and the per-power contributions. Powers with zero coefficient cost
-    nothing. Values saturate to inf rather than overflow.
+    Returns (total, breakdown). The total is reps * sum_r c_r * max(r, 1) *
+    s^r over the strata of estimate_polynomial_transform; the breakdown
+    records the error target, the shared repetitions, the chains per batch
+    in all and per power, and each power's share of the total. Powers with
+    zero coefficient cost nothing. Values saturate to inf rather than
+    overflow.
     """
-    d = P.degree
     err = power_error_budget(P, eta, policy)
-    delta = delta_total / (d + 1)
-    reps, t = batch_shape(err, delta)
-    if chain_mode == "nested":
-        inner_eps = min(1.0, err * _INV_2SQRT2)
-        inner_delta = 1.0 / (8.0 * t)
-        inner_t = math.ceil(8.0 / (inner_eps * inner_eps))
-        inner_reps = median_reps(inner_delta)
-        per_chain_base = float(inner_t) * inner_reps
-    elif chain_mode == "exact":
-        per_chain_base = None
-    else:
-        per_chain_base = 1.0
-    per_power = {}
-    total = 0.0
-    for r in range(d + 1):
-        if P.coeffs[r] == 0:
-            continue
-        if per_chain_base is None:
-            cost = float(reps) * float(t)
-        else:
-            cost = power_cost(decomp, r, reps, t, per_chain_base)
-        per_power[r] = cost
-        total += cost
-    breakdown = {
-        "policy": policy,
-        "chain_mode": chain_mode,
-        "degree": d,
-        "err_per_power": err,
-        "reps_per_power": reps,
-        "chains_per_batch": float(t),
-        "per_power": per_power,
-    }
-    return total, breakdown
+    total, breakdown = _predict_strata(decomp, _coefficients(P), err, delta_total)
+    return total, {"policy": policy, "degree": P.degree, **breakdown}
+
+
+def _coefficients(P):
+    return dict(enumerate(P.coeffs[:P.degree + 1]))
 
 
 def estimate_polynomial_transform(psi, phi, decomp, P, eta, delta_total, rng,
-                                  policy="tight", cost_cap=None,
-                                  chain_mode="single", workers=1,
+                                  policy="tight", cost_cap=None, workers=1,
                                   counters=None):
     """Estimate <psi| P(A) |phi> within eta with probability >= 1 - delta_total.
 
-    P is evaluated through its monomial coefficients: every power with a
-    nonzero coefficient is estimated at the policy's per-power error and at
-    confidence 1 - delta_total/(degree+1), then the weighted estimates are
-    summed. Child random streams are reserved per power (including skipped
-    ones), so a per-power run is reproducible in isolation.
+    P is evaluated through its monomial coefficients a_r by one stratified
+    estimator. With err = power_error_budget(P, eta, policy),
+    t = ceil(64 / err^2) and L1 = sum_r |a_r|, every batch draws
+    c_r = ceil(t |a_r| / L1) single-chain samples Y_r of each power with
+    a_r != 0 and returns Z = sum_r a_r * mean(stratum r). The batches are
+    median-combined by median_amplify at delta_total, once for the whole
+    polynomial.
+
+    Why this keeps the guarantee. Each Y_r is unbiased for <psi|A^r|phi>,
+    so Z is unbiased for <psi|P(A)|phi>. The strata are independent and
+    E|Y_r|^2 <= 1, so
+
+        Var Z <= sum_r a_r^2 / c_r <= sum_r a_r^2 L1 / (t |a_r|) = L1^2 / t
+              <= (L1 err)^2 / 64,
+
+    the total error L1 err that separate per-power estimates at error err
+    would add up to. By Chebyshev, Z lands within L1 err / sqrt(2) with
+    probability at least 31/32, so the coordinate-wise median of
+    median_reps(delta_total) batches lands within L1 err except with
+    probability delta_total. L1 err is at most eta: equal under tight, and
+    below it under strict whenever L1 <= 4^degree. The strata are fixed,
+    not drawn, so the cost
+    reps * sum_r c_r * max(r, 1) * s^r that predict_cost charges is known
+    before sampling and does not depend on luck.
 
     When cost_cap is given, the predicted leaf-operation count is checked
     first and CostCapExceeded carries the full breakdown.
     """
-    if not 0 < eta <= 1:
-        raise ValidationError(f"eta must be in (0, 1], got {eta}")
-    if not 0 < delta_total <= 1:
-        raise ValidationError(f"delta_total must be in (0, 1], got {delta_total}")
+    _check_budget("eta", eta)
+    _check_budget("delta_total", delta_total)
     if cost_cap is not None:
-        predicted, breakdown = predict_cost(
-            decomp, P, eta, delta_total, policy=policy, chain_mode=chain_mode
-        )
+        predicted, breakdown = predict_cost(decomp, P, eta, delta_total, policy=policy)
         if predicted > cost_cap:
             raise CostCapExceeded(predicted, cost_cap, breakdown)
-    d = P.degree
     err = power_error_budget(P, eta, policy)
-    delta = delta_total / (d + 1)
-    streams = spawn_streams(rng, d + 1)
-    estimate = 0.0j
-    for r in range(d + 1):
-        a = P.coeffs[r]
-        if a == 0:
-            continue
-        estimate += a * estimate_power(
-            psi, phi, decomp, r, err, delta, streams[r],
-            chain_mode=chain_mode, workers=workers, counters=counters,
-        )
-    return estimate
+    return _estimate_strata(psi, phi, decomp, _coefficients(P), err, delta_total,
+                            rng, workers, counters)

@@ -8,10 +8,9 @@ from eigensampler import (
     MatrixChain,
     ValidationError,
     chain_entry,
-    estimate_chain_sandwich,
 )
 from eigensampler.hamiltonian import PauliTermHandle
-from eigensampler.imm import ChainVector
+from eigensampler.imm import ChainKernel
 
 from helpers import (
     all_rows_s_handle,
@@ -99,7 +98,8 @@ def test_mismatched_dimensions_rejected():
 
 
 def test_chain_vector_fast_path_matches_recursion():
-    """Signed-permutation chains answer batched queries like the generic path."""
+    """Batched entries of a signed-permutation chain vector B_3 B_2 B_1 phi
+    match one-entry chain_entry calls and the dense product."""
     rng = np.random.default_rng(13)
     n = 3
     handles = [
@@ -109,9 +109,9 @@ def test_chain_vector_fast_path_matches_recursion():
     ]
     phi = DenseState(random_state_vector(rng, 8))
     chain = MatrixChain(handles)
-    vec = ChainVector(chain, phi)
     idx = np.arange(8)
-    fast = vec.query_many(idx)
+    picks = np.broadcast_to(np.arange(3), (8, 3))
+    fast = ChainKernel(handles).values(picks, idx, phi)
     slow = np.array([chain_entry(i, chain, phi) for i in range(8)])
     assert np.allclose(fast, slow, atol=1e-12)
     # handles are listed first-applied-first, so the dense product reverses
@@ -131,45 +131,6 @@ def test_norm_bounds_default_to_one_each():
     assert chain.r == 2 and chain.s == 1
     with pytest.raises(ValidationError):
         MatrixChain([h, h], norm_bounds=[0.5])
-
-
-def test_estimate_chain_sandwich_close_to_truth():
-    rng = np.random.default_rng(3)
-    n = 2
-    handles = [PauliTermHandle("XZ", 0.8, n), PauliTermHandle("ZI", -0.6, n)]
-    psi_v = random_state_vector(rng, 4)
-    phi_v = random_state_vector(rng, 4)
-    psi = DenseState(psi_v)
-    phi = DenseState(phi_v)
-    dense = (-0.6 * pauli_matrix("ZI")) @ (0.8 * pauli_matrix("XZ"))
-    want = np.vdot(psi_v, dense @ phi_v)
-    bound = 0.8 * 0.6
-    est = estimate_chain_sandwich(psi, MatrixChain(handles), phi, 0.2, 0.05,
-                                  np.random.default_rng(44))
-    assert abs(est - want) <= 0.2 * bound
-
-
-def test_estimate_chain_sandwich_precision_scales_with_bounds():
-    # loose bounds widen the certified radius; the estimate still converges
-    rng = np.random.default_rng(21)
-    h = PauliTermHandle("Z", 1.0, 1)
-    psi = DenseState(random_state_vector(rng, 2))
-    chain = MatrixChain([h], norm_bounds=[10.0])
-    est = estimate_chain_sandwich(psi, chain, psi, 0.5, 0.1,
-                                  np.random.default_rng(5))
-    want = abs(psi.query(0)) ** 2 - abs(psi.query(1)) ** 2
-    assert abs(est - want) <= 0.5 * 10.0
-
-
-def test_counters_flow_through_sandwich():
-    rng = np.random.default_rng(0)
-    h = PauliTermHandle("X", 1.0, 1)
-    psi = DenseState(random_state_vector(rng, 2))
-    c = Counters()
-    estimate_chain_sandwich(psi, MatrixChain([h]), psi, 1.0, 0.5,
-                            np.random.default_rng(1), counters=c)
-    assert c.psi_samples > 0
-    assert c.leaf_queries > 0
 
 
 def test_counters_add_is_safe_across_threads():

@@ -79,6 +79,21 @@ def test_product_state_query_equals_query_many():
     assert isinstance(st.query(np.int64(idx[0])), complex)
 
 
+@pytest.mark.parametrize("n", [3, 11, 20])
+def test_product_state_byte_tables_match_query(n):
+    """query_many gathers from one table per byte of the index; an n that is
+    not a multiple of 8 leaves a short last table."""
+    rng = np.random.default_rng(100 + n)
+    a, b = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
+    nrm = np.sqrt(np.abs(a) ** 2 + np.abs(b) ** 2)
+    st = ProductState(list(zip(a / nrm, b / nrm)))
+    idx = rng.integers(0, st.dimension, size=(40, 5))
+    batch = st.query_many(idx)
+    assert batch.shape == idx.shape
+    scalar = np.array([[st.query(j) for j in row] for row in idx])
+    assert np.allclose(batch, scalar, rtol=1e-13, atol=0)
+
+
 def test_maxent_state_amplitudes():
     st = MaxEntState(2)
     assert st.dimension == 16

@@ -6,11 +6,9 @@ import numpy as np
 import pytest
 
 from eigensampler import (
-    BasisState,
     ChainSampler,
     CostCapExceeded,
     Counters,
-    DenseLimitError,
     DenseState,
     ValidationError,
     build_decomposition,
@@ -18,17 +16,20 @@ from eigensampler import (
     chain_entry,
     estimate_polynomial_transform,
     estimate_power,
+    exact_sandwich,
     predict_cost,
     reconstruct,
     sample_chain,
     shift_rescale,
 )
+from eigensampler.hamiltonian import low_pass
 from eigensampler.imm import MatrixChain
-from eigensampler.transform import CHAIN_MODES, POLICIES, power_error_budget
+from eigensampler.transform import POLICIES, power_error_budget
 
 from helpers import (
     random_block_term,
     random_normalized_decomposition,
+    random_pauli_terms,
     random_state_vector,
 )
 
@@ -171,37 +172,6 @@ class TestPowerEstimator:
         assert abs(xs.mean() - want) <= 5 * se + 1e-12
         assert np.mean(np.abs(xs) ** 2) <= 1.05
 
-    def test_exact_mode_matches_dense_tightly(self):
-        gen = np.random.default_rng(12)
-        d = random_normalized_decomposition(gen, 2, 3)
-        psi_v = random_state_vector(gen, 4)
-        want = np.vdot(psi_v, np.linalg.matrix_power(dense_of(d), 2) @ psi_v)
-        est = estimate_power(
-            DenseState(psi_v), DenseState(psi_v), d, 2, 0.05, 0.05,
-            np.random.default_rng(0), chain_mode="exact",
-        )
-        assert abs(est - want) <= 0.05
-
-    def test_exact_mode_respects_dense_limit(self):
-        d = random_normalized_decomposition(np.random.default_rng(16), 13, 2)
-        psi = BasisState(0, 2**13)
-        with pytest.raises(DenseLimitError):
-            estimate_power(psi, psi, d, 1, 0.5, 0.5, np.random.default_rng(0),
-                           chain_mode="exact")
-
-    def test_nested_mode_agrees(self):
-        # the two-layer estimator is orders of magnitude costlier per unit of
-        # precision, so it is exercised at its loosest legal setting
-        gen = np.random.default_rng(13)
-        d = random_normalized_decomposition(gen, 2, 3)
-        psi_v = random_state_vector(gen, 4)
-        want = np.vdot(psi_v, dense_of(d) @ psi_v)
-        est = estimate_power(
-            DenseState(psi_v), DenseState(psi_v), d, 1, 1.0, 0.9,
-            np.random.default_rng(2), chain_mode="nested",
-        )
-        assert abs(est - want) <= 0.35
-
     def test_workers_do_not_change_result(self):
         gen = np.random.default_rng(14)
         d = random_normalized_decomposition(gen, 2, 3)
@@ -234,8 +204,6 @@ class TestPowerEstimator:
             estimate_power(psi, psi, d, 1, 1.5, 0.1, rng)
         with pytest.raises(ValidationError):
             estimate_power(psi, psi, d, -1, 0.5, 0.1, rng)
-        with pytest.raises(ValidationError):
-            estimate_power(psi, psi, d, 1, 0.5, 0.1, rng, chain_mode="bogus")
 
 
 class TestErrorBudget:
@@ -271,10 +239,15 @@ class TestPredictCost:
         d = self.make()
         total, br = predict_cost(d, T2, 0.2, 0.05, policy="tight")
         assert br["policy"] == "tight"
-        assert br["chain_mode"] == "single"
         assert br["degree"] == 2
         assert set(br["per_power"]) == {0, 2}  # zero coefficient at power 1
         assert isinstance(br["chains_per_batch"], float)
+        # strata in proportion to |a_r|: 1/3 and 2/3 of t, at err = eta / L1
+        err = 0.2 / 3.0
+        assert br["err_per_power"] == err
+        t = math.ceil(64.0 / (err * err))
+        assert br["chains_per_power"] == {0: math.ceil(t / 3), 2: math.ceil(2 * t / 3)}
+        assert br["chains_per_batch"] == sum(br["chains_per_power"].values())
         assert total == pytest.approx(sum(br["per_power"].values()))
 
     def test_cost_grows_with_power(self):
@@ -292,12 +265,6 @@ class TestPredictCost:
         _, br = predict_cost(d, cubic, 0.5, 0.1, policy="strict")
         costs = [br["per_power"][r] for r in sorted(br["per_power"])]
         assert all(a < b for a, b in zip(costs, costs[1:]))
-
-    def test_exact_mode_drops_leaf_factor(self):
-        d = self.make()
-        t_single, _ = predict_cost(d, T2, 0.2, 0.05, chain_mode="single")
-        t_exact, _ = predict_cost(d, T2, 0.2, 0.05, chain_mode="exact")
-        assert t_exact <= t_single
 
     def test_rectangle_cost_is_astronomical_under_strict(self):
         d = self.make()
@@ -345,26 +312,6 @@ class TestPolynomialTransform:
                 hits += 1
         assert hits >= 19
 
-    def test_exact_mode_per_power_linearity(self):
-        """Per-power estimates ride on reserved child streams, so results
-        combine linearly across polynomials with the same degree."""
-        gen = np.random.default_rng(23)
-        d = random_normalized_decomposition(gen, 2, 3)
-        psi_v = random_state_vector(gen, 4)
-        psi = DenseState(psi_v)
-
-        def run(coeffs):
-            P = SimpleNamespace(coeffs=np.array(coeffs), degree=1)
-            return estimate_polynomial_transform(
-                psi, psi, d, P, 0.9, 0.9, np.random.default_rng(99),
-                policy="strict", chain_mode="exact",
-            )
-
-        e0 = run([1.0, 0.0])
-        e1 = run([0.0, 1.0])
-        combined = run([2.0, -0.5])
-        assert combined == 2.0 * e0 + (-0.5) * e1
-
     def test_cost_cap_aborts_before_sampling(self):
         gen = np.random.default_rng(24)
         d = random_normalized_decomposition(gen, 2, 3)
@@ -404,6 +351,129 @@ class TestPolynomialTransform:
         assert c.psi_samples > 0
 
 
+# estimate_power(psi, psi, low_pass(d), 3, 0.3, 0.05, default_rng(77)) on the
+# instance of test_one_stratum_is_estimate_power, as float.hex of (real, imag),
+# recorded from the per-power estimator that the stratified one replaced.
+RECORDED_POWER_3 = ("0x1.02037aed2a404p-3", "0x1.238bfbcaabe42p-8")
+
+
+def zero_gap_polynomial(coeffs):
+    """Monomial coefficients with their Chebyshev form, for the dense oracle."""
+    coeffs = np.array(coeffs, dtype=float)
+    return SimpleNamespace(coeffs=coeffs, degree=len(coeffs) - 1,
+                           cheb=np.polynomial.chebyshev.poly2cheb(coeffs))
+
+
+def mixed_decomposition(gen, i):
+    """A 2-3-qubit normalized decomposition: Pauli terms, or 2-local blocks."""
+    n = 2 + i % 2
+    if i % 4 < 2:
+        return random_normalized_decomposition(gen, n, 3)
+    return shift_rescale(build_decomposition(n, [random_block_term(gen, n, 2)
+                                                 for _ in range(2)]))
+
+
+class TestStratifiedEstimator:
+    """One estimator for the whole polynomial: c_r = ceil(t |a_r| / L1)
+    chains of each power per batch, one median amplification."""
+
+    @pytest.mark.parametrize("policy, coeffs, eta", [
+        ("tight", [0.9, 0.0, -0.1, 0.0, -0.7], 0.2),
+        ("tight", [0.0, -0.6, 0.0, 0.5], 0.2),
+        ("strict", [0.5, 0.0, -0.4], 0.8),
+    ])
+    def test_accuracy_against_dense_oracle(self, policy, coeffs, eta):
+        gen = np.random.default_rng(len(coeffs) * 10 + len(policy))
+        P = zero_gap_polynomial(coeffs)
+        hits = 0
+        for i in range(20):
+            d = mixed_decomposition(gen, i)
+            psi = DenseState(random_state_vector(gen, d.dimension))
+            want = exact_sandwich(psi, d, psi, polynomial=P)
+            est = estimate_polynomial_transform(
+                psi, psi, d, P, eta, 0.5, np.random.default_rng(500 + i),
+                policy=policy,
+            )
+            hits += abs(est - want) <= eta
+        assert hits >= 19
+
+    def test_counters_match_the_strata(self):
+        gen = np.random.default_rng(31)
+        d = shift_rescale(build_decomposition(3, [random_block_term(gen, 3, 2)
+                                                  for _ in range(3)]))
+        psi = DenseState(random_state_vector(gen, 8))
+        P = zero_gap_polynomial([0.9, 0.0, -0.1, 0.0, -0.7])
+        c = Counters()
+        estimate_polynomial_transform(psi, psi, d, P, 0.5, 0.1,
+                                      np.random.default_rng(2), counters=c)
+        predicted, br = predict_cost(d, P, 0.5, 0.1, policy="tight")
+        per_batch = sum(br["chains_per_power"].values())
+        assert set(br["chains_per_power"]) == {0, 2, 4}
+        assert c.chain_samples == br["reps_per_power"] * per_batch
+        assert c.psi_samples == c.chain_samples
+        assert 0 < c.leaf_queries <= predicted
+
+    def test_counts_are_proportional_to_coefficients(self):
+        d = random_normalized_decomposition(np.random.default_rng(32), 2, 3)
+        P = zero_gap_polynomial([0.9, 0.0, -0.1, 0.0, -0.7])
+        total, br = predict_cost(d, P, 0.17, 0.05, policy="tight")
+        t = math.ceil(64.0 / (0.1 * 0.1))
+        assert br["err_per_power"] == pytest.approx(0.1)
+        counts = br["chains_per_power"]
+        assert counts[0] == math.ceil(t * 0.9 / 1.7)
+        assert counts[2] == math.ceil(t * 0.1 / 1.7)
+        assert counts[4] == math.ceil(t * 0.7 / 1.7)
+        # Pauli terms have s = 1: each chain is charged max(r, 1) draws
+        reps = br["reps_per_power"]
+        assert br["per_power"] == {r: float(reps) * c * max(r, 1)
+                                   for r, c in counts.items()}
+        assert total == sum(br["per_power"].values())
+
+    def test_one_stratum_is_estimate_power(self):
+        """A single power runs the stream it ran before the polynomial
+        became one estimator: value recorded from that version."""
+        gen = np.random.default_rng(2024)
+        d = shift_rescale(build_decomposition(
+            3, [random_block_term(gen, 3, 2) for _ in range(3)]
+            + random_pauli_terms(gen, 3, 2)))
+        psi = DenseState(random_state_vector(gen, 8))
+        c = Counters()
+        est = estimate_power(psi, psi, low_pass(d), 3, 0.3, 0.05,
+                             np.random.default_rng(77), counters=c)
+        assert (est.real.hex(), est.imag.hex()) == RECORDED_POWER_3
+        assert c.chain_samples == c.psi_samples == 38448  # 54 reps of t = 712
+        P = SimpleNamespace(coeffs=np.array([0.0, 0.0, 0.0, 1.0]), degree=3)
+        again = estimate_polynomial_transform(psi, psi, low_pass(d), P, 0.3, 0.05,
+                                              np.random.default_rng(77))
+        # the polynomial path spends no stream on skipped powers
+        assert again == est
+
+    def test_workers_do_not_change_a_polynomial(self):
+        gen = np.random.default_rng(33)
+        d = shift_rescale(build_decomposition(3, [random_block_term(gen, 3, 2)
+                                                  for _ in range(3)]))
+        psi = DenseState(random_state_vector(gen, 8))
+        P = zero_gap_polynomial([0.9, 0.0, -0.1, 0.0, -0.7])
+        runs = []
+        for workers in (1, 3):
+            c = Counters()
+            est = estimate_polynomial_transform(psi, psi, d, P, 0.5, 0.05,
+                                                np.random.default_rng(4),
+                                                workers=workers, counters=c)
+            runs.append((est, c.as_dict()))
+        assert runs[0] == runs[1]
+
+    def test_zero_polynomial_costs_nothing(self):
+        d = random_normalized_decomposition(np.random.default_rng(34), 2, 3)
+        psi = DenseState(random_state_vector(np.random.default_rng(0), 4))
+        P = zero_gap_polynomial([0.0, 0.0])
+        c = Counters()
+        assert estimate_polynomial_transform(psi, psi, d, P, 0.5, 0.5,
+                                             np.random.default_rng(0), counters=c) == 0
+        assert predict_cost(d, P, 0.5, 0.5)[0] == 0.0
+        assert c.chain_samples == 0
+
+
 def test_chain_entry_stays_patchable_by_name():
     from eigensampler import imm, transform
 
@@ -411,5 +481,4 @@ def test_chain_entry_stays_patchable_by_name():
 
 
 def test_module_constant_tuples():
-    assert CHAIN_MODES == ("single", "nested", "exact")
     assert POLICIES == ("strict", "tight", "oracle-exact")
