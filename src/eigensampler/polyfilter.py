@@ -8,6 +8,14 @@ interpolation at the smallest even degree whose grid verification passes,
 then applies an affine correction that pins the polynomial into [0, 1]
 wherever the grid bound holds.
 
+Evenness sets the cost of a build. The interpolant of each candidate degree
+is one FFT (a DCT-II of the target at the Chebyshev nodes), and only its
+even coefficients survive. An even series in x is the series in
+y = 2x^2 - 1 with coefficients cheb[::2], since T_2j(x) = T_j(y), so it is
+verified on the nonnegative half of the symmetric grid {i/h : |i| <= h},
+with half the points and half the recurrence steps of the full grid.
+band_report re-checks a built filter independently on the full grid.
+
 Two coefficient forms are kept: the Chebyshev form, which is the numerically
 stable one and is used for every internal evaluation, and the monomial form,
 converted in extended precision on first use, which only the stratified
@@ -145,15 +153,45 @@ def _corrected(cheb_coeffs, raw_values, gap):
     return fixed, (raw_values + gap) * alpha
 
 
+def _even_chebyshev_interpolant(f, degree):
+    """Chebyshev coefficients of f's degree-`degree` interpolant, odd ones zeroed.
+
+    The interpolant at the N = degree + 1 first-kind Chebyshev nodes
+    x_k = cos(pi (k + 1/2) / N) has c_j = (2 / N) sum_k f(x_k) T_j(x_k),
+    halved for j = 0, which is a DCT-II of the node values. The DCT is one
+    complex FFT of the values reordered even-indexed first, odd-indexed
+    reversed (Makhoul), so a candidate costs O(d log d) instead of the O(d^2)
+    Vandermonde product of chebinterpolate. f is even, so the odd
+    coefficients are rounding noise and are zeroed.
+    """
+    n = degree + 1
+    values = f(_cheb.chebpts1(n)[::-1])
+    spectrum = np.fft.fft(np.concatenate((values[::2], values[1::2][::-1])))
+    twiddle = np.exp(-0.5j * np.pi * np.arange(n) / n)
+    cheb = (2.0 / n) * (twiddle * spectrum).real
+    cheb[0] *= 0.5
+    cheb[1::2] = 0.0
+    return cheb
+
+
 @functools.lru_cache(maxsize=256)
 def build_rectangle_polynomial(tau, theta, xi,
                                degree_cap=DEGREE_CAP,
                                grid_points=VERIFY_GRID):
     """Smallest even-degree verified rectangle filter for (tau, theta, xi).
 
-    Scans even degrees with a coarse prefilter whose grid is an exact subset
-    of the verification grid, so the certified degree is minimal. Raises
-    DegreeOverflowError when nothing passes up to degree_cap.
+    Certifies on the symmetric grid {i / h : |i| <= h} with
+    h = (grid_points - 1) / 2. The target and every candidate are even, so
+    only the h + 1 points x >= 0 are evaluated, as the series in
+    y = 2x^2 - 1 with coefficients cheb[::2] (T_2j(x) = T_j(y)); the bands
+    lie in [0, 1] and max|P|, min P on [-1, 0) equal those on [0, 1].
+
+    Scans even degrees with a coarse prefilter on every stride-th half-grid
+    point, an exact subset of the verification grid, so the certified degree
+    is minimal. A candidate's coarse values are one product with a Chebyshev
+    Vandermonde matrix in y built once per call. Raises ValidationError for
+    bad arguments and DegreeOverflowError when nothing passes up to
+    degree_cap.
     """
     tau = float(tau)
     theta = float(theta)
@@ -166,32 +204,40 @@ def build_rectangle_polynomial(tau, theta, xi,
         raise ValidationError(
             f"theta must be in (0, 1 - tau], got theta={theta} with tau={tau}"
         )
+    if degree_cap < 0:
+        raise ValidationError(f"degree_cap must be >= 0, got {degree_cap}")
+    if grid_points < _COARSE_GRID or grid_points % 2 == 0:
+        raise ValidationError(
+            f"grid_points must be odd and >= {_COARSE_GRID}, got {grid_points}"
+        )
     xi_eff = xi - XI_MARGIN
     if xi_eff <= 0.0:
         xi_eff = xi / 2.0
     f = _rectangle_target(tau, theta, xi_eff)
 
-    grid = np.linspace(-1.0, 1.0, grid_points)
+    half = (grid_points - 1) // 2
+    grid = np.arange(half + 1) / half
+    y = 2.0 * grid * grid - 1.0
     targets = f(grid)
     # The coarse grid hits every ((grid_points-1)//(coarse-1))-th fine point,
     # so a coarse failure implies a fine failure and minimality is exact.
     stride = (grid_points - 1) // (_COARSE_GRID - 1)
     coarse = grid[::stride]
     coarse_targets = targets[::stride]
+    coarse_basis = _cheb.chebvander(y[::stride], degree_cap // 2)
 
-    best_error = None
+    best_error = np.inf
     for degree in range(0, degree_cap + 1, 2):
-        cheb_coeffs = np.atleast_1d(_cheb.chebinterpolate(f, degree))
-        if degree >= 1:
-            cheb_coeffs[1::2] = 0.0  # the target is even
-        raw_coarse = _cheb.chebval(coarse, cheb_coeffs)
+        cheb_coeffs = _even_chebyshev_interpolant(f, degree)
+        even = cheb_coeffs[::2]
+        raw_coarse = coarse_basis[:, :len(even)] @ even
         gap_coarse = float(np.max(np.abs(raw_coarse - coarse_targets)))
-        best_error = gap_coarse if best_error is None else min(best_error, gap_coarse)
+        best_error = min(best_error, gap_coarse)
         _, coarse_vals = _corrected(cheb_coeffs, raw_coarse, gap_coarse)
         ok, _ = _certify(coarse_vals, coarse_targets, coarse, tau, theta, xi_eff)
         if not ok:
             continue
-        raw_full = _cheb.chebval(grid, cheb_coeffs)
+        raw_full = _cheb.chebval(y, even)
         gap_full = float(np.max(np.abs(raw_full - targets)))
         fixed_cheb, full_vals = _corrected(cheb_coeffs, raw_full, gap_full)
         ok, _ = _certify(full_vals, targets, grid, tau, theta, xi_eff)

@@ -5,6 +5,9 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.polynomial import chebyshev as _cheb
 
 from eigensampler import (
     DegreeOverflowError,
@@ -15,6 +18,8 @@ from eigensampler import (
     eval_poly,
 )
 from eigensampler.polyfilter import (
+    _even_chebyshev_interpolant,
+    _rectangle_target,
     band_report,
     constant_one_polynomial,
     eval_monomial_extended,
@@ -34,12 +39,50 @@ FROZEN_DEGREES = {
 }
 
 
+# Minimal certified degrees on the unguided solver's own inputs: test t at
+# epsilon has tau = t*epsilon/4 and theta = epsilon/4, and n qubits give
+# chi = 2^(-n/2), xi = chi^2/12, computed as solve_unguided does. Frozen from
+# the Vandermonde-interpolation, full-grid builder that preceded the FFT one.
+UNGUIDED_DEGREES = {
+    (0.5, 3): (104, 106, 98),
+    (0.5, 4): (124, 122, 114),
+    (0.42, 3): (124, 118, 118),
+    (0.42, 4): (146, 146, 136),
+    (0.35, 3): (148, 142, 148),
+    (0.35, 4): (176, 176, 164),
+}
+# n = 5 at epsilon 0.25, test 0: no degree up to the cap certifies
+UNGUIDED_OVERFLOW_BEST_ERROR = 1.3941689130930301e-2
+
+
+def _unguided_bands(t, epsilon, n):
+    chi = 2.0 ** (-n / 2.0)
+    return t * epsilon / 4.0, epsilon / 4.0, chi * chi / 12.0
+
+
 @pytest.mark.parametrize("params,degree", sorted(FROZEN_DEGREES.items()))
 def test_minimal_degree_frozen(params, degree):
     P = build_rectangle_polynomial(*params)
     assert P.degree == degree
     assert P.verified
     assert len(P.coeffs) == degree + 1
+
+
+@pytest.mark.parametrize("key", sorted(UNGUIDED_DEGREES))
+def test_unguided_degrees_frozen(key):
+    epsilon, n = key
+    for t, degree in enumerate(UNGUIDED_DEGREES[key]):
+        P = build_rectangle_polynomial(*_unguided_bands(t, epsilon, n))
+        assert P.degree == degree, (t, P.degree)
+        assert P.verified
+
+
+def test_unguided_overflow_frozen():
+    with pytest.raises(DegreeOverflowError) as info:
+        build_rectangle_polynomial(*_unguided_bands(0, 0.25, 5))
+    assert info.value.degree_cap == 200
+    assert info.value.best_error == pytest.approx(
+        UNGUIDED_OVERFLOW_BEST_ERROR, rel=1e-9)
 
 
 def test_frozen_band_profile():
@@ -68,6 +111,41 @@ def test_bands_hold_on_finer_grid(params):
 def test_coefficient_l1_within_sherstov_bound(params):
     P = build_rectangle_polynomial(*params)
     assert math.log(coefficient_l1(P)) <= P.degree * math.log(4.0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    theta=st.floats(0.14, 0.5),
+    tau_fraction=st.floats(0.0, 1.0),
+    xi=st.floats(0.05, 0.5),
+)
+def test_built_filters_pass_full_grid_bands(theta, tau_fraction, xi):
+    """Builds certified on the even half-grid hold on the full [-1, 1] grid."""
+    tau = tau_fraction * (1.0 - theta)
+    P = build_rectangle_polynomial(tau, theta, xi)
+    assert P.degree <= 64
+    assert np.all(P.cheb[1::2] == 0.0)
+    rep = band_report(P)
+    assert rep["max_abs"] <= 1.0 + 1e-12
+    assert rep["min_val"] >= -1e-12
+    assert rep["low_min"] >= 1.0 - xi
+    assert rep["high_max"] is None or rep["high_max"] <= xi
+
+
+@pytest.mark.parametrize(
+    "target",
+    [lambda x: np.exp(-4.0 * x * x) * np.cos(3.0 * x),
+     _rectangle_target(0.25, 0.125, 0.01)],
+    ids=["smooth", "rectangle"],
+)
+def test_fft_interpolant_matches_chebinterpolate(target):
+    for degree in range(0, 201, 2):
+        expected = np.atleast_1d(_cheb.chebinterpolate(target, degree)).copy()
+        expected[1::2] = 0.0
+        got = _even_chebyshev_interpolant(target, degree)
+        assert got.shape == (degree + 1,)
+        assert np.all(got[1::2] == 0.0)
+        assert np.max(np.abs(got - expected)) <= 1e-14, degree
 
 
 def test_degree_monotone_in_theta_and_xi():
@@ -155,6 +233,21 @@ def test_polynomial_is_immutable():
 def test_parameter_validation(tau, theta, xi):
     with pytest.raises(ValidationError):
         build_rectangle_polynomial(tau, theta, xi)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"degree_cap": -2},
+        {"grid_points": 2},
+        {"grid_points": 1000},
+        {"grid_points": 100_000},  # even: the symmetric grid needs odd
+        {"grid_points": 999},  # odd but coarser than the prefilter grid
+    ],
+)
+def test_builder_argument_validation(kwargs):
+    with pytest.raises(ValidationError):
+        build_rectangle_polynomial(0.25, 0.25, XI12, **kwargs)
 
 
 def test_degree_overflow_reports_best_error():
