@@ -279,8 +279,9 @@ def _threshold_detail(t, decomp_prime, psi, cfg, rng, T,
 
     Under tight the test is one estimate_power call on I - A', refused
     before any sampling when its predicted cost exceeds the cost cap. Under
-    oracle-exact, decomp_prime may already be the dense reconstruction of
-    the normalized operator, so a scan builds it only once.
+    oracle-exact, decomp_prime may be the scan's ChebyshevMoments sequence
+    of psi on the normalized operator, so the test takes only the moments
+    that earlier tests of the scan have not taken already.
     """
     per_test_delta = cfg.delta / T
     if cfg.policy == "tight":
@@ -351,9 +352,11 @@ def estimate_smallest_eigenvalue(decomp, psi, cfg, rng, workers=1):
         )
     prime = shift_rescale(decomp)
     if cfg.policy == "oracle-exact":
-        # Looked up on the module at call time, so the benchmark's tracer
-        # (bench/measure.py) counts this one reconstruction per solve.
-        prime = oracle.reconstruct(prime)
+        # One reconstruction and one moment sequence per scan: every test
+        # reads its filter's moments from it, so the scan costs
+        # ceil(max_t d_t / 2) products. reconstruct is looked up on the module
+        # at call time, so the benchmark's tracer (bench/measure.py) counts it.
+        prime = oracle.ChebyshevMoments(oracle.reconstruct(prime), psi)
     T = cfg.interval_count
     counters = Counters()
     transcript = []

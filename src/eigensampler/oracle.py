@@ -1,13 +1,17 @@
-"""Exact dense ground truth for small instances.
+"""Exact ground truth for small instances.
 
 Everything here assembles explicit matrices, so the sampled estimators can
 be checked against exact values; it also backs the oracle-exact policy,
 which replaces the stochastic inner layer entirely. That policy is the one
-performance path here: a solve reconstructs its normalized operator once and
-evaluates every threshold test as <psi| P(A') |psi> by a Clenshaw recurrence
-on the filter's Chebyshev coefficients, using only matrix-vector products.
-The eigendecomposition is computed on first use, for the spectral queries
-(ground energy, ground vector, overlap, polynomial_matrix), and cached.
+performance path here. A solve reconstructs its normalized operator A' once,
+as a sparse CSR matrix, and reads every threshold test <psi| P(A') |psi> off
+one ChebyshevMoments sequence mu_k = <psi|T_k(A')|psi> as sum_k c_k mu_k,
+where c_k are the filter's Chebyshev coefficients. The sequence is extended
+on demand by sparse matrix-vector products, ceil(d/2) of them for moments up
+to degree d, so a whole scan costs ceil(max_t d_t / 2) products. The dense
+matrix and the eigendecomposition are built on first use, for the spectral
+queries (ground energy, ground vector, overlap, polynomial_matrix), and
+cached.
 """
 
 import numpy as np
@@ -25,16 +29,22 @@ _DEGENERACY_TOL = 1e-9
 
 
 class DenseOperator:
-    """A dense Hermitian matrix with a lazily cached eigendecomposition.
+    """A Hermitian operator held as a CSR matrix, with lazy dense forms.
 
-    Construction checks squareness, the dimension limit and Hermiticity (so
-    the spectrum is real and eigh applies) and never diagonalizes. The
-    eigenvalues (ascending) and eigenvectors are computed on first access,
-    where the reconstruction residual is verified, and cached.
+    Construction takes a dense array or a scipy.sparse matrix, checks
+    squareness, the dimension limit and Hermiticity (so the spectrum is real
+    and eigh applies) on the CSR form, and never diagonalizes. Every product
+    goes through apply, on the CSR matrix. The dense matrix is built on first
+    access of .matrix, and the eigenvalues (ascending) and eigenvectors on
+    first access, where the reconstruction residual is verified; both are
+    cached.
     """
 
     def __init__(self, matrix):
-        matrix = np.asarray(matrix, dtype=complex)
+        from scipy import sparse
+
+        if not sparse.issparse(matrix):
+            matrix = np.asarray(matrix, dtype=complex)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValidationError(f"operator must be square, got {matrix.shape}")
         if matrix.shape[0] > DENSE_DIMENSION_LIMIT:
@@ -42,16 +52,30 @@ class DenseOperator:
                 f"dense operator dimension {matrix.shape[0]} exceeds "
                 f"{DENSE_DIMENSION_LIMIT}"
             )
-        herm_gap = float(np.max(np.abs(matrix - matrix.conj().T)))
+        csr = sparse.csr_matrix(matrix, dtype=complex, copy=True)
+        herm_gap = float(abs(csr - csr.conj().T).max())
         if herm_gap > _HERMITIAN_TOL:
             raise ValidationError(
                 f"operator is not Hermitian (max |A - A*| = {herm_gap:.3e}); "
                 f"a real spectrum is required"
             )
-        self.matrix = matrix.copy()
-        self.matrix.flags.writeable = False
-        self.dimension = matrix.shape[0]
+        self.csr = csr
+        self.dimension = csr.shape[0]
+        self._matrix = None
         self._eigenpairs = None
+
+    def apply(self, vec):
+        """The operator applied to a vector: one CSR matrix-vector product."""
+        return self.csr @ vec
+
+    @property
+    def matrix(self):
+        """The dense matrix, built from the CSR form on first access."""
+        if self._matrix is None:
+            matrix = self.csr.toarray()
+            matrix.flags.writeable = False
+            self._matrix = matrix
+        return self._matrix
 
     def _diagonalize(self):
         if self._eigenpairs is None:
@@ -80,35 +104,128 @@ class DenseOperator:
         return f"DenseOperator(N={self.dimension})"
 
 
-def _add_term(out, handle):
-    # Every row at once; the values equal the row queries' exactly.
-    rows, cols, vals = handle.rows_many(np.arange(handle.dimension, dtype=np.int64))
-    np.add.at(out, (rows, cols), vals)
+def _sum_csr(handles, n):
+    """CSR matrix of a sum of row-query handles, accumulated in handle order.
+
+    Every handle answers all its rows at once, and np.add.at adds the
+    entries that land on one position one after another, in handle order,
+    so each entry is the same floating-point sum that a dense accumulation
+    of the terms in order gives, and one term's values equal its row
+    queries' exactly.
+    """
+    from scipy import sparse
+
+    every_row = np.arange(n, dtype=np.int64)
+    keys, vals = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=complex)]
+    for handle in handles:
+        # rows_many returns positions in every_row, which are the rows
+        rows, cols, values = handle.rows_many(every_row)
+        keys.append(rows * n + cols)
+        vals.append(values)
+    positions, slot = np.unique(np.concatenate(keys), return_inverse=True)
+    data = np.zeros(positions.size, dtype=complex)
+    np.add.at(data, slot, np.concatenate(vals))
+    stored = data != 0
+    rows, cols = np.divmod(positions[stored], n)
+    indptr = np.searchsorted(rows, np.arange(n + 1))
+    return sparse.csr_matrix((data[stored], cols, indptr), shape=(n, n))
 
 
-def dense_term(handle):
-    """Dense matrix of one row-query handle."""
+def sparse_term(handle):
+    """CSR matrix of one row-query handle."""
     n = handle.dimension
     if n > DENSE_DIMENSION_LIMIT:
         raise DenseLimitError(
             f"term dimension {n} exceeds {DENSE_DIMENSION_LIMIT}"
         )
-    mat = np.zeros((n, n), dtype=complex)
-    _add_term(mat, handle)
-    return mat
+    return _sum_csr([handle], n)
+
+
+def dense_term(handle):
+    """Dense matrix of one row-query handle."""
+    return sparse_term(handle).toarray()
 
 
 def reconstruct(decomp):
-    """Assemble the dense sum of a decomposition's terms, in term order."""
+    """Assemble the sum of a decomposition's terms, in term order, as CSR."""
     if decomp.dimension > DENSE_DIMENSION_LIMIT:
         raise DenseLimitError(
             f"decomposition dimension {decomp.dimension} exceeds "
             f"{DENSE_DIMENSION_LIMIT}"
         )
-    total = np.zeros((decomp.dimension, decomp.dimension), dtype=complex)
-    for handle in decomp.terms:
-        _add_term(total, handle)
-    return DenseOperator(total)
+    return DenseOperator(_sum_csr(decomp.terms, decomp.dimension))
+
+
+class ChebyshevMoments:
+    """The moments mu_k = <psi|T_k(A)|phi> of one operator, extended on demand.
+
+    The vectors v_k = T_k(A) phi follow the three-term recurrence
+    v_0 = phi, v_1 = A phi, v_{k+1} = 2 A v_k - v_{k-1}, one product each.
+    For psi != phi, mu_k = <psi|v_k>, so moments up to degree d cost d
+    products. For psi == phi the operator's Hermiticity gives the doubling
+    identities (from T_m T_n = (T_{m+n} + T_{|m-n|})/2)
+
+        mu_{2k}   = 2 <v_k|v_k>     - mu_0,
+        mu_{2k+1} = 2 <v_{k+1}|v_k> - mu_1,
+
+    so they cost ceil(d/2) products. dot(cheb) evaluates sum_k cheb[k] mu_k
+    = <psi| P(A) |phi> for the polynomial with those Chebyshev coefficients,
+    reading moments already taken and extending the sequence only past them.
+    """
+
+    def __init__(self, op, psi, phi=None):
+        self.operator = _as_operator(op)
+        self.psi = _as_dense_vector(psi, self.operator.dimension)
+        self.phi = self.psi if phi is None else _as_dense_vector(
+            phi, self.operator.dimension
+        )
+        self._doubling = np.array_equal(self.psi, self.phi)
+        self._previous = None
+        self._current = self.phi
+        self._index = 0
+        self._moments = [complex(np.vdot(self.psi, self.phi))]
+
+    @property
+    def dimension(self):
+        return self.operator.dimension
+
+    @property
+    def products(self):
+        """Operator products taken so far."""
+        return self._index
+
+    def _step(self):
+        product = self.operator.apply(self._current)
+        if self._previous is not None:
+            product = 2.0 * product - self._previous
+        self._previous, self._current = self._current, product
+        self._index += 1
+
+    def extend(self, degree):
+        """Take every moment up to the given degree."""
+        moments = self._moments
+        while len(moments) <= degree:
+            self._step()
+            if not self._doubling:
+                moments.append(complex(np.vdot(self.psi, self._current)))
+                continue
+            cross = complex(np.vdot(self._current, self._previous))
+            if self._index == 1:
+                moments.append(cross)
+            else:
+                moments.append(2.0 * cross - moments[1])
+            norm = complex(np.vdot(self._current, self._current))
+            moments.append(2.0 * norm - moments[0])
+
+    def dot(self, cheb):
+        """sum_k cheb[k] mu_k, extending the sequence to len(cheb) - 1."""
+        cheb = np.asarray(cheb)
+        self.extend(len(cheb) - 1)
+        return complex(np.dot(cheb, self._moments[:len(cheb)]))
+
+    def __repr__(self):
+        return (f"ChebyshevMoments(N={self.dimension}, "
+                f"moments={len(self._moments)}, products={self._index})")
 
 
 def _as_operator(op):
@@ -173,14 +290,18 @@ def polynomial_matrix(op, P):
 
 
 def exact_sandwich(psi, op, phi, power=None, polynomial=None):
-    """Exact <psi| f(op) |phi> by dense linear algebra.
+    """Exact <psi| f(op) |phi> by sparse matrix-vector products.
 
     op may be a MatrixChain (or plain list of handles), a Decomposition, a
-    DenseOperator, or a raw matrix. The operator is applied to phi: r
-    matrix-vector products for power=r (r = 1 when neither keyword is
-    given), and the Clenshaw recurrence on P.cheb for polynomial=P, the same
-    Chebyshev form P.eval_stable evaluates. Nothing is diagonalized. A chain
-    is applied factor by factor and accepts neither keyword.
+    DenseOperator, a raw matrix, or a ChebyshevMoments sequence built on psi
+    and phi. The operator is applied to phi: r products for power=r (r = 1
+    when neither keyword is given), and for polynomial=P the moments of a
+    ChebyshevMoments sequence, summed against P.cheb, the Chebyshev form
+    P.eval_stable evaluates. Given a sequence, only polynomial=P applies,
+    and the moments it already holds are reused, so a scan that passes one
+    sequence to every test pays for the highest degree only. Nothing is
+    diagonalized. A chain is applied factor by factor and accepts neither
+    keyword.
     """
     if power is not None and polynomial is not None:
         raise ValidationError("pass at most one of power and polynomial")
@@ -202,30 +323,27 @@ def exact_sandwich(psi, op, phi, power=None, polynomial=None):
         left = _as_dense_vector(psi, dimension)
         value = _as_dense_vector(phi, dimension)
         for handle in handles:
-            value = dense_term(handle) @ value
+            value = sparse_term(handle) @ value
         return complex(np.vdot(left, value))
+    if isinstance(op, ChebyshevMoments):
+        if polynomial is None:
+            raise ValidationError("a moment sequence takes polynomial=P only")
+        left = _as_dense_vector(psi, op.dimension)
+        right = _as_dense_vector(phi, op.dimension)
+        if not (np.array_equal(left, op.psi) and np.array_equal(right, op.phi)):
+            raise ValidationError(
+                "psi and phi differ from the vectors the moment sequence "
+                "was built on"
+            )
+        return op.dot(polynomial.cheb)
+    if polynomial is not None:
+        return ChebyshevMoments(op, psi, phi).dot(polynomial.cheb)
     op = _as_operator(op)
     left = _as_dense_vector(psi, op.dimension)
-    right = _as_dense_vector(phi, op.dimension)
-    if polynomial is not None:
-        value = _clenshaw(op.matrix, polynomial.cheb, right)
-    else:
-        power = 1 if power is None else int(power)
-        if power < 0:
-            raise ValidationError(f"power must be nonnegative, got {power}")
-        value = right
-        for _ in range(power):
-            value = op.matrix @ value
+    value = _as_dense_vector(phi, op.dimension)
+    power = 1 if power is None else int(power)
+    if power < 0:
+        raise ValidationError(f"power must be nonnegative, got {power}")
+    for _ in range(power):
+        value = op.apply(value)
     return complex(np.vdot(left, value))
-
-
-def _clenshaw(matrix, cheb, vec):
-    """sum_k cheb[k] T_k(matrix) vec, by the Clenshaw recurrence."""
-    d = len(cheb) - 1
-    if d == 0:
-        return cheb[0] * vec
-    b1 = cheb[d] * vec
-    b2 = np.zeros_like(vec)
-    for k in range(d - 1, 0, -1):
-        b1, b2 = cheb[k] * vec + 2.0 * (matrix @ b1) - b2, b1
-    return cheb[0] * vec + matrix @ b1 - b2

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from eigensampler.cli import main
+from eigensampler.eigensolve import low_pass_test
 from eigensampler.state_access import write_dense_state_file
 
 from helpers import random_state_vector
@@ -211,6 +212,28 @@ class TestEstimate:
         assert doc is None
         assert edoc["error"]["type"] == "DegreeOverflowError"
         assert "degree cap 200" in edoc["error"]["message"]
+
+    def test_unguided_five_qubits_stops_at_cost_cap(self, capsys, tmp_path):
+        # The README's worked example: under tight the first unguided test of
+        # a 5-qubit Pauli Hamiltonian at epsilon 0.25 is a low-pass power
+        # r = 65, predicted at 2.6e10 leaf operations, above the default cap.
+        path = tmp_path / "five.txt"
+        path.write_text("n=5\n1.0 ZZIII\n0.5 XIIII\n-0.7 IXYZI\n0.3 IIIZZ\n")
+        code, doc, edoc = run_json(
+            capsys, "estimate", "--hamiltonian", str(path), "--state", "maxent",
+            "--epsilon", "0.25", "--policy", "tight", "--json",
+        )
+        assert code == 2
+        assert doc is None
+        err = edoc["error"]
+        assert err["type"] == "CostCapExceeded"
+        assert err["cap"] == 1e9
+        assert err["predicted"] == pytest.approx(2.6e10, rel=0.05)
+        assert err["breakdown"]["filter"] == "low-pass"
+        assert err["breakdown"]["degree"] == 65
+        # r = 65 is the power of test 0 (chi = 2^(-5/2)), not a later one
+        assert low_pass_test(0, 0.25, 2.0 ** -2.5).r == 65
+        assert low_pass_test(1, 0.25, 2.0 ** -2.5).r != 65
 
     def test_bad_flag_exits_one(self, capsys, z_file):
         code, _, _ = run(

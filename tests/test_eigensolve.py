@@ -314,6 +314,32 @@ def watch_oracle(monkeypatch):
 class TestOracleExactScan:
     """An oracle-exact scan reconstructs once and never diagonalizes."""
 
+    def test_guided_scan_reads_one_moment_sequence(self, monkeypatch):
+        # ceil(max degree / 2) sparse products in all, against the sum of the
+        # degrees for a recurrence rerun per test; no dense matrix is built.
+        rng = np.random.default_rng(12)
+        terms = random_pauli_terms(rng, 3, 4) + [random_block_term(rng, 3, 2)]
+        guide = DenseState(np.linalg.eigh(hamiltonian_matrix(3, terms))[1][:, 0])
+        calls = watch_oracle(monkeypatch)
+        products = []
+        apply = oracle.DenseOperator.apply
+
+        def counting(self, vec):
+            products.append(vec.shape)
+            return apply(self, vec)
+
+        def refuse(self):
+            raise AssertionError("dense matrix built")
+
+        monkeypatch.setattr(oracle.DenseOperator, "apply", counting)
+        monkeypatch.setattr(oracle.DenseOperator, "matrix", property(refuse))
+        est = solve_guided((3, terms), guide, oracle_cfg(epsilon=0.25))
+        degrees = [record.degree for record in est.transcript]
+        assert len(calls) == 1
+        assert len(degrees) > 1
+        assert len(products) == math.ceil(max(degrees) / 2)
+        assert len(products) < sum(degrees)
+
     def test_guided(self, monkeypatch):
         rng = np.random.default_rng(12)
         terms = random_pauli_terms(rng, 3, 4) + [random_block_term(rng, 3, 2)]

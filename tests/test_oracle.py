@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.polynomial import chebyshev
 
 from eigensampler import (
     BasisState,
@@ -27,7 +30,13 @@ from eigensampler.hamiltonian import (
     PauliTermHandle,
     ScaledTermHandle,
 )
-from eigensampler.oracle import dense_term, ground_vector, polynomial_matrix
+from eigensampler.oracle import (
+    ChebyshevMoments,
+    dense_term,
+    ground_vector,
+    polynomial_matrix,
+)
+from eigensampler.polyfilter import DEGREE_CAP
 
 from helpers import (
     PAULI,
@@ -280,10 +289,18 @@ class TestExactSandwich:
         rng = np.random.default_rng(4)
         d = shift_rescale(random_mixed_decomposition(rng, 3, 4, 1))
         psi = random_state_vector(rng, 8)
+        phi = random_state_vector(rng, 8)
         P = build_rectangle_polynomial(0.25, 0.25, 1 / 12)
+
+        def refuse(self):
+            raise AssertionError("dense matrix built")
+
         monkeypatch.setattr(np.linalg, "eigh", None)
+        monkeypatch.setattr(DenseOperator, "matrix", property(refuse))
         exact_sandwich(psi, d, psi, polynomial=P)
+        exact_sandwich(psi, d, phi, polynomial=P)
         exact_sandwich(psi, d, psi, power=3)
+        exact_sandwich(psi, ChebyshevMoments(d, psi), psi, polynomial=P)
 
     def test_chain_dispatch_applies_sequentially(self):
         d = build_decomposition(1, [LocalTerm.from_pauli(1.0, "X"),
@@ -305,6 +322,61 @@ class TestExactSandwich:
             exact_sandwich(psi, chain, psi, power=2)
         with pytest.raises(ValidationError):
             exact_sandwich(psi, [d.terms[0]], psi, polynomial=object())
+
+
+class TestChebyshevMoments:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 6),
+        degree=st.integers(0, DEGREE_CAP),
+        same=st.booleans(),
+    )
+    def test_matches_eigenbasis(self, seed, n, degree, same):
+        # Random Chebyshev coefficients, odd ones included, so both doubling
+        # identities and the plain recurrence are exercised.
+        rng = np.random.default_rng(seed)
+        d = random_mixed_decomposition(
+            rng, n, int(rng.integers(1, 7)), int(rng.integers(0, 3))
+        )
+        op = reconstruct(shift_rescale(d))
+        cheb = rng.normal(size=degree + 1)
+        psi_v = random_state_vector(rng, 2**n)
+        phi_v = psi_v if same else random_state_vector(rng, 2**n)
+        lam, vecs = op.eigenvalues, op.eigenvectors
+        left, right = vecs.conj().T @ psi_v, vecs.conj().T @ phi_v
+        want = np.sum(np.conj(left) * chebyshev.chebval(lam, cheb) * right)
+        moments = ChebyshevMoments(op, psi_v, None if same else phi_v)
+        got = moments.dot(cheb)
+        assert abs(got - want) <= 1e-12 * np.sum(np.abs(cheb))
+        assert moments.products == (math.ceil(degree / 2) if same else degree)
+
+    def test_moments_are_reused(self):
+        # Later, lower-degree reads take no products; the values match a
+        # fresh sequence's exactly.
+        rng = np.random.default_rng(40)
+        op = reconstruct(shift_rescale(random_mixed_decomposition(rng, 3, 4, 1)))
+        psi = random_state_vector(rng, 8)
+        moments = ChebyshevMoments(op, psi)
+        for cheb, products in ((rng.normal(size=11), 5), (rng.normal(size=7), 5),
+                               (rng.normal(size=14), 7)):
+            got = moments.dot(cheb)
+            assert moments.products == products
+            assert got == ChebyshevMoments(op, psi).dot(cheb)
+
+    def test_sandwich_checks_the_sequence_vectors(self):
+        rng = np.random.default_rng(41)
+        d = shift_rescale(random_mixed_decomposition(rng, 3, 4, 1))
+        psi = random_state_vector(rng, 8)
+        other = random_state_vector(rng, 8)
+        P = build_rectangle_polynomial(0.25, 0.25, 1 / 12)
+        moments = ChebyshevMoments(d, psi)
+        want = exact_sandwich(psi, d, psi, polynomial=P)
+        assert exact_sandwich(DenseState(psi), moments, psi, polynomial=P) == want
+        with pytest.raises(ValidationError, match="moment sequence"):
+            exact_sandwich(other, moments, psi, polynomial=P)
+        with pytest.raises(ValidationError, match="polynomial=P only"):
+            exact_sandwich(psi, moments, psi, power=2)
 
 
 def test_shift_rescale_spectrum_relation():
