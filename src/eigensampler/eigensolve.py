@@ -8,11 +8,13 @@ ground-space overlap chi separates the two cases, so the first accepted
 interval pins the ground energy of A to within epsilon*kappa.
 
 How a test filters the spectrum depends on the policy. Under `tight` it
-estimates one power <psi|(I - A')^r|psi> of the low-pass operator I - A',
-whose monomial coefficient mass is 1, so its sampled cost is
+estimates one power <psi|((c - y)/(1 + c))^r|psi> of a shifted operator,
+where y = 2A' - I = A/kappa and c is a shift in [0, 1]. That operator's
+monomial coefficient mass is 1, so its sampled cost is
 reps * ceil(64/err^2) * max(r, 1) * s^r (the one-stratum case of the
-stratified estimator in transform), and r is bounded by the filter degree
-cap (see LowPassTest). Under `strict` and
+stratified estimator in transform). Each test picks its own (c, r) to
+minimize that cost, with r bounded by the filter degree cap; c = 1 is the
+low-pass operator I - A' (see ShiftedTest). Under `strict` and
 `oracle-exact` it applies a rectangle polynomial that passes [0, tau] and
 blocks above tau + epsilon/4: the filtered expectation is at least
 11 chi^2/12 in the first case and at most chi^2/12 in the second.
@@ -25,6 +27,8 @@ state, whose ground-space overlap is at least 2^(-n/2) regardless of H.
 import math
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 from . import oracle
 from .errors import (
     CostCapExceeded,
@@ -32,7 +36,12 @@ from .errors import (
     GapError,
     ValidationError,
 )
-from .hamiltonian import LocalTerm, build_decomposition, low_pass, shift_rescale
+from .hamiltonian import (
+    LocalTerm,
+    build_decomposition,
+    shift_rescale,
+    shifted_operator,
+)
 from .instrument import Counters
 from .oracle import exact_sandwich
 from .polyfilter import (
@@ -97,8 +106,9 @@ class SolverConfig:
 class TestRecord:
     """One threshold test: its estimate, its answer, and the filter it ran.
 
-    filter is "low-pass" (degree = the power r of I - A') or "rectangle"
-    (degree = the polynomial's degree).
+    filter is "shifted" (degree = the power r of (c - y)/(1 + c), shift = c;
+    see ShiftedTest) or "rectangle" (degree = the polynomial's degree,
+    shift = None).
     """
 
     t: int
@@ -106,6 +116,7 @@ class TestRecord:
     yes: bool
     filter: str
     degree: int
+    shift: float = None
 
     def to_dict(self):
         return {
@@ -114,6 +125,7 @@ class TestRecord:
             "yes": self.yes,
             "filter": self.filter,
             "degree": int(self.degree),
+            "shift": self.shift,
         }
 
 
@@ -188,32 +200,57 @@ def _test_polynomial(t, epsilon, chi):
     return build_rectangle_polynomial(tau, theta, xi)
 
 
+# Shifts searched per test: c = 1, then c = lo + (1 - lo) k / SHIFT_GRID for
+# k < SHIFT_GRID. c = 1 is its own entry, exact rather than a rounded
+# lo + (1 - lo).
+SHIFT_GRID = 400
+# Below this the batch size ceil(64/err^2) is no longer a finite float.
+_MIN_ERR = 1e-150
+# Every (c, r) a test weighs, in tie-break order: c = 1 at every r, then each
+# grid shift at every even r. _CANDIDATE_ROW indexes the shift grid.
+_EVEN = np.arange(2, DEGREE_CAP + 1, 2)
+_CANDIDATE_ROW = np.concatenate((np.zeros(DEGREE_CAP, dtype=np.int64),
+                                 np.repeat(np.arange(1, SHIFT_GRID + 1), _EVEN.size)))
+_CANDIDATE_R = np.concatenate((np.arange(1, DEGREE_CAP + 1),
+                               np.tile(_EVEN, SHIFT_GRID)))
+_CANDIDATE_LOG_R = np.log(_CANDIDATE_R)
+
+
 @dataclass(frozen=True)
-class LowPassTest:
-    """Test t as one power r of the low-pass operator I - A'.
+class ShiftedTest:
+    """Test t as one power r of the shifted operator (c - y)/(1 + c).
 
-    Write tau = t*epsilon/4, theta = epsilon/4 and b = max(0, 1 - tau - theta).
-    Expand psi = sum_j c_j |v_j> over eigenvectors of A' with eigenvalues
-    lambda_j in [0, 1]. Then
+    Write y = 2A' - I = A/kappa, with spectrum in [-1, 1], and
+    y_tau = 2 tau - 1, y_h = 2 (tau + theta) - 1 for tau = t*epsilon/4 and
+    theta = epsilon/4. The shift c lies in [max(y_h, 0), 1]. Expand
+    psi = sum_j a_j |v_j> over eigenvectors of y with eigenvalues y_j. Then
 
-        <psi|(I - A')^r|psi> = sum_j |c_j|^2 (1 - lambda_j)^r,
+        <psi|((c - y)/(1 + c))^r|psi> = sum_j |a_j|^2 ((c - y_j)/(1 + c))^r,
 
-    a sum of nonnegative terms whose weights |c_j|^2 sum to 1.
+    whose weights |a_j|^2 sum to 1.
 
-    * Yes bound: if lambda_0' <= tau and psi has weight at least chi^2 on the
-      ground space, the ground-space terms alone give at least
-      yes_bound = chi^2 (1 - tau)^r.
-    * No bound: if every eigenvalue is at least tau + theta, each factor
-      (1 - lambda_j)^r is at most b^r, so the sum is at most no_bound = b^r.
+    * Yes bound: if lambda_0' <= tau, then y_0 <= y_tau < y_h <= c, so every
+      ground-space factor is at least (c - y_tau)/(1 + c) > 0, and psi has
+      weight at least chi^2 there: those terms give at least
+      yes_bound = chi^2 ((c - y_tau)/(1 + c))^r. Every other term is
+      nonnegative, because r is even, or because c = 1 >= y_j.
+    * No bound: if every eigenvalue of A' is at least tau + theta, every y_j
+      lies in the band [y_h, 1]. |c - y| is convex in y, so on the band it
+      is at most its larger end value, max(c - y_h, 1 - c) (c >= y_h). Each
+      term is at most that over 1 + c, to the power r, so the sum is at
+      most no_bound = (max(c - y_h, 1 - c)/(1 + c))^r.
 
-    r is the smallest r >= 1 with chi^2 (1 - tau)^r >= 2 b^r, so
-    gap = yes_bound - no_bound >= yes_bound/2 > 0 (tau < 1 for every t < T).
-    An estimate within err = gap/4 lies above midpoint in the yes case and
-    below it in the no case. When the blocked band is empty the no case
-    cannot occur: r = 0, no_bound = 0, and the test is the constant-1 test
-    (err chi^2/4, threshold chi^2/2).
+    A shift c < 0 would make the no ratio 1 - c over 1 + c at least 1, so
+    it never helps. An estimate within err = gap/4 of the expectation, with
+    gap = yes_bound - no_bound > 0, lies at or above the midpoint in the yes
+    case and below it in the no case. When the blocked band is empty the no
+    case cannot occur: r = 0, c = 1, no_bound = 0, and the test is the
+    constant-1 test (err chi^2/4, threshold chi^2/2). At c = 1 the operator
+    is the low-pass I - A' and the bounds are chi^2 (1 - tau)^r and
+    (1 - tau - theta)^r.
     """
 
+    shift: float
     r: int
     yes_bound: float
     no_bound: float
@@ -227,48 +264,77 @@ class LowPassTest:
         return (self.yes_bound + self.no_bound) / 2.0
 
 
-def low_pass_test(t, epsilon, chi):
-    """The LowPassTest of interval t at accuracy epsilon and overlap chi.
+def _shift_factors(shifts, tau, theta):
+    """(yes ratio, no ratio) of each shift c: (c - y_tau)/(1 + c) and
+    max(c - y_h, 1 - c)/(1 + c). Works on floats and on numpy arrays; at
+    c = 1 the ratios are exactly 1 - tau and max(0, 1 - tau - theta)."""
+    scale = 1.0 + shifts
+    yes = scale - 2.0 * tau
+    no = yes - 2.0 * theta
+    return yes / scale, np.maximum(no, 1.0 - shifts) / scale
 
-    Raises DegreeOverflowError when r would pass the filter degree cap: the
-    chain masses are products of r bounds of at most 1/2, so past the cap
-    they head for float underflow.
+
+def shifted_test(t, epsilon, chi, s=1):
+    """The ShiftedTest of interval t at accuracy epsilon and overlap chi.
+
+    Picks (c, r) to minimize the test's predicted cost
+    reps * ceil(64/err^2) * max(r, 1) * s^r for row sparsity s, over r in
+    [1, DEGREE_CAP] (even unless c = 1) and over the shifts of SHIFT_GRID.
+    reps is the same for every candidate, so it drops out. The costs are
+    compared as logarithms, so s^r never overflows, and ties go to c = 1,
+    then to the smaller r. The candidate c = 1 at the smallest r with
+    chi^2 (1 - tau)^r >= 2 (1 - tau - theta)^r is always searched, so no
+    choice costs more than that low-pass test.
+
+    Raises DegreeOverflowError when no candidate separates the bounds (the
+    test would need a power above the cap: the chain masses are products of
+    r bounds of at most 1/2, so past the cap they head for float underflow),
+    and ValidationError when every separating candidate's err is below float
+    resolution.
     """
     tau, theta, empty = _bands(t, epsilon)
     chi2 = chi * chi
     if empty:
-        return LowPassTest(0, chi2, 0.0)
-    b = max(0.0, 1.0 - tau - theta)
-
-    def separated(r):
-        return chi2 * (1.0 - tau) ** r >= 2.0 * b ** r
-
-    def overflow():
-        return DegreeOverflowError(
-            f"test {t}: the low-pass test needs a power above the degree cap "
-            f"{DEGREE_CAP} (epsilon {epsilon}, chi {chi})",
-            degree_cap=DEGREE_CAP,
-        )
-
-    # separated(r) iff r ln((1 - tau)/b) >= ln(2/chi^2)
-    need = math.log(2.0) - 2.0 * math.log(chi)
-    rate = -math.log1p(-theta / (1.0 - tau)) if b > 0.0 else math.inf
-    if need > DEGREE_CAP * rate:
-        raise overflow()
-    r = max(1, math.ceil(need / rate))
-    # rounding can put the closed form one off the smallest separating r
-    if r > 1 and separated(r - 1):
-        r -= 1
-    elif not separated(r):
-        r += 1
-    if r > DEGREE_CAP:
-        raise overflow()
-    test = LowPassTest(r, chi2 * (1.0 - tau) ** r, b ** r)
-    # Below this the batch size ceil(64/err^2) is no longer a finite float.
-    if not test.err > 1e-150:
+        return ShiftedTest(1.0, 0, chi2, 0.0)
+    lo = min(max(2.0 * (tau + theta) - 1.0, 0.0), 1.0)
+    grid = np.concatenate(([1.0], lo + (1.0 - lo) * np.arange(SHIFT_GRID) / SHIFT_GRID))
+    yes_ratio, no_ratio = _shift_factors(grid, tau, theta)
+    row, powers = _CANDIDATE_ROW, _CANDIDATE_R
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        log_yes = 2.0 * math.log(chi) + powers * np.log(yes_ratio)[row]
+        # log(no_bound / yes_bound): the bounds separate where it is below 0
+        log_ratio = powers * np.log(no_ratio / yes_ratio)[row] - 2.0 * math.log(chi)
+        separated = log_ratio < 0.0
+        log_err = log_yes + np.log1p(-np.exp(log_ratio)) - math.log(4.0)
+        usable = separated & (log_err > math.log(_MIN_ERR))
+        # log of max(r, 1) * s^r, then of the whole cost without the ceiling
+        # of 64/err^2. That count is at least 1024 (err <= 1/4), so the
+        # ceiling adds at most 1/1024 to a log cost: the cheapest candidate
+        # is among those this close to the rough minimum.
+        tail = _CANDIDATE_LOG_R + powers * math.log(max(s, 1))
+        rough = np.where(usable, math.log(64.0) - 2.0 * log_err + tail, np.inf)
+    if not usable.any():
+        if not separated.any():
+            raise DegreeOverflowError(
+                f"test {t}: the shifted test needs a power above the degree "
+                f"cap {DEGREE_CAP} (epsilon {epsilon}, chi {chi})",
+                degree_cap=DEGREE_CAP,
+            )
         raise ValidationError(
-            f"test {t}: the low-pass gap at r = {r} is below float resolution "
-            f"(epsilon {epsilon}, chi {chi})"
+            f"test {t}: the shifted test's gap is below float resolution at "
+            f"every power up to {DEGREE_CAP} (epsilon {epsilon}, chi {chi})"
+        )
+    near = np.flatnonzero(rough <= rough.min() + 1.0 / 1024.0)
+    chains = np.ceil(64.0 * np.exp(-2.0 * log_err[near]))
+    best = near[np.argmin(np.log(chains) + tail[near])]
+    shift, r = float(grid[row[best]]), int(powers[best])
+    yes_ratio, no_ratio = _shift_factors(shift, tau, theta)
+    test = ShiftedTest(shift, r, chi2 * float(yes_ratio) ** r, float(no_ratio) ** r)
+    # the choice compared logarithms; the recorded bounds are powers
+    if not test.err > _MIN_ERR:
+        raise ValidationError(
+            f"test {t}: the shifted gap at c = {shift}, r = {r} is below float "
+            f"resolution (epsilon {epsilon}, chi {chi})"
         )
     return test
 
@@ -277,29 +343,31 @@ def _threshold_detail(t, decomp_prime, psi, cfg, rng, T,
                       workers=1, counters=None):
     """One test's TestRecord.
 
-    Under tight the test is one estimate_power call on I - A', refused
-    before any sampling when its predicted cost exceeds the cost cap. Under
-    oracle-exact, decomp_prime may be the scan's ChebyshevMoments sequence
-    of psi on the normalized operator, so the test takes only the moments
-    that earlier tests of the scan have not taken already.
+    Under tight the test is one estimate_power call on the shifted operator
+    of its ShiftedTest, refused before any sampling when its predicted cost
+    exceeds the cost cap. Under oracle-exact, decomp_prime may be the scan's
+    ChebyshevMoments sequence of psi on the normalized operator, so the test
+    takes only the moments that earlier tests of the scan have not taken
+    already.
     """
     per_test_delta = cfg.delta / T
     if cfg.policy == "tight":
-        test = low_pass_test(t, cfg.epsilon, cfg.chi)
-        low = low_pass(decomp_prime)
+        test = shifted_test(t, cfg.epsilon, cfg.chi, decomp_prime.s)
+        base = shifted_operator(decomp_prime, test.shift)
         if cfg.cost_cap is not None:
             predicted, breakdown = predict_power_cost(
-                low, test.r, test.err, per_test_delta
+                base, test.r, test.err, per_test_delta
             )
             if predicted > cfg.cost_cap:
-                breakdown.update(policy=cfg.policy, filter="low-pass")
+                breakdown.update(policy=cfg.policy, filter="shifted",
+                                 shift=test.shift)
                 raise CostCapExceeded(predicted, cfg.cost_cap, breakdown)
         estimate = estimate_power(
-            psi, psi, low, test.r, test.err, per_test_delta, rng,
+            psi, psi, base, test.r, test.err, per_test_delta, rng,
             workers=workers, counters=counters,
         )
         yes = estimate.real >= test.midpoint
-        return TestRecord(t, estimate, yes, "low-pass", test.r)
+        return TestRecord(t, estimate, yes, "shifted", test.r, test.shift)
     P = _test_polynomial(t, cfg.epsilon, cfg.chi)
     precision = cfg.chi * cfg.chi / 4.0
     if cfg.policy == "oracle-exact":

@@ -458,12 +458,15 @@ def shift_rescale(decomp):
     return Decomposition(terms, bounds)
 
 
-def low_pass(decomp_prime):
-    """Decomposition of I - A' from shift_rescale's decomposition of A'.
+def shifted_operator(decomp_prime, c):
+    """Decomposition of (c I - y)/(1 + c), with y = 2A' - I = A/kappa.
 
-    I - A' = (I - A/kappa)/2: the identity term at index 0 is kept, and every
-    other term's factor changes sign, so the norm bounds still sum to 1 and
-    the spectrum still lies in [0, 1]. Any other shape is refused.
+    Built from shift_rescale's decomposition of A' = I/2 + sum_i f_i H_i, so
+    y = sum_i 2 f_i H_i. The identity gets scale and bound c/(1 + c), and
+    term i gets factor -2 f_i/(1 + c) and bound 2 b_i/(1 + c); the bounds
+    b_i of A' sum to 1/2, so the new bounds still sum to 1. c must lie in
+    [0, 1], and c = 1 gives I - A' with the terms and bounds of A' bit for
+    bit (only the signs flip). Any other shape is refused.
     """
     terms, bounds = decomp_prime.terms, decomp_prime.kappa_i
     head = terms[0] if terms else None
@@ -471,11 +474,17 @@ def low_pass(decomp_prime):
             or bounds[0] != 0.5
             or not all(isinstance(h, ScaledTermHandle) for h in terms[1:])):
         raise ValidationError(
-            "low_pass needs shift_rescale's decomposition: the identity with "
-            "bound 1/2 first, then scaled terms"
+            "shifted_operator needs shift_rescale's decomposition: the "
+            "identity with bound 1/2 first, then scaled terms"
         )
-    flipped = [ScaledTermHandle(h.inner, -h.factor) for h in terms[1:]]
-    return Decomposition([head] + flipped, bounds)
+    c = float(c)
+    if not 0.0 <= c <= 1.0:
+        raise ValidationError(f"shift c must be in [0, 1], got {c}")
+    scale = 1.0 + c
+    head = IdentityHandle(decomp_prime.dimension, c / scale)
+    flipped = [ScaledTermHandle(h.inner, -2.0 * h.factor / scale) for h in terms[1:]]
+    scaled = [c / scale] + [2.0 * b / scale for b in bounds[1:]]
+    return Decomposition([head] + flipped, scaled)
 
 
 # ---------------------------------------------------------------------------

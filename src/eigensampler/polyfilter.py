@@ -25,10 +25,8 @@ degrades as sum|a_i| * 1e-16 and is exposed only through eval_poly.
 
 import functools
 
-import mpmath as mp
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
-from scipy.special import erf, erfinv
 
 from .errors import DegreeOverflowError, ValidationError
 
@@ -113,6 +111,10 @@ def constant_one_polynomial(tau, theta, xi):
 
 
 def _rectangle_target(tau, theta, xi_eff):
+    # Imported here, as mpmath is below: scipy.special costs about 0.3 s to
+    # load, and only rectangle builds need it, never a tight scan.
+    from scipy.special import erf, erfinv
+
     center = tau + theta / 2.0
     steep = (2.0 / theta) * float(erfinv(1.0 - xi_eff / 2.0))
 
@@ -260,6 +262,8 @@ def _cheb_to_monomial_extended(cheb_coeffs):
     small coefficients entirely; mpmath keeps the result exact to far below
     double rounding. Returns both the double view and the extended one.
     """
+    import mpmath as mp
+
     d = len(cheb_coeffs) - 1
     dps = max(50, int(0.7 * d) + 40)
     with mp.workdps(dps):
@@ -274,6 +278,8 @@ def _cheb_to_monomial_extended(cheb_coeffs):
 
 def _iter_cheb_rows(d):
     """Yield monomial coefficient lists of T_0 .. T_d (exact integers)."""
+    import mpmath as mp
+
     t_prev = [mp.mpf(1)]
     yield t_prev
     if d == 0:
@@ -297,6 +303,8 @@ def eval_monomial_extended(P, xs, dps=None):
     Chebyshev form measures the conversion, not the double rounding of huge
     coefficients.
     """
+    import mpmath as mp
+
     if dps is None:
         dps = max(60, int(0.7 * P.degree) + 40)
     coeffs = P.coeffs_extended

@@ -3,7 +3,8 @@
 Each gate prints a single PASS/FAIL line on the terminal (bypassing pytest's
 capture) so a full run yields one verdict per gate. Gate 7 exercises the fully
 stochastic guided solve at its stated parameter point: the tight scan's
-low-pass tests, each one sampled power of I - A', on 100 random instances.
+shifted tests, each one sampled power of (c - y)/(1 + c) with y = 2A' - I,
+on 100 random instances.
 """
 
 import json

@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import eigensampler
 from eigensampler.cli import main
-from eigensampler.eigensolve import low_pass_test
+from eigensampler.eigensolve import shifted_test
 from eigensampler.state_access import write_dense_state_file
 
 from helpers import random_state_vector
@@ -25,6 +29,26 @@ def pair_file(tmp_path):
     p = tmp_path / "pair.txt"
     p.write_text(TWO_QUBIT_TEXT)
     return str(p)
+
+
+# Runs the CLI in a fresh interpreter, then reports on stderr which of the
+# rectangle builder's heavy dependencies the run loaded.
+FRESH_CLI = """
+import json, sys
+from eigensampler.cli import main
+code = main(sys.argv[1:])
+heavy = sorted(m for m in ("scipy.special", "mpmath") if m in sys.modules)
+print(json.dumps({"code": code, "heavy": heavy}), file=sys.stderr)
+"""
+
+
+def run_fresh(*argv):
+    """(stdout, status dict) of one CLI run in a new process."""
+    src = os.path.dirname(os.path.dirname(eigensampler.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", FRESH_CLI, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    return proc.stdout, json.loads(proc.stderr.strip().splitlines()[-1])
 
 
 def run(capsys, *argv):
@@ -73,8 +97,22 @@ class TestEstimate:
         assert code1 == code2 == 0
         assert out1 == out2
         record = json.loads(out1)["result"]["transcript"][0]
-        assert record["filter"] == "low-pass"
-        assert record["degree"] == 6
+        assert record["filter"] == "shifted"
+        assert (record["degree"], record["shift"]) == (6, 0.125)
+
+    def test_tight_run_is_byte_identical_across_processes(self, z_file):
+        # and loads neither scipy.special nor mpmath: only rectangle builds
+        # (strict, oracle-exact, poly) need them
+        argv = ("estimate", "--hamiltonian", z_file, "--state", "basis:1",
+                "--epsilon", "0.5", "--seed", "9", "--transcript", "--json")
+        out1, status1 = run_fresh(*argv)
+        out2, status2 = run_fresh(*argv)
+        assert status1 == status2 == {"code": 0, "heavy": []}
+        assert out1 == out2
+        assert json.loads(out1)["result"]["transcript"][0]["filter"] == "shifted"
+        # the same run under oracle-exact builds rectangles, so it loads them
+        _, exact = run_fresh(*argv, "--policy", "oracle-exact")
+        assert exact["code"] == 0 and "scipy.special" in exact["heavy"]
 
     def test_worker_count_does_not_change_result(self, capsys, pair_file):
         base = (
@@ -101,7 +139,8 @@ class TestEstimate:
             assert err["type"] == "CostCapExceeded"
             assert err["predicted"] > err["cap"]
             assert "per_power" in err["breakdown"]
-        assert err["breakdown"]["filter"] == "low-pass"
+        assert err["breakdown"]["filter"] == "shifted"
+        assert 0.0 <= err["breakdown"]["shift"] <= 1.0
         assert err["breakdown"]["per_power"] == {
             str(err["breakdown"]["degree"]): err["predicted"]
         }
@@ -203,10 +242,13 @@ class TestEstimate:
         assert edoc["error"]["type"] == "ValidationError"
         assert "64 qubits" in edoc["error"]["message"]
 
-    def test_low_pass_power_past_degree_cap_exits_one(self, capsys, z_file):
+    def test_shifted_power_past_degree_cap_exits_one(self, capsys, z_file):
+        # At chi 0.5 and epsilon 0.002 test 0 separates its bounds only past
+        # r = 1386, at every shift. (At chi 1 test 0 always separates: its
+        # yes ratio is 1.)
         code, doc, edoc = run_json(
             capsys, "estimate", "--hamiltonian", z_file, "--state", "basis:1",
-            "--epsilon", "0.002", "--json",
+            "--epsilon", "0.002", "--chi", "0.5", "--json",
         )
         assert code == 1
         assert doc is None
@@ -215,8 +257,9 @@ class TestEstimate:
 
     def test_unguided_five_qubits_stops_at_cost_cap(self, capsys, tmp_path):
         # The README's worked example: under tight the first unguided test of
-        # a 5-qubit Pauli Hamiltonian at epsilon 0.25 is a low-pass power
-        # r = 65, predicted at 2.6e10 leaf operations, above the default cap.
+        # a 5-qubit Pauli Hamiltonian at epsilon 0.25 is the power r = 48 of
+        # the operator shifted by c = 0.0625, predicted at 6.2e9 leaf
+        # operations, above the default cap.
         path = tmp_path / "five.txt"
         path.write_text("n=5\n1.0 ZZIII\n0.5 XIIII\n-0.7 IXYZI\n0.3 IIIZZ\n")
         code, doc, edoc = run_json(
@@ -228,12 +271,14 @@ class TestEstimate:
         err = edoc["error"]
         assert err["type"] == "CostCapExceeded"
         assert err["cap"] == 1e9
-        assert err["predicted"] == pytest.approx(2.6e10, rel=0.05)
-        assert err["breakdown"]["filter"] == "low-pass"
-        assert err["breakdown"]["degree"] == 65
-        # r = 65 is the power of test 0 (chi = 2^(-5/2)), not a later one
-        assert low_pass_test(0, 0.25, 2.0 ** -2.5).r == 65
-        assert low_pass_test(1, 0.25, 2.0 ** -2.5).r != 65
+        assert err["predicted"] == pytest.approx(6.2e9, rel=0.05)
+        assert err["breakdown"]["filter"] == "shifted"
+        assert err["breakdown"]["degree"] == 48
+        assert err["breakdown"]["shift"] == 0.0625
+        # (0.0625, 48) is the choice of test 0 (chi = 2^(-5/2)), not a later one
+        first = shifted_test(0, 0.25, 2.0 ** -2.5)
+        assert (first.shift, first.r) == (0.0625, 48)
+        assert shifted_test(1, 0.25, 2.0 ** -2.5).r != 48
 
     def test_bad_flag_exits_one(self, capsys, z_file):
         code, _, _ = run(

@@ -1,8 +1,11 @@
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from eigensampler import (
     BasisState,
@@ -23,10 +26,10 @@ from eigensampler import (
     solve_guided,
     solve_unguided,
 )
-from eigensampler import eigensolve, oracle, polyfilter
+from eigensampler import eigensolve, oracle, polyfilter, transform
 from eigensampler import test_threshold as threshold_test
-from eigensampler.eigensolve import _test_polynomial, doubled_terms, low_pass_test
-from eigensampler.hamiltonian import low_pass
+from eigensampler.eigensolve import _test_polynomial, doubled_terms, shifted_test
+from eigensampler.hamiltonian import shifted_operator
 from eigensampler.rng import spawn_streams
 from eigensampler.oracle import ground_vector
 
@@ -219,10 +222,10 @@ class TestEstimate:
             )
 
     def test_sampling_policies_abort_on_cost_cap(self):
-        # tight runs the low-pass tests, whose cost fits under the default
+        # tight runs the shifted tests, whose cost fits under the default
         # cap; strict still pays the rectangle's 4^degree worst case, and a
         # tight run under a cap below its first test's prediction aborts
-        # before sampling with the low-pass breakdown.
+        # before sampling with the shifted test's breakdown.
         d = build_decomposition(1, Z_TERMS)
         tight = SolverConfig(epsilon=1.0, chi=1.0, delta=0.5, policy="tight")
         est = estimate_smallest_eigenvalue(
@@ -237,8 +240,9 @@ class TestEstimate:
                 )
             assert info.value.predicted > cfg.cost_cap
             assert "per_power" in info.value.breakdown
-        assert info.value.breakdown["filter"] == "low-pass"
+        assert info.value.breakdown["filter"] == "shifted"
         assert info.value.breakdown["degree"] == est.transcript[0].degree
+        assert info.value.breakdown["shift"] == est.transcript[0].shift
 
     def test_oracle_exact_uses_no_samples(self):
         d = build_decomposition(1, Z_TERMS)
@@ -419,69 +423,100 @@ def guide_with_overlap(op, chi, rng):
     return DenseState(v / np.linalg.norm(v))
 
 
+def band_edges(t, epsilon):
+    """(y_tau, y_h): the test's band edges on the scale y = 2A' - I."""
+    tau, theta = t * epsilon / 4, epsilon / 4
+    return 2 * tau - 1, 2 * (tau + theta) - 1
+
+
+def shift_grid(t, epsilon):
+    """The shifts shifted_test searches, c = 1 first."""
+    lo = min(max(band_edges(t, epsilon)[1], 0.0), 1.0)
+    k = eigensolve.SHIFT_GRID
+    return [1.0] + [lo + (1 - lo) * i / k for i in range(k)]
+
+
+def log_cost(err, r, s):
+    """log of ceil(64/err^2) * max(r, 1) * s^r, the test's cost over reps."""
+    return (math.log(math.ceil(64 / (err * err))) + math.log(max(r, 1))
+            + r * math.log(s))
+
+
 class TestLowPass:
-    """The tight scan's low-pass test (I - A')^r."""
+    """The tight scan's threshold tests: one power r of the shifted operator
+    (c - y)/(1 + c), y = 2A' - I, whose c = 1 case is the low-pass I - A'."""
 
     def test_choice_of_r(self):
-        # r comes in closed form; it must be the smallest separating r, or
-        # a DegreeOverflowError when that r passes the degree cap
+        # (c, r) must minimize the predicted cost over the whole candidate
+        # grid, recomputed here term by term, or raise DegreeOverflowError
+        # when no candidate separates the bounds
         cap = polyfilter.DEGREE_CAP
-        refused = 0
-        for epsilon in (1.0, 0.5, 0.3, 0.25, 0.1, 0.05):
-            for chi in (1.0, 0.5, 0.1, 0.03):
-                for t in range(math.ceil(4 / epsilon)):
-                    tau, theta = t * epsilon / 4, epsilon / 4
-                    if tau + theta > 1:
-                        test = low_pass_test(t, epsilon, chi)
-                        assert (test.r, test.yes_bound, test.no_bound) == (0, chi * chi, 0.0)
-                        continue
-                    b = max(0.0, 1 - tau - theta)
-
-                    def separated(r):
-                        return chi * chi * (1 - tau) ** r >= 2 * b ** r
-
-                    smallest = next(r for r in range(1, cap + 2) if separated(r)
-                                    or r == cap + 1)
-                    if smallest > cap:
-                        with pytest.raises(DegreeOverflowError):
-                            low_pass_test(t, epsilon, chi)
-                        refused += 1
-                        continue
-                    test = low_pass_test(t, epsilon, chi)
-                    assert test.r == smallest
-                    assert test.yes_bound == chi * chi * (1 - tau) ** test.r
-                    assert test.no_bound == b ** test.r
-                    assert test.err == (test.yes_bound - test.no_bound) / 4 > 0
-        assert refused > 0
+        refused = shifted = 0
+        for epsilon in (1.0, 0.3, 0.1):
+            for chi in (1.0, 0.1, 0.003):
+                for s in (1, 4):
+                    T = math.ceil(4 / epsilon)
+                    for t in (0, T // 2, T - 1):
+                        tau, theta = t * epsilon / 4, epsilon / 4
+                        if tau + theta > 1:
+                            test = shifted_test(t, epsilon, chi, s)
+                            assert (test.shift, test.r, test.yes_bound,
+                                    test.no_bound) == (1.0, 0, chi * chi, 0.0)
+                            continue
+                        y_tau, y_h = band_edges(t, epsilon)
+                        best = math.inf
+                        for c in shift_grid(t, epsilon):
+                            a = (c - y_tau) / (1 + c)
+                            b = max(c - y_h, 1 - c) / (1 + c)
+                            for r in range(1 if c == 1.0 else 2, cap + 1,
+                                           1 if c == 1.0 else 2):
+                                err = (chi * chi * a ** r - b ** r) / 4
+                                if err > 1e-150:
+                                    best = min(best, log_cost(err, r, s))
+                        if best == math.inf:
+                            with pytest.raises(DegreeOverflowError):
+                                shifted_test(t, epsilon, chi, s)
+                            refused += 1
+                            continue
+                        test = shifted_test(t, epsilon, chi, s)
+                        assert log_cost(test.err, test.r, s) <= best + 1e-9
+                        assert test.r % 2 == 0 or test.shift == 1.0
+                        assert 1 <= test.r <= cap
+                        shifted += test.shift < 1.0
+        assert refused > 0 and shifted > 0
 
     def test_gap_below_float_resolution_is_refused(self):
-        # tau = 0.95 and theta = 2.5e-4 give r = 139, under the degree cap,
-        # and a yes bound 0.05^139 of about 1e-181
+        # tau + theta = 1 leaves only c = 1, whose no bound is 0; the yes
+        # bound 1e-160 * 0.25^r never gets err above 1e-150
         with pytest.raises(ValidationError, match="float resolution"):
-            low_pass_test(3800, 0.001, 1.0)
+            shifted_test(3, 1.0, 1e-80)
 
     def test_power_above_the_degree_cap_is_refused(self):
         # The chain masses are products of r bounds of at most 1/2, so an
         # unbounded r would underflow them to 0 and turn the estimate into
-        # nan. r is closed-form, so epsilon 1e-9 (r about 2.8e9) is refused
-        # without a search.
-        for t, epsilon, chi in ((0, 0.002, 1.0), (0, 1e-5, 1.0), (0, 1e-9, 1.0),
+        # nan. At chi 0.5 and epsilon 0.002 test 0 separates only past
+        # r = 1386, whatever the shift.
+        for t, epsilon, chi in ((0, 0.002, 0.5), (0, 1e-5, 0.5), (0, 1e-9, 0.5),
                                 (0, 0.5, 1e-200), (195, 0.02, 1e-20)):
             with pytest.raises(DegreeOverflowError) as info:
-                low_pass_test(t, epsilon, chi)
+                shifted_test(t, epsilon, chi)
             assert info.value.degree_cap == polyfilter.DEGREE_CAP
+        # At t = 0 the yes ratio is 1 for every shift, so chi = 1 always
+        # separates, even at epsilon 1e-9
+        assert shifted_test(0, 1e-9, 1.0).yes_bound == 1.0
 
     def test_single_z_at_small_epsilon_stops_at_the_degree_cap(self):
-        # r about 1387 at test 0; before the cap this run returned an
+        # r above 1386 at test 0; before the cap this run returned an
         # answer from a 0/0 estimate
-        cfg = SolverConfig(epsilon=0.002, policy="tight")
+        cfg = SolverConfig(epsilon=0.002, chi=0.5, policy="tight")
         with pytest.raises(DegreeOverflowError):
             solve_guided((1, Z_TERMS), BasisState(1, 2), cfg)
 
     def test_scan_spawns_streams_as_it_goes(self):
         # T = 4e9 here; spawning every test's stream before test 0 took
-        # hours. Streams spawned one per test are those of spawning all T.
-        with pytest.raises(DegreeOverflowError):
+        # hours. Test 0 stops at its cost preflight. Streams spawned one per
+        # test are those of spawning all T.
+        with pytest.raises(CostCapExceeded):
             solve_guided((1, Z_TERMS), BasisState(1, 2),
                          SolverConfig(epsilon=1e-9, policy="tight"))
         d = build_decomposition(2, [
@@ -503,27 +538,40 @@ class TestLowPass:
 
     def test_long_pauli_chain_stops_at_the_preflight(self):
         # A Pauli-only operator has s = 1, so only the chain length makes
-        # the cost grow with r: r = 139 here, 139 draws per chain
+        # the cost grow with r: r = 124 here, 124 draws per chain
         cfg = SolverConfig(epsilon=0.02, policy="tight", cost_cap=1e7)
         prime = shift_rescale(build_decomposition(1, Z_TERMS))
         assert prime.s == 1
         with pytest.raises(CostCapExceeded) as info:
             threshold_test(0, prime, BasisState(1, 2), cfg, np.random.default_rng(0))
         b = info.value.breakdown
-        assert b["degree"] == low_pass_test(0, 0.02, 1.0).r == 139
+        test = shifted_test(0, 0.02, 1.0)
+        assert b["degree"] == test.r == 124
+        assert b["shift"] == test.shift == 0.005
         assert info.value.predicted == (
-            b["reps_per_power"] * b["chains_per_batch"] * 139
+            b["reps_per_power"] * b["chains_per_batch"] * 124
         )
 
     def test_decomposition_reconstructs_identity_minus_a_prime(self):
+        # (c I - y)/(1 + c) with y = 2A' - I; c = 1 is I - A' with the bounds
+        # of A', and c = 0 gives the identity bound 0
         rng = np.random.default_rng(61)
         for n in (3, 4, 5, 6):
             terms = random_pauli_terms(rng, n, 4) + [random_block_term(rng, n, 2)]
             prime = shift_rescale(build_decomposition(n, terms))
-            low = low_pass(prime)
-            assert low.kappa_i == prime.kappa_i
-            want = np.eye(2**n) - reconstruct(prime).matrix
-            assert np.max(np.abs(reconstruct(low).matrix - want)) <= 1e-12
+            a_prime = reconstruct(prime).matrix
+            y = 2 * a_prime - np.eye(2**n)
+            for c in (1.0, 0.0, 0.5, float(rng.uniform())):
+                op = shifted_operator(prime, c)
+                assert op.kappa == pytest.approx(1.0, abs=1e-12)
+                assert op.kappa_i[0] == c / (1 + c)
+                if c == 1.0:
+                    assert op.kappa_i == prime.kappa_i
+                    want = np.eye(2**n) - a_prime
+                else:
+                    want = (c * np.eye(2**n) - y) / (1 + c)
+                assert np.max(np.abs(reconstruct(op).matrix - want)) <= 1e-12
+            assert shifted_operator(prime, 0.0).kappa_i[0] == 0.0
 
     def test_decomposition_refuses_other_shapes(self):
         d = build_decomposition(2, HEISENBERG)
@@ -532,25 +580,29 @@ class TestLowPass:
                     sparse_decomposition(prime.terms[:1] + d.terms,
                                          prime.kappa_i[:1] + d.kappa_i)):
             with pytest.raises(ValidationError):
-                low_pass(bad)
+                shifted_operator(bad, 1.0)
+        for c in (-0.1, 1.5, math.nan):
+            with pytest.raises(ValidationError):
+                shifted_operator(prime, c)
 
     def test_bounds_hold_at_both_band_edges(self, monkeypatch):
         # exact_sandwich(power=r) stands in for the sampled estimate, so the
         # test's decision is checked along with the bounds it rests on
         exact_calls = []
 
-        def exact_power(psi, phi, low, r, err, delta, rng, **kw):
+        def exact_power(psi, phi, op, r, err, delta, rng, **kw):
             exact_calls.append(r)
-            return oracle.exact_sandwich(psi, low, phi, power=r)
+            return oracle.exact_sandwich(psi, op, phi, power=r)
 
         monkeypatch.setattr(eigensolve, "estimate_power", exact_power)
         rng = np.random.default_rng(62)
         checked = 0
+        shifts = []
         for k in range(16):
             n = 3 + k % 4
             terms = random_pauli_terms(rng, n, 3) + [random_block_term(rng, n, 2)]
             chi = (0.9, 0.6, 0.3)[k % 3]
-            epsilon = (1.0, 0.5, 0.3)[k % 3]
+            epsilon = (1.0, 0.5, 0.3, 0.1)[k % 4]
             # both edges inside (0, 1): lambda_0' = 1 would need A' = I
             t = int(rng.integers(1, math.ceil(4 / epsilon)))
             while (t + 1) * epsilon / 4 > 0.99:
@@ -562,8 +614,11 @@ class TestLowPass:
                 op = reconstruct(prime)
                 assert op.eigenvalues[0] == pytest.approx(edge, abs=1e-12)
                 psi = guide_with_overlap(op, chi, rng)
-                test = low_pass_test(t, epsilon, chi)
-                value = oracle.exact_sandwich(psi, low_pass(prime), psi, power=test.r)
+                test = shifted_test(t, epsilon, chi, prime.s)
+                shifts.append(test.shift)
+                value = oracle.exact_sandwich(
+                    psi, shifted_operator(prime, test.shift), psi, power=test.r
+                )
                 assert abs(value.imag) <= 1e-12
                 if yes:
                     assert value.real >= test.yes_bound - 1e-12
@@ -574,6 +629,34 @@ class TestLowPass:
                 assert threshold_test(t, prime, psi, cfg, None) is yes
                 checked += 1
         assert checked == 32 and len(exact_calls) == 32
+        assert sum(c < 1.0 for c in shifts) >= 8
+
+    def test_bounds_hold_for_every_shift(self):
+        # The proof does not depend on the chosen (c, r): at any shift in
+        # [max(y_h, 0), 1] and any even r both bounds hold, c = 0 included
+        rng = np.random.default_rng(64)
+        terms = random_pauli_terms(rng, 3, 3) + [random_block_term(rng, 3, 2)]
+        chi = 0.5
+        for t, epsilon in ((1, 0.5), (1, 1.0), (10, 0.3)):
+            tau, theta = t * epsilon / 4, epsilon / 4
+            y_tau, y_h = band_edges(t, epsilon)
+            lo = max(y_h, 0.0)
+            for c in (lo, (lo + 1) / 2, 1.0):
+                for r in (2, 6):
+                    yes_bound = chi * chi * ((c - y_tau) / (1 + c)) ** r
+                    no_bound = (max(c - y_h, 1 - c) / (1 + c)) ** r
+                    for edge, yes in ((tau, True), (tau + theta, False)):
+                        prime = shift_rescale(build_decomposition(
+                            3, shifted_to(3, terms, edge)))
+                        psi = guide_with_overlap(reconstruct(prime), chi, rng)
+                        value = oracle.exact_sandwich(
+                            psi, shifted_operator(prime, c), psi, power=r
+                        ).real
+                        if yes:
+                            assert value >= yes_bound - 1e-12
+                        else:
+                            assert value <= no_bound + 1e-12
+        assert band_edges(1, 0.5)[1] < 0  # so c = 0 was among the shifts
 
     def test_every_test_predicts_under_a_unit_cap(self):
         d = shift_rescale(build_decomposition(2, HEISENBERG))
@@ -582,8 +665,9 @@ class TestLowPass:
             with pytest.raises(CostCapExceeded) as info:
                 threshold_test(t, d, BasisState(0, 4), cfg, np.random.default_rng(0))
             b = info.value.breakdown
-            test = low_pass_test(t, cfg.epsilon, cfg.chi)
-            assert b["filter"] == "low-pass" and b["policy"] == "tight"
+            test = shifted_test(t, cfg.epsilon, cfg.chi, d.s)
+            assert b["filter"] == "shifted" and b["policy"] == "tight"
+            assert b["shift"] == test.shift
             assert b["degree"] == test.r
             assert b["err_per_power"] == test.err
             assert b["per_power"] == {test.r: info.value.predicted}
@@ -615,6 +699,7 @@ class TestLowPass:
     def test_transcript_names_the_filter(self):
         d = build_decomposition(2, HEISENBERG)
         psi = DenseState(ground_vector(reconstruct(d)))
+        s = shift_rescale(d).s
         runs = {}
         for policy in ("tight", "oracle-exact"):
             cfg = SolverConfig(epsilon=0.5, policy=policy, seed=3)
@@ -622,9 +707,64 @@ class TestLowPass:
                 d, psi, cfg, np.random.default_rng(3)
             )
         for rec in runs["tight"].transcript:
-            assert rec.filter == "low-pass"
-            assert rec.degree == low_pass_test(rec.t, 0.5, 1.0).r
+            test = shifted_test(rec.t, 0.5, 1.0, s)
+            assert rec.filter == "shifted"
+            assert (rec.degree, rec.shift) == (test.r, test.shift)
+            assert rec.to_dict()["shift"] == test.shift
         for rec in runs["oracle-exact"].transcript:
             assert rec.filter == "rectangle"
             assert rec.degree == _test_polynomial(rec.t, 0.5, 1.0).degree
             assert rec.to_dict()["degree"] == rec.degree
+            assert rec.shift is None and rec.to_dict()["shift"] is None
+
+
+def smallest_separating_power(t, epsilon, chi):
+    """(r, err) of the reference low-pass (c = 1) test: the smallest r with
+    chi^2 (1 - tau)^r >= 2 (1 - tau - theta)^r, or None past the cap."""
+    tau, theta = t * epsilon / 4, epsilon / 4
+    b = max(0.0, 1 - tau - theta)
+    for r in range(1, polyfilter.DEGREE_CAP + 1):
+        yes, no = chi * chi * (1 - tau) ** r, b ** r
+        if yes >= 2 * no:
+            return r, (yes - no) / 4
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    epsilon=st.floats(0.02, 1.0),
+    place=st.floats(0.0, 1.0, exclude_max=True),
+    chi=st.floats(1e-3, 1.0),
+    s=st.integers(1, 16),
+    delta=st.floats(1e-3, 0.5),
+)
+def test_shifted_bounds_properties(epsilon, place, chi, s, delta):
+    T = math.ceil(4 / epsilon)
+    t = min(int(place * T), T - 1)
+    tau, theta = t * epsilon / 4, epsilon / 4
+    assume(tau + theta <= 1)
+    reference = smallest_separating_power(t, epsilon, chi)
+    try:
+        test = shifted_test(t, epsilon, chi, s)
+    except (DegreeOverflowError, ValidationError):
+        # the c = 1 power is always a candidate, so nothing it passes is refused
+        assert reference is None or reference[1] <= 1e-150
+        return
+    y_tau, y_h = band_edges(t, epsilon)
+    c, r = test.shift, test.r
+    assert max(y_h, 0.0) <= c <= 1.0
+    assert r % 2 == 0 or c == 1.0
+    # no more expensive than the c = 1 test under the preflight's own formula
+    if reference is not None:
+        rows = SimpleNamespace(s=s)  # all predict_power_cost reads of an operator
+        chosen, _ = transform.predict_power_cost(rows, r, test.err, delta / T)
+        reference_cost, _ = transform.predict_power_cost(rows, reference[0],
+                                                         reference[1], delta / T)
+        assert chosen <= reference_cost * (1 + 1e-9)
+    # the yes bound is chi^2 ((c - y_tau)/(1 + c))^r
+    assert test.yes_bound == pytest.approx(
+        chi * chi * ((c - y_tau) / (1 + c)) ** r, rel=1e-12)
+    # the no bound dominates |(c - y)/(1 + c)|^r on the band [y_h, 1]
+    ys = np.linspace(y_h, 1.0, 2001)
+    assert np.all(np.abs((c - ys) / (1 + c)) ** r <= test.no_bound * (1 + 1e-12))
+    assert test.err > 0

@@ -22,7 +22,7 @@ from eigensampler import (
     sample_chain,
     shift_rescale,
 )
-from eigensampler.hamiltonian import low_pass
+from eigensampler.hamiltonian import shifted_operator
 from eigensampler.imm import MatrixChain
 from eigensampler.transform import POLICIES, power_error_budget
 
@@ -351,9 +351,11 @@ class TestPolynomialTransform:
         assert c.psi_samples > 0
 
 
-# estimate_power(psi, psi, low_pass(d), 3, 0.3, 0.05, default_rng(77)) on the
-# instance of test_one_stratum_is_estimate_power, as float.hex of (real, imag),
-# recorded from the per-power estimator that the stratified one replaced.
+# estimate_power(psi, psi, shifted_operator(d, 1.0), 3, 0.3, 0.05,
+# default_rng(77)) on the instance of test_one_stratum_is_estimate_power, as
+# float.hex of (real, imag), recorded from the per-power estimator that the
+# stratified one replaced (on I - A', which shifted_operator at c = 1 is bit
+# for bit).
 RECORDED_POWER_3 = ("0x1.02037aed2a404p-3", "0x1.238bfbcaabe42p-8")
 
 
@@ -438,13 +440,13 @@ class TestStratifiedEstimator:
             + random_pauli_terms(gen, 3, 2)))
         psi = DenseState(random_state_vector(gen, 8))
         c = Counters()
-        est = estimate_power(psi, psi, low_pass(d), 3, 0.3, 0.05,
+        est = estimate_power(psi, psi, shifted_operator(d, 1.0), 3, 0.3, 0.05,
                              np.random.default_rng(77), counters=c)
         assert (est.real.hex(), est.imag.hex()) == RECORDED_POWER_3
         assert c.chain_samples == c.psi_samples == 38448  # 54 reps of t = 712
         P = SimpleNamespace(coeffs=np.array([0.0, 0.0, 0.0, 1.0]), degree=3)
-        again = estimate_polynomial_transform(psi, psi, low_pass(d), P, 0.3, 0.05,
-                                              np.random.default_rng(77))
+        again = estimate_polynomial_transform(psi, psi, shifted_operator(d, 1.0), P,
+                                              0.3, 0.05, np.random.default_rng(77))
         # the polynomial path spends no stream on skipped powers
         assert again == est
 
