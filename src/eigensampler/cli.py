@@ -8,10 +8,10 @@ Subcommands:
   poly       build and report one rectangle filter polynomial
 
 Reports are printed as text by default and as JSON with --json; JSON output
-is byte-identical across runs for the same command line with --workers 1
-(wall-clock timings appear only in the text rendering). Errors are written
-to stderr as one JSON object. Exit codes: 0 success, 1 invalid input,
-2 predicted-cost cap exceeded.
+is byte-identical across runs for the same command line (wall-clock timings
+appear only in the text rendering). Errors are written to stderr as one JSON
+object. Exit codes: 0 success, 1 invalid input, 2 predicted-cost cap
+exceeded.
 """
 
 import argparse
@@ -135,8 +135,6 @@ def _add_common(parser):
     parser.add_argument("--json", action="store_true",
                         help="emit the report as JSON on stdout")
     parser.add_argument("--seed", type=int, default=0, help="master RNG seed")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="worker threads for estimator repetitions")
 
 
 def _add_solver(parser):
@@ -177,7 +175,6 @@ def _config_echo(args, cfg, extra=None):
         "policy": cfg.policy,
         "seed": cfg.seed,
         "cost_cap": cfg.cost_cap,
-        "workers": args.workers,
     }
     if extra:
         echo.update(extra)
@@ -242,9 +239,9 @@ def run_estimate(args):
     unguided = args.state.strip().lower() == "maxent"
     start = time.perf_counter()
     if unguided:
-        estimate = solve_unguided((n, terms), cfg, workers=args.workers)
+        estimate = solve_unguided((n, terms), cfg)
     else:
-        estimate = solve_guided((n, terms), args.state, cfg, workers=args.workers)
+        estimate = solve_guided((n, terms), args.state, cfg)
     wall = time.perf_counter() - start
     oracle = None
     if args.oracle_check:
@@ -265,7 +262,7 @@ def run_decide(args):
     cfg = _make_config(args)
     state = args.state
     start = time.perf_counter()
-    outcome = decide((n, terms), state, args.a, args.b, cfg, workers=args.workers)
+    outcome = decide((n, terms), state, args.a, args.b, cfg)
     wall = time.perf_counter() - start
     oracle = None
     if args.oracle_check:
@@ -390,11 +387,9 @@ def run_bench(args):
         start = time.perf_counter()
         try:
             if oracle_ok:
-                estimate = solve_guided((args.n, terms), guide, instance_cfg,
-                                        workers=args.workers)
+                estimate = solve_guided((args.n, terms), guide, instance_cfg)
             else:
-                estimate = solve_unguided((args.n, terms), instance_cfg,
-                                          workers=args.workers)
+                estimate = solve_unguided((args.n, terms), instance_cfg)
         except CostCapExceeded as exc:
             aborted += 1
             record.update(aborted="cost-cap", predicted=exc.predicted,

@@ -206,14 +206,6 @@ def _test_polynomial(t, epsilon, chi):
 SHIFT_GRID = 400
 # Below this the batch size ceil(64/err^2) is no longer a finite float.
 _MIN_ERR = 1e-150
-# Every (c, r) a test weighs, in tie-break order: c = 1 at every r, then each
-# grid shift at every even r. _CANDIDATE_ROW indexes the shift grid.
-_EVEN = np.arange(2, DEGREE_CAP + 1, 2)
-_CANDIDATE_ROW = np.concatenate((np.zeros(DEGREE_CAP, dtype=np.int64),
-                                 np.repeat(np.arange(1, SHIFT_GRID + 1), _EVEN.size)))
-_CANDIDATE_R = np.concatenate((np.arange(1, DEGREE_CAP + 1),
-                               np.tile(_EVEN, SHIFT_GRID)))
-_CANDIDATE_LOG_R = np.log(_CANDIDATE_R)
 
 
 @dataclass(frozen=True)
@@ -274,6 +266,32 @@ def _shift_factors(shifts, tau, theta):
     return yes / scale, np.maximum(no, 1.0 - shifts) / scale
 
 
+def _log_costs(shifts, powers, tau, theta, chi, s):
+    """Log predicted cost ceil(64/err^2) * r * s^r of each (shift c, power r).
+
+    Returns a (shifts, powers) array, inf where the bounds do not separate
+    or err is at most _MIN_ERR, and whether any pair separates. The bounds
+    are compared as logarithms, so s^r and the powers never overflow.
+    """
+    yes_ratio, no_ratio = _shift_factors(shifts[:, None], tau, theta)
+    log_chi2 = 2.0 * math.log(chi)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # log(no_bound / yes_bound): the bounds separate where it is below 0
+        log_ratio = powers * np.log(no_ratio / yes_ratio) - log_chi2
+        separated = log_ratio < 0.0
+        log_err = log_chi2 + powers * np.log(yes_ratio)
+        log_err += np.log1p(-np.exp(log_ratio))
+        log_err -= math.log(4.0)
+        usable = separated & (log_err > math.log(_MIN_ERR))
+        # from here on the buffer holds ceil(64/err^2), then the log cost
+        cost = np.exp(-2.0 * log_err, out=log_err)
+        cost *= 64.0
+        np.log(np.ceil(cost, out=cost), out=cost)
+        cost += np.log(powers) + powers * math.log(max(s, 1))
+    cost[~usable] = np.inf
+    return cost, bool(separated.any())
+
+
 def shifted_test(t, epsilon, chi, s=1):
     """The ShiftedTest of interval t at accuracy epsilon and overlap chi.
 
@@ -297,24 +315,16 @@ def shifted_test(t, epsilon, chi, s=1):
     if empty:
         return ShiftedTest(1.0, 0, chi2, 0.0)
     lo = min(max(2.0 * (tau + theta) - 1.0, 0.0), 1.0)
-    grid = np.concatenate(([1.0], lo + (1.0 - lo) * np.arange(SHIFT_GRID) / SHIFT_GRID))
-    yes_ratio, no_ratio = _shift_factors(grid, tau, theta)
-    row, powers = _CANDIDATE_ROW, _CANDIDATE_R
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        log_yes = 2.0 * math.log(chi) + powers * np.log(yes_ratio)[row]
-        # log(no_bound / yes_bound): the bounds separate where it is below 0
-        log_ratio = powers * np.log(no_ratio / yes_ratio)[row] - 2.0 * math.log(chi)
-        separated = log_ratio < 0.0
-        log_err = log_yes + np.log1p(-np.exp(log_ratio)) - math.log(4.0)
-        usable = separated & (log_err > math.log(_MIN_ERR))
-        # log of max(r, 1) * s^r, then of the whole cost without the ceiling
-        # of 64/err^2. That count is at least 1024 (err <= 1/4), so the
-        # ceiling adds at most 1/1024 to a log cost: the cheapest candidate
-        # is among those this close to the rough minimum.
-        tail = _CANDIDATE_LOG_R + powers * math.log(max(s, 1))
-        rough = np.where(usable, math.log(64.0) - 2.0 * log_err + tail, np.inf)
-    if not usable.any():
-        if not separated.any():
+    grid = lo + (1.0 - lo) * np.arange(SHIFT_GRID) / SHIFT_GRID
+    powers = np.arange(1, DEGREE_CAP + 1)
+    # In tie-break order: c = 1 at every r, then each grid shift at every
+    # even r.
+    low_pass, low_pass_separated = _log_costs(np.ones(1), powers, tau, theta, chi, s)
+    shifted, shifted_separated = _log_costs(grid, powers[1::2], tau, theta, chi, s)
+    costs = np.concatenate((low_pass.ravel(), shifted.ravel()))
+    best = int(np.argmin(costs))
+    if costs[best] == np.inf:
+        if not (low_pass_separated or shifted_separated):
             raise DegreeOverflowError(
                 f"test {t}: the shifted test needs a power above the degree "
                 f"cap {DEGREE_CAP} (epsilon {epsilon}, chi {chi})",
@@ -324,10 +334,11 @@ def shifted_test(t, epsilon, chi, s=1):
             f"test {t}: the shifted test's gap is below float resolution at "
             f"every power up to {DEGREE_CAP} (epsilon {epsilon}, chi {chi})"
         )
-    near = np.flatnonzero(rough <= rough.min() + 1.0 / 1024.0)
-    chains = np.ceil(64.0 * np.exp(-2.0 * log_err[near]))
-    best = near[np.argmin(np.log(chains) + tail[near])]
-    shift, r = float(grid[row[best]]), int(powers[best])
+    if best < DEGREE_CAP:
+        shift, r = 1.0, best + 1
+    else:
+        row, column = divmod(best - DEGREE_CAP, shifted.shape[1])
+        shift, r = float(grid[row]), 2 * (column + 1)
     yes_ratio, no_ratio = _shift_factors(shift, tau, theta)
     test = ShiftedTest(shift, r, chi2 * float(yes_ratio) ** r, float(no_ratio) ** r)
     # the choice compared logarithms; the recorded bounds are powers
@@ -339,13 +350,14 @@ def shifted_test(t, epsilon, chi, s=1):
     return test
 
 
-def _threshold_detail(t, decomp_prime, psi, cfg, rng, T,
-                      workers=1, counters=None):
+def _threshold_detail(t, decomp_prime, psi, cfg, rng, T, counters=None):
     """One test's TestRecord.
 
     Under tight the test is one estimate_power call on the shifted operator
     of its ShiftedTest, refused before any sampling when its predicted cost
-    exceeds the cost cap. Under oracle-exact, decomp_prime may be the scan's
+    exceeds the cost cap. A cost-cap breakdown names the test's filter:
+    "shifted" with its shift under tight, "rectangle" with shift None under
+    strict. Under oracle-exact, decomp_prime may be the scan's
     ChebyshevMoments sequence of psi on the normalized operator, so the test
     takes only the moments that earlier tests of the scan have not taken
     already.
@@ -364,7 +376,7 @@ def _threshold_detail(t, decomp_prime, psi, cfg, rng, T,
                 raise CostCapExceeded(predicted, cfg.cost_cap, breakdown)
         estimate = estimate_power(
             psi, psi, base, test.r, test.err, per_test_delta, rng,
-            workers=workers, counters=counters,
+            counters=counters,
         )
         yes = estimate.real >= test.midpoint
         return TestRecord(t, estimate, yes, "shifted", test.r, test.shift)
@@ -373,16 +385,19 @@ def _threshold_detail(t, decomp_prime, psi, cfg, rng, T,
     if cfg.policy == "oracle-exact":
         estimate = exact_sandwich(psi, decomp_prime, psi, polynomial=P)
     else:
-        estimate = estimate_polynomial_transform(
-            psi, psi, decomp_prime, P, precision, per_test_delta, rng,
-            policy=cfg.policy, cost_cap=cfg.cost_cap,
-            workers=workers, counters=counters,
-        )
+        try:
+            estimate = estimate_polynomial_transform(
+                psi, psi, decomp_prime, P, precision, per_test_delta, rng,
+                policy=cfg.policy, cost_cap=cfg.cost_cap, counters=counters,
+            )
+        except CostCapExceeded as exc:
+            exc.breakdown.update(filter="rectangle", shift=None)
+            raise
     yes = abs(estimate) >= cfg.chi * cfg.chi / 2.0
     return TestRecord(t, estimate, yes, "rectangle", P.degree)
 
 
-def test_threshold(t, decomp_prime, psi, cfg, rng, workers=1, counters=None):
+def test_threshold(t, decomp_prime, psi, cfg, rng, counters=None):
     """Decide whether the ground energy of A' falls below t*epsilon/4.
 
     decomp_prime must be the normalized (shifted/rescaled) decomposition.
@@ -392,13 +407,11 @@ def test_threshold(t, decomp_prime, psi, cfg, rng, workers=1, counters=None):
     t = int(t)
     if not 0 <= t < T:
         raise ValidationError(f"interval index {t} outside [0, {T})")
-    record = _threshold_detail(
-        t, decomp_prime, psi, cfg, rng, T, workers=workers, counters=counters
-    )
+    record = _threshold_detail(t, decomp_prime, psi, cfg, rng, T, counters=counters)
     return record.yes
 
 
-def estimate_smallest_eigenvalue(decomp, psi, cfg, rng, workers=1):
+def estimate_smallest_eigenvalue(decomp, psi, cfg, rng):
     """Scan the T intervals bottom-up and return the first accepted one.
 
     The returned estimate E* = t*(epsilon/2)*kappa - kappa is within
@@ -433,9 +446,7 @@ def estimate_smallest_eigenvalue(decomp, psi, cfg, rng, workers=1):
         # Spawned as the scan reaches test t: the child streams of spawning
         # all T up front, without their O(T) cost (T = 4e9 at epsilon 1e-9).
         (stream,) = spawn_streams(rng, 1)
-        record = _threshold_detail(
-            t, prime, psi, cfg, stream, T, workers=workers, counters=counters
-        )
+        record = _threshold_detail(t, prime, psi, cfg, stream, T, counters=counters)
         transcript.append(record)
         if record.yes:
             t_star = t
@@ -488,7 +499,7 @@ def _zero_hamiltonian_estimate(cfg):
     )
 
 
-def solve_guided(H, psi, cfg, workers=1):
+def solve_guided(H, psi, cfg):
     """Ground-energy estimate of a local Hamiltonian with a guiding state.
 
     H is a (qubit count, local terms) pair; psi is a StateAccessor or any
@@ -503,7 +514,7 @@ def solve_guided(H, psi, cfg, workers=1):
         return _zero_hamiltonian_estimate(cfg)
     psi = make_state(psi, n)
     rng = make_generator(cfg.seed)
-    return estimate_smallest_eigenvalue(decomp, psi, cfg, rng, workers=workers)
+    return estimate_smallest_eigenvalue(decomp, psi, cfg, rng)
 
 
 def doubled_terms(terms, n):
@@ -525,7 +536,7 @@ def doubled_terms(terms, n):
     return out
 
 
-def solve_unguided(H, cfg, workers=1):
+def solve_unguided(H, cfg):
     """Ground-energy estimate with no guiding state.
 
     Doubles the system to H (x) I on 2n qubits and guides with the maximally
@@ -542,10 +553,10 @@ def solve_unguided(H, cfg, workers=1):
     cfg = replace(cfg, chi=2.0 ** (-n / 2.0))
     psi = MaxEntState(n)
     rng = make_generator(cfg.seed)
-    return estimate_smallest_eigenvalue(decomp, psi, cfg, rng, workers=workers)
+    return estimate_smallest_eigenvalue(decomp, psi, cfg, rng)
 
 
-def decide(H, psi, a, b, cfg, workers=1):
+def decide(H, psi, a, b, cfg):
     """LOW/HIGH decision for the promise E0 <= a*kappa or E0 > b*kappa.
 
     Runs the estimator at accuracy just under (b-a)/2 and thresholds the
@@ -566,9 +577,9 @@ def decide(H, psi, a, b, cfg, workers=1):
         isinstance(psi, str) and psi.strip().lower() == "maxent"
     )
     if unguided:
-        estimate = solve_unguided(H, cfg_dec, workers=workers)
+        estimate = solve_unguided(H, cfg_dec)
     else:
-        estimate = solve_guided(H, psi, cfg_dec, workers=workers)
+        estimate = solve_guided(H, psi, cfg_dec)
     midpoint = (a + b) / 2.0 * estimate.kappa
     decision = "LOW" if estimate.e_star <= midpoint else "HIGH"
     return DecisionOutcome(

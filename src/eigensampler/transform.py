@@ -96,8 +96,7 @@ def _check_budget(name, value):
         raise ValidationError(f"{name} must be in (0, 1], got {value}")
 
 
-def estimate_power(psi, phi, decomp, r, err, delta, rng,
-                   workers=1, counters=None):
+def estimate_power(psi, phi, decomp, r, err, delta, rng, counters=None):
     """Estimate <psi| A^r |phi> within err with probability >= 1 - delta.
 
     Requires the normalized decomposition (kappa = 1). This is the
@@ -108,10 +107,10 @@ def estimate_power(psi, phi, decomp, r, err, delta, rng,
     _check_budget("err", err)
     _check_budget("delta", delta)
     return _estimate_strata(psi, phi, decomp, {int(r): 1.0}, err, delta, rng,
-                            workers, counters)
+                            counters)
 
 
-def _estimate_strata(psi, phi, decomp, coeffs, err, delta, rng, workers, counters):
+def _estimate_strata(psi, phi, decomp, coeffs, err, delta, rng, counters):
     """Median of batches of sum_r a_r * mean(Y_r over c_r chains).
 
     coeffs maps each power r to its nonzero coefficient a_r, and c_r comes
@@ -153,7 +152,7 @@ def _estimate_strata(psi, phi, decomp, coeffs, err, delta, rng, workers, counter
             value = term if value is None else value + term
         return value
 
-    return median_amplify(one_batch, delta, rng, workers=workers)
+    return median_amplify(one_batch, delta, rng, total)
 
 
 def _power_pow(base, exponent):
@@ -251,8 +250,7 @@ def _coefficients(P):
 
 
 def estimate_polynomial_transform(psi, phi, decomp, P, eta, delta_total, rng,
-                                  policy="tight", cost_cap=None, workers=1,
-                                  counters=None):
+                                  policy="tight", cost_cap=None, counters=None):
     """Estimate <psi| P(A) |phi> within eta with probability >= 1 - delta_total.
 
     P is evaluated through its monomial coefficients a_r by one stratified
@@ -291,4 +289,4 @@ def estimate_polynomial_transform(psi, phi, decomp, P, eta, delta_total, rng,
             raise CostCapExceeded(predicted, cost_cap, breakdown)
     err = power_error_budget(P, eta, policy)
     return _estimate_strata(psi, phi, decomp, _coefficients(P), err, delta_total,
-                            rng, workers, counters)
+                            rng, counters)

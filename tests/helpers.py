@@ -1,10 +1,12 @@
 """Shared builders for the test suite: dense Pauli algebra and random instances."""
 
 import functools
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 
-from eigensampler import LocalTerm, build_decomposition
+from eigensampler import LocalTerm, build_decomposition, state_access
 from eigensampler.hamiltonian import ExplicitSparseHandle, Decomposition
 
 I2 = np.eye(2, dtype=complex)
@@ -108,3 +110,11 @@ def all_rows_s_handle(rng, dim, s):
 
 def sparse_decomposition(handles, kappa_i):
     return Decomposition(list(handles), [float(k) for k in kappa_i])
+
+
+@contextmanager
+def forced_pool(cpus=3):
+    """Let median_amplify see `cpus` usable CPUs and pool batches of any size."""
+    with mock.patch.object(state_access, "POOL_MIN_SAMPLES", 1), \
+            mock.patch.object(state_access, "_usable_cpus", lambda: cpus):
+        yield

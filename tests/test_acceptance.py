@@ -245,6 +245,7 @@ def test_gate_06_oracle_exact_claim_suite(capsys):
     assert elapsed < 60.0
 
 
+@pytest.mark.slow
 def test_gate_07_stochastic_guided_tight(capsys):
     t0 = time.perf_counter()
     rng = np.random.default_rng(707)
@@ -348,8 +349,7 @@ def test_gate_10_reproducibility(capsys, tmp_path):
         path.write_text(text)
         argv = [
             "estimate", "--hamiltonian", str(path), "--state", state,
-            "--policy", "oracle-exact", "--seed", "77", "--workers", "1",
-            "--transcript", "--json",
+            "--policy", "oracle-exact", "--seed", "77", "--transcript", "--json",
         ]
         code1 = cli_main(argv)
         out1 = capsys.readouterr().out

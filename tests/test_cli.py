@@ -11,7 +11,7 @@ from eigensampler.cli import main
 from eigensampler.eigensolve import shifted_test
 from eigensampler.state_access import write_dense_state_file
 
-from helpers import random_state_vector
+from helpers import forced_pool, random_state_vector
 
 Z_TEXT = "n=1\n1.0 Z\n"
 TWO_QUBIT_TEXT = "n=2\n0.5 XZ\n-0.25 ZI\n0.3 IX\n"
@@ -114,14 +114,27 @@ class TestEstimate:
         _, exact = run_fresh(*argv, "--policy", "oracle-exact")
         assert exact["code"] == 0 and "scipy.special" in exact["heavy"]
 
-    def test_worker_count_does_not_change_result(self, capsys, pair_file):
-        base = (
-            "estimate", "--hamiltonian", pair_file, "--state", "basis:0",
-            "--policy", "oracle-exact", "--seed", "4", "--json",
+    def test_pool_does_not_change_result(self, capsys, pair_file):
+        # basis:0 is no eigenvector of the pair, so every estimate is sampled
+        argv = ("estimate", "--hamiltonian", pair_file, "--state", "basis:0",
+                "--epsilon", "1", "--seed", "9", "--transcript", "--json")
+        outs = []
+        for cpus in (1, 3):
+            with forced_pool(cpus):
+                code, out, _ = run(capsys, *argv)
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
+        assert json.loads(outs[0])["result"]["samples_used"] > 0
+
+    def test_workers_flag_is_refused(self, capsys, z_file):
+        code, doc, edoc = run_json(
+            capsys, "estimate", "--hamiltonian", z_file, "--state", "basis:1",
+            "--workers", "2", "--json",
         )
-        _, doc1, _ = run_json(capsys, *base, "--workers", "1")
-        _, doc2, _ = run_json(capsys, *base, "--workers", "2")
-        assert doc1["result"] == doc2["result"]
+        assert code == 1 and doc is None
+        assert edoc["error"]["type"] == "CliUsageError"
+        assert "--workers" in edoc["error"]["message"]
 
     def test_default_policy_hits_cost_cap(self, capsys, z_file):
         # The default tight policy now finishes within epsilon * kappa; strict
@@ -144,6 +157,16 @@ class TestEstimate:
         assert err["breakdown"]["per_power"] == {
             str(err["breakdown"]["degree"]): err["predicted"]
         }
+
+    def test_strict_breakdown_names_its_filter(self, capsys, z_file):
+        code, _, edoc = run_json(
+            capsys, "estimate", "--hamiltonian", z_file, "--state", "basis:1",
+            "--epsilon", "1", "--policy", "strict", "--json",
+        )
+        assert code == 2
+        breakdown = edoc["error"]["breakdown"]
+        assert (breakdown["filter"], breakdown["shift"]) == ("rectangle", None)
+        assert breakdown["policy"] == "strict"
 
     def test_strict_policy_exceeds_large_cap(self, capsys, z_file):
         code, _, edoc = run_json(

@@ -1,10 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from eigensampler import (
     BasisState,
+    Counters,
     DenseState,
     DenseVector,
     MaxEntState,
@@ -17,13 +19,14 @@ from eigensampler import (
     median_amplify,
     spawn_streams,
 )
+from eigensampler import state_access
 from eigensampler.state_access import (
     read_dense_state_file,
     sample_ratios,
     write_dense_state_file,
 )
 
-from helpers import random_state_vector
+from helpers import forced_pool, random_state_vector
 
 
 def test_basis_state_queries_and_samples():
@@ -220,7 +223,7 @@ def test_median_amplify_bimodal_majority():
         def run(child):
             return 1.0 + 0j if child.uniform() < 0.75 else 5.0 + 0j
 
-        if median_amplify(run, 0.01, rng) == 1.0 + 0j:
+        if median_amplify(run, 0.01, rng, 1) == 1.0 + 0j:
             hits += 1
     assert hits >= 99
 
@@ -232,10 +235,10 @@ def test_median_amplify_repetition_count():
         calls.append(1)
         return 0j
 
-    median_amplify(run, 0.01, np.random.default_rng(0))
+    median_amplify(run, 0.01, np.random.default_rng(0), 1)
     assert len(calls) == math.ceil(18 * math.log(100))
     calls.clear()
-    median_amplify(run, 0.999, np.random.default_rng(0))
+    median_amplify(run, 0.999, np.random.default_rng(0), 1)
     assert len(calls) == 1  # clamped to at least one repetition
 
 
@@ -246,7 +249,7 @@ def test_median_amplify_coordinatewise():
     def run(child):
         return next(vals)
 
-    out = median_amplify(run, 0.9, np.random.default_rng(0))
+    out = median_amplify(run, 0.9, np.random.default_rng(0), 1)
     # with delta=0.9 the count is ceil(18*ln(1/0.9)) = 2: median of first two
     assert out == 1.5 + 8.5j
 
@@ -261,11 +264,45 @@ def test_spawn_streams_deterministic_and_distinct():
     assert len(set(flat)) == 4
 
 
-def test_workers_do_not_change_inner_product():
-    rng1 = np.random.default_rng(3)
-    rng2 = np.random.default_rng(3)
-    psi_v = random_state_vector(np.random.default_rng(8), 8)
-    w_v = random_state_vector(np.random.default_rng(9), 8)
-    e1 = estimate_inner_product(DenseState(psi_v), DenseVector(w_v), 1.0, 0.2, 0.1, rng1, workers=1)
-    e2 = estimate_inner_product(DenseState(psi_v), DenseVector(w_v), 1.0, 0.2, 0.1, rng2, workers=3)
-    assert e1 == e2
+def test_pool_does_not_change_inner_product():
+    psi = DenseState(random_state_vector(np.random.default_rng(8), 8))
+    w = DenseVector(random_state_vector(np.random.default_rng(9), 8))
+    runs = []
+    for cpus in (1, 3):
+        c = Counters()
+        with forced_pool(cpus):
+            est = estimate_inner_product(psi, w, 1.0, 0.2, 0.1, np.random.default_rng(3),
+                                         counters=c)
+        runs.append((est, c.as_dict()))
+    assert runs[0] == runs[1]
+    assert runs[0][1]["psi_samples"] == 42 * 200  # ceil(18 ln 10) reps of t = 200
+
+
+@pytest.mark.parametrize("samples, cpus, delta, threads", [
+    (state_access.POOL_MIN_SAMPLES - 1, 4, 0.1, None),
+    (state_access.POOL_MIN_SAMPLES, 1, 0.1, None),
+    (state_access.POOL_MIN_SAMPLES, 4, 0.999, None),  # one repetition
+    (state_access.POOL_MIN_SAMPLES, 2, 0.1, 2),
+    (10 * state_access.POOL_MIN_SAMPLES, 64, 0.1, 42),  # 42 repetitions
+])
+def test_pool_selection(samples, cpus, delta, threads):
+    """A pool of min(CPUs, repetitions) threads, only from POOL_MIN_SAMPLES
+    samples per repetition and with two or more threads to run."""
+    pools = []
+    real = state_access.ThreadPoolExecutor
+
+    def spy(max_workers):
+        pools.append(max_workers)
+        return real(max_workers=max_workers)
+
+    with mock.patch.object(state_access, "ThreadPoolExecutor", spy), \
+            mock.patch.object(state_access, "_usable_cpus", lambda: cpus):
+        median_amplify(lambda child: 0j, delta, np.random.default_rng(0), samples)
+    assert pools == ([] if threads is None else [threads])
+
+
+def test_usable_cpus_follow_affinity():
+    # taskset -c 0 leaves one CPU in the affinity set
+    with mock.patch.object(state_access.os, "sched_getaffinity", lambda pid: {0},
+                           create=True):
+        assert state_access._usable_cpus() == 1

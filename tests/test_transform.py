@@ -27,6 +27,7 @@ from eigensampler.imm import MatrixChain
 from eigensampler.transform import POLICIES, power_error_budget
 
 from helpers import (
+    forced_pool,
     random_block_term,
     random_normalized_decomposition,
     random_pauli_terms,
@@ -172,25 +173,30 @@ class TestPowerEstimator:
         assert abs(xs.mean() - want) <= 5 * se + 1e-12
         assert np.mean(np.abs(xs) ** 2) <= 1.05
 
-    def test_workers_do_not_change_result(self):
+    def test_pool_does_not_change_result(self):
         gen = np.random.default_rng(14)
         d = random_normalized_decomposition(gen, 2, 3)
-        psi_v = random_state_vector(gen, 4)
-        psi = DenseState(psi_v)
-        a = estimate_power(psi, psi, d, 2, 0.3, 0.2, np.random.default_rng(6), workers=1)
-        b = estimate_power(psi, psi, d, 2, 0.3, 0.2, np.random.default_rng(6), workers=3)
-        assert a == b
+        psi = DenseState(random_state_vector(gen, 4))
+        runs = []
+        for cpus in (1, 3):
+            c = Counters()
+            with forced_pool(cpus):
+                est = estimate_power(psi, psi, d, 2, 0.3, 0.2, np.random.default_rng(6),
+                                     counters=c)
+            runs.append((est, c.as_dict()))
+        assert runs[0] == runs[1]
 
-    def test_workers_share_counters_on_block_terms(self):
+    def test_pool_shares_counters_on_block_terms(self):
         gen = np.random.default_rng(16)
         d = shift_rescale(build_decomposition(3, [random_block_term(gen, 3, 2)
                                                   for _ in range(3)]))
         psi = DenseState(random_state_vector(gen, 8))
         runs = []
-        for workers in (1, 3):
+        for cpus in (1, 3):
             c = Counters()
-            est = estimate_power(psi, psi, d, 2, 0.3, 0.05,
-                                 np.random.default_rng(6), workers=workers, counters=c)
+            with forced_pool(cpus):
+                est = estimate_power(psi, psi, d, 2, 0.3, 0.05,
+                                     np.random.default_rng(6), counters=c)
             runs.append((est, c.as_dict()))
         assert runs[0] == runs[1]
         assert runs[0][1]["leaf_queries"] > 0
@@ -450,18 +456,18 @@ class TestStratifiedEstimator:
         # the polynomial path spends no stream on skipped powers
         assert again == est
 
-    def test_workers_do_not_change_a_polynomial(self):
+    def test_pool_does_not_change_a_polynomial(self):
         gen = np.random.default_rng(33)
         d = shift_rescale(build_decomposition(3, [random_block_term(gen, 3, 2)
                                                   for _ in range(3)]))
         psi = DenseState(random_state_vector(gen, 8))
         P = zero_gap_polynomial([0.9, 0.0, -0.1, 0.0, -0.7])
         runs = []
-        for workers in (1, 3):
+        for cpus in (1, 3):
             c = Counters()
-            est = estimate_polynomial_transform(psi, psi, d, P, 0.5, 0.05,
-                                                np.random.default_rng(4),
-                                                workers=workers, counters=c)
+            with forced_pool(cpus):
+                est = estimate_polynomial_transform(psi, psi, d, P, 0.5, 0.05,
+                                                    np.random.default_rng(4), counters=c)
             runs.append((est, c.as_dict()))
         assert runs[0] == runs[1]
 
