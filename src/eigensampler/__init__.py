@@ -72,7 +72,7 @@ from .oracle import (
     exact_sandwich,
     reconstruct,
 )
-from .instrument import Counters
+from .instrument import Counters, recording
 from .rng import make_generator, spawn_streams
 
 __version__ = "0.1.0"
@@ -125,6 +125,7 @@ __all__ = [
     "median_amplify",
     "predict_cost",
     "reconstruct",
+    "recording",
     "sample_chain",
     "shift_rescale",
     "solve_guided",

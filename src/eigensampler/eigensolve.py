@@ -42,7 +42,7 @@ from .hamiltonian import (
     shift_rescale,
     shifted_operator,
 )
-from .instrument import Counters
+from .instrument import Counters, recording
 from .oracle import exact_sandwich
 from .polyfilter import (
     DEGREE_CAP,
@@ -350,7 +350,7 @@ def shifted_test(t, epsilon, chi, s=1):
     return test
 
 
-def _threshold_detail(t, decomp_prime, psi, cfg, rng, T, counters=None):
+def _threshold_detail(t, decomp_prime, psi, cfg, rng, T):
     """One test's TestRecord.
 
     Under tight the test is one estimate_power call on the shifted operator
@@ -376,7 +376,6 @@ def _threshold_detail(t, decomp_prime, psi, cfg, rng, T, counters=None):
                 raise CostCapExceeded(predicted, cfg.cost_cap, breakdown)
         estimate = estimate_power(
             psi, psi, base, test.r, test.err, per_test_delta, rng,
-            counters=counters,
         )
         yes = estimate.real >= test.midpoint
         return TestRecord(t, estimate, yes, "shifted", test.r, test.shift)
@@ -388,7 +387,7 @@ def _threshold_detail(t, decomp_prime, psi, cfg, rng, T, counters=None):
         try:
             estimate = estimate_polynomial_transform(
                 psi, psi, decomp_prime, P, precision, per_test_delta, rng,
-                policy=cfg.policy, cost_cap=cfg.cost_cap, counters=counters,
+                policy=cfg.policy, cost_cap=cfg.cost_cap,
             )
         except CostCapExceeded as exc:
             exc.breakdown.update(filter="rectangle", shift=None)
@@ -397,7 +396,7 @@ def _threshold_detail(t, decomp_prime, psi, cfg, rng, T, counters=None):
     return TestRecord(t, estimate, yes, "rectangle", P.degree)
 
 
-def test_threshold(t, decomp_prime, psi, cfg, rng, counters=None):
+def test_threshold(t, decomp_prime, psi, cfg, rng):
     """Decide whether the ground energy of A' falls below t*epsilon/4.
 
     decomp_prime must be the normalized (shifted/rescaled) decomposition.
@@ -407,7 +406,7 @@ def test_threshold(t, decomp_prime, psi, cfg, rng, counters=None):
     t = int(t)
     if not 0 <= t < T:
         raise ValidationError(f"interval index {t} outside [0, {T})")
-    record = _threshold_detail(t, decomp_prime, psi, cfg, rng, T, counters=counters)
+    record = _threshold_detail(t, decomp_prime, psi, cfg, rng, T)
     return record.yes
 
 
@@ -439,18 +438,18 @@ def estimate_smallest_eigenvalue(decomp, psi, cfg, rng):
         # at call time, so the benchmark's tracer (bench/measure.py) counts it.
         prime = oracle.ChebyshevMoments(oracle.reconstruct(prime), psi)
     T = cfg.interval_count
-    counters = Counters()
     transcript = []
     t_star = None
-    for t in range(T):
-        # Spawned as the scan reaches test t: the child streams of spawning
-        # all T up front, without their O(T) cost (T = 4e9 at epsilon 1e-9).
-        (stream,) = spawn_streams(rng, 1)
-        record = _threshold_detail(t, prime, psi, cfg, stream, T, counters=counters)
-        transcript.append(record)
-        if record.yes:
-            t_star = t
-            break
+    with recording() as counters:
+        for t in range(T):
+            # Spawned as the scan reaches test t: the child streams of spawning
+            # all T up front, without their O(T) cost (T = 4e9 at epsilon 1e-9).
+            (stream,) = spawn_streams(rng, 1)
+            record = _threshold_detail(t, prime, psi, cfg, stream, T)
+            transcript.append(record)
+            if record.yes:
+                t_star = t
+                break
     no_yes_found = t_star is None
     if no_yes_found:
         t_star = T - 1

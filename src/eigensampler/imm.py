@@ -13,6 +13,7 @@ leaves per sample.
 
 import numpy as np
 
+from . import instrument
 from .errors import ValidationError
 from .hamiltonian import _parity
 
@@ -69,22 +70,21 @@ class ChainKernel:
                               dtype=np.int64)
         self.max_width = int(self.width.max(initial=1))
 
-    def values(self, chains, rows, phi, counters=None):
+    def values(self, chains, rows, phi):
         """Entries (B_{x_r} ... B_{x_1} phi)(rows[i]) for every sample i.
 
         chains is a (t, r) index array into the terms, column 0 holding the
         factor applied to phi first. Stored zeros are skipped, so sample i
-        costs prod(row nnz) <= s^r leaf queries of phi; counters records
-        exactly those.
+        costs prod(row nnz) <= s^r leaf queries of phi; the active recorder
+        (instrument.recording) counts exactly those.
         """
         rows = np.asarray(rows, dtype=np.int64).ravel()
         call = _Call(chains, phi, rows.size)
         # Every weight starts at 1: a read-only broadcast, never written.
         ones = np.broadcast_to(np.complex128(1), rows.shape)
         self._finish(call, np.arange(rows.size, dtype=np.int64), rows, ones, call.r - 1)
-        if counters is not None and rows.size:
-            counters.add(leaf_queries=call.leaves, vector_queries=call.leaves,
-                         depth=call.depth)
+        instrument.add(leaf_queries=call.leaves, vector_queries=call.leaves,
+                       depth=call.depth)
         return call.out
 
     def _finish(self, call, sample, row, weight, col):
@@ -149,7 +149,7 @@ class _Call:
         self.leaves = self.depth = 0
 
 
-def chain_entry(ell, chain, phi, counters=None):
+def chain_entry(ell, chain, phi):
     """Exact <ell| B_r ... B_1 |phi>, one sample of the frontier kernel.
 
     Touches phi only at the leaves, at most prod(row nnz) <= s^r of them, and
@@ -157,4 +157,4 @@ def chain_entry(ell, chain, phi, counters=None):
     """
     mats = chain.matrices if isinstance(chain, MatrixChain) else list(chain)
     picks = np.arange(len(mats), dtype=np.int64)[None, :]
-    return complex(ChainKernel(mats).values(picks, [ell], phi, counters)[0])
+    return complex(ChainKernel(mats).values(picks, [ell], phi)[0])

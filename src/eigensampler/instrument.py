@@ -1,12 +1,26 @@
 """Lightweight counters for sampling and recursion cost claims.
 
-A Counters object is threaded through the estimators so tests can assert the
-advertised leaf-query and sample counts instead of trusting asymptotics.
-Updates go through add(), which holds a lock, so the worker threads of a
-median amplification can share one object without losing counts.
+The estimators report what they spend through the module-level add(), which
+goes to the Counters of the active recorder and does nothing when none is
+active. A recorder is installed by
+
+    with recording() as counters:
+        ...
+
+which yields a fresh Counters (or the one passed in) and restores the
+previous recorder on exit. Recorders nest, and the innermost one wins: an
+outer recorder sees nothing that runs inside an inner one. The active
+recorder is held in a contextvars variable, so each thread and each copied
+context sees its own; median_amplify runs pooled repetitions in copies of the
+caller's context, so they report to the caller's recorder. Counters.add holds
+a lock, so those threads share one object without losing counts.
 """
 
+import contextlib
+import contextvars
 import threading
+
+_active = contextvars.ContextVar("eigensampler_counters", default=None)
 
 
 class Counters:
@@ -50,3 +64,24 @@ class Counters:
     def __repr__(self):
         inner = ", ".join(f"{k}={v}" for k, v in self.as_dict().items())
         return f"Counters({inner})"
+
+
+@contextlib.contextmanager
+def recording(counters=None):
+    """Make counters (a fresh Counters when None) the active recorder.
+
+    Yields it, and restores the previous recorder on exit.
+    """
+    counters = Counters() if counters is None else counters
+    token = _active.set(counters)
+    try:
+        yield counters
+    finally:
+        _active.reset(token)
+
+
+def add(depth=0, **counts):
+    """Counters.add on the active recorder; a no-op when none is active."""
+    counters = _active.get()
+    if counters is not None:
+        counters.add(depth=depth, **counts)

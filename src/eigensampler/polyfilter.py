@@ -215,6 +215,15 @@ def build_rectangle_polynomial(tau, theta, xi,
     xi_eff = xi - XI_MARGIN
     if xi_eff <= 0.0:
         xi_eff = xi / 2.0
+    if 1.0 - xi_eff / 2.0 == 1.0:
+        # erfinv(1) is inf: the target would be a step, and no candidate can
+        # certify bands that float arithmetic cannot tell from 0 and 1.
+        raise DegreeOverflowError(
+            f"no degree <= {degree_cap} certifies the bands for "
+            f"tau={tau}, theta={theta}, xi={xi}: xi is below float resolution",
+            degree_cap=degree_cap,
+            best_error=np.inf,
+        )
     f = _rectangle_target(tau, theta, xi_eff)
 
     half = (grid_points - 1) // 2

@@ -6,6 +6,7 @@ state, averages the ratio w_j / psi_j, and boosts confidence by coordinate-wise
 medians over independent repetitions.
 """
 
+import contextvars
 import math
 import os
 import struct
@@ -13,6 +14,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from . import instrument
 from .errors import StateSpecError, UndefinedRatioError, ValidationError
 from .rng import spawn_streams
 
@@ -316,15 +318,17 @@ def read_dense_state_file(path):
             if len(header) != 8:
                 raise StateSpecError(f"dense state file {path!r} is truncated")
             (count,) = struct.unpack("<Q", header)
-            payload = np.fromfile(fh, dtype="<f8", count=2 * count)
+            payload = fh.read()
     except OSError as exc:
         raise StateSpecError(f"cannot read dense state file {path!r}: {exc}") from None
-    if payload.shape[0] != 2 * count:
+    # Compared before any array is built, so a huge count allocates nothing.
+    if len(payload) != 16 * count:
         raise StateSpecError(
-            f"dense state file {path!r} holds {payload.shape[0] // 2} entries, "
-            f"header says {count}"
+            f"dense state file {path!r} holds {len(payload)} bytes after its "
+            f"header, which says {count} entries of 16 bytes"
         )
-    return payload[0::2] + 1j * payload[1::2]
+    # Each (re, im) pair of little-endian f64 is one <c16 value, bit for bit.
+    return np.frombuffer(payload, dtype="<c16").astype(complex)
 
 
 def write_dense_state_file(path, values):
@@ -341,7 +345,7 @@ def write_dense_state_file(path, values):
 # Ratio estimator
 
 
-def sample_ratios(psi, w, count, rng, counters=None):
+def sample_ratios(psi, w, count, rng):
     """Draw `count` single-sample ratios X = w_j / psi_j with j ~ |psi_j|^2.
 
     E[X] is the inner product <psi|w> and E[|X|^2] = ||w||^2. A sampled index
@@ -351,8 +355,7 @@ def sample_ratios(psi, w, count, rng, counters=None):
     j = psi.sample_many(rng, count)
     amps = psi.query_many(j)
     wvals = w.query_many(j)
-    if counters is not None:
-        counters.add(psi_samples=count, psi_queries=count, vector_queries=count)
+    instrument.add(psi_samples=count, psi_queries=count, vector_queries=count)
     dead = amps == 0
     if np.any(dead):
         bad = dead & (wvals != 0)
@@ -361,6 +364,22 @@ def sample_ratios(psi, w, count, rng, counters=None):
         amps = np.where(dead, 1.0, amps)
         wvals = np.where(dead, 0.0, wvals)
     return wvals / amps
+
+
+def samples_per_batch(scale, eps, name):
+    """ceil(scale / eps^2), the samples of one repetition at error eps.
+
+    Raises ValidationError when eps^2 underflows to 0 or the quotient
+    overflows to inf: such a count cannot be represented, let alone drawn.
+    """
+    square = eps * eps
+    count = scale / square if square > 0 else math.inf
+    if count == math.inf:
+        raise ValidationError(
+            f"{name} = {eps!r} needs ceil({scale:g} / {name}^2) samples per "
+            f"batch, which overflows a float"
+        )
+    return math.ceil(count)
 
 
 def median_reps(delta):
@@ -394,7 +413,9 @@ def median_amplify(run, delta, rng, samples):
     least POOL_MIN_SAMPLES and min(usable CPUs, repetitions) is at least 2,
     the repetitions run on a pool of that many threads; otherwise they run
     one after another. Each repetition draws only from its own child stream,
-    so the result does not depend on which path ran it.
+    so the result does not depend on which path ran it. Each pooled
+    repetition runs in a copy of the caller's context, so it reports to the
+    caller's recorder (instrument.recording).
     """
     if not 0 < delta <= 1:
         raise ValidationError(f"delta must be in (0, 1], got {delta}")
@@ -403,15 +424,18 @@ def median_amplify(run, delta, rng, samples):
     threads = min(_usable_cpus(), reps)
     if samples >= POOL_MIN_SAMPLES and threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            values = list(pool.map(run, streams))
+            # A pool thread starts from an empty context: without the copy,
+            # every pooled repetition would report to no recorder.
+            futures = [pool.submit(contextvars.copy_context().run, run, stream)
+                       for stream in streams]
+            values = [future.result() for future in futures]
     else:
         values = [run(stream) for stream in streams]
     values = np.asarray(values, dtype=complex)
     return complex(np.median(values.real), np.median(values.imag))
 
 
-def estimate_inner_product(psi, w, w_norm_bound, eps, delta, rng,
-                           counters=None):
+def estimate_inner_product(psi, w, w_norm_bound, eps, delta, rng):
     """Estimate <psi|w> to within eps * ||w|| with probability >= 1 - delta.
 
     Each repetition averages t = ceil(8 / eps^2) sampled ratios, which lands
@@ -427,9 +451,9 @@ def estimate_inner_product(psi, w, w_norm_bound, eps, delta, rng,
         raise ValidationError(f"delta must be in (0, 1], got {delta}")
     if w_norm_bound < 0:
         raise ValidationError("w_norm_bound must be nonnegative")
-    t = math.ceil(8.0 / (eps * eps))
+    t = samples_per_batch(8.0, eps, "eps")
 
     def one_batch(stream):
-        return complex(np.mean(sample_ratios(psi, w, t, stream, counters)))
+        return complex(np.mean(sample_ratios(psi, w, t, stream)))
 
     return median_amplify(one_batch, delta, rng, t)

@@ -21,14 +21,16 @@ and predict_cost charges the same strata before any sampling starts.
 
 import itertools
 import math
+from contextlib import nullcontext
 
 import numpy as np
 
+from . import instrument
 from .errors import CostCapExceeded, UndefinedRatioError, ValidationError
 # chain_entry stays a module attribute, so instrumentation can patch it.
 from .imm import ChainKernel, chain_entry  # noqa: F401
 from .polyfilter import coefficient_l1
-from .state_access import median_amplify, median_reps
+from .state_access import median_amplify, median_reps, samples_per_batch
 
 _KAPPA_TOL = 1e-9
 
@@ -69,10 +71,9 @@ class ChainSampler:
             out *= kappas[int(idx)]
         return out
 
-    def sample_many(self, rng, count, counters=None):
+    def sample_many(self, rng, count):
         """Draw `count` chains as a (count, r) index array."""
-        if counters is not None:
-            counters.add(chain_samples=count)
+        instrument.add(chain_samples=count)
         if self.r == 0:
             return np.empty((count, 0), dtype=np.int64)
         draws = rng.choice(self.m, size=(count, self.r), p=self._probs)
@@ -96,7 +97,7 @@ def _check_budget(name, value):
         raise ValidationError(f"{name} must be in (0, 1], got {value}")
 
 
-def estimate_power(psi, phi, decomp, r, err, delta, rng, counters=None):
+def estimate_power(psi, phi, decomp, r, err, delta, rng):
     """Estimate <psi| A^r |phi> within err with probability >= 1 - delta.
 
     Requires the normalized decomposition (kappa = 1). This is the
@@ -106,11 +107,10 @@ def estimate_power(psi, phi, decomp, r, err, delta, rng, counters=None):
     """
     _check_budget("err", err)
     _check_budget("delta", delta)
-    return _estimate_strata(psi, phi, decomp, {int(r): 1.0}, err, delta, rng,
-                            counters)
+    return _estimate_strata(psi, phi, decomp, {int(r): 1.0}, err, delta, rng)
 
 
-def _estimate_strata(psi, phi, decomp, coeffs, err, delta, rng, counters):
+def _estimate_strata(psi, phi, decomp, coeffs, err, delta, rng):
     """Median of batches of sum_r a_r * mean(Y_r over c_r chains).
 
     coeffs maps each power r to its nonzero coefficient a_r, and c_r comes
@@ -128,12 +128,11 @@ def _estimate_strata(psi, phi, decomp, coeffs, err, delta, rng, counters):
     kernel = ChainKernel(decomp.terms)
 
     def one_batch(stream):
-        chains = [sampler.sample_many(stream, c, counters) for sampler, _, c in strata]
+        chains = [sampler.sample_many(stream, c) for sampler, _, c in strata]
         j = psi.sample_many(stream, total)
         amps = np.asarray(psi.query_many(j), dtype=complex)
-        if counters is not None:
-            counters.add(psi_samples=total, psi_queries=total)
-        vals = np.concatenate([kernel.values(x, j[lo:hi], phi, counters)
+        instrument.add(psi_samples=total, psi_queries=total)
+        vals = np.concatenate([kernel.values(x, j[lo:hi], phi)
                                for x, (lo, hi) in zip(chains, spans)])
         masses = np.concatenate([_chain_masses(decomp, x) for x in chains])
         dead = amps == 0
@@ -182,8 +181,8 @@ def power_error_budget(P, eta, policy):
 
 def batch_shape(err, delta):
     """(reps, t): the median repetitions, and the chains per batch of a
-    single power."""
-    return median_reps(delta), math.ceil(64.0 / (err * err))
+    single power. Raises ValidationError when t overflows a float."""
+    return median_reps(delta), samples_per_batch(64.0, err, "err")
 
 
 def chain_counts(coeffs, t):
@@ -279,7 +278,9 @@ def estimate_polynomial_transform(psi, phi, decomp, P, eta, delta_total, rng,
     before sampling and does not depend on luck.
 
     When cost_cap is given, the predicted leaf-operation count is checked
-    first and CostCapExceeded carries the full breakdown.
+    first and CostCapExceeded carries the full breakdown. When counters is
+    given, the run records into it (instrument.recording); otherwise it
+    records into the active recorder, if any.
     """
     _check_budget("eta", eta)
     _check_budget("delta_total", delta_total)
@@ -288,5 +289,6 @@ def estimate_polynomial_transform(psi, phi, decomp, P, eta, delta_total, rng,
         if predicted > cost_cap:
             raise CostCapExceeded(predicted, cost_cap, breakdown)
     err = power_error_budget(P, eta, policy)
-    return _estimate_strata(psi, phi, decomp, _coefficients(P), err, delta_total,
-                            rng, counters)
+    with nullcontext() if counters is None else instrument.recording(counters):
+        return _estimate_strata(psi, phi, decomp, _coefficients(P), err,
+                                delta_total, rng)

@@ -17,7 +17,6 @@ import pytest
 from eigensampler import (
     BasisState,
     CostCapExceeded,
-    Counters,
     DenseState,
     DenseVector,
     LocalTerm,
@@ -33,6 +32,7 @@ from eigensampler import (
     exact_ground_energy,
     exact_overlap,
     reconstruct,
+    recording,
     solve_guided,
     solve_unguided,
 )
@@ -112,8 +112,8 @@ def test_gate_02_leaf_count_and_recursion_depth(capsys):
         dim = 8
         handles = [all_rows_s_handle(rng, dim, s)[0] for _ in range(r)]
         phi = DenseState(random_state_vector(rng, dim))
-        counters = Counters()
-        chain_entry(3, MatrixChain(handles), phi, counters=counters)
+        with recording() as counters:
+            chain_entry(3, MatrixChain(handles), phi)
         assert counters.leaf_queries == s**r
         assert counters.max_depth == r
         checked.append(f"s={s},r={r}")

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eigensampler import Counters, DenseState, LocalTerm, imm
+from eigensampler import DenseState, LocalTerm, imm, recording
 from eigensampler.hamiltonian import (
     BlockTermHandle,
     ExplicitSparseHandle,
@@ -87,8 +87,8 @@ def chain_problems(draw):
 @given(chain_problems(), st.integers(1, 7))
 def test_kernel_matches_dense_and_recursion(problem, limit):
     terms, chains, rows, phi = problem
-    counters = Counters()
-    got = ChainKernel(terms).values(chains, rows, phi, counters)
+    with recording() as counters:
+        got = ChainKernel(terms).values(chains, rows, phi)
 
     dense = [dense_term(h) for h in terms]
     phi_v = phi.to_array()
@@ -105,9 +105,8 @@ def test_kernel_matches_dense_and_recursion(problem, limit):
     assert counters.leaf_queries == counters.vector_queries == leaves
     assert counters.max_depth == deepest
 
-    small = Counters()
-    with mock.patch.object(imm, "FRONTIER_LIMIT", limit):
-        split = ChainKernel(terms).values(chains, rows, phi, small)
+    with mock.patch.object(imm, "FRONTIER_LIMIT", limit), recording() as small:
+        split = ChainKernel(terms).values(chains, rows, phi)
     assert np.allclose(split, got, rtol=0, atol=1e-12)
     assert small.as_dict() == counters.as_dict()
 
@@ -147,8 +146,8 @@ def test_frontier_stays_under_limit(monkeypatch, t):
     monkeypatch.setattr(imm.ChainKernel, "_expand", recording_expand)
     monkeypatch.setattr(imm, "FRONTIER_LIMIT", limit)
     phi.largest = 0
-    counters = Counters()
-    got = ChainKernel(terms).values(chains, rows, phi, counters)
+    with recording() as counters:
+        got = ChainKernel(terms).values(chains, rows, phi)
     assert np.allclose(got, want, rtol=0, atol=1e-12)
     # every sample touches up to 4^5 leaves; the frontier never exceeds the limit
     assert counters.leaf_queries > 10 * limit
@@ -161,7 +160,7 @@ def test_empty_input_and_power_zero():
     h = PauliTermHandle("XZ", 1.0, 2)
     empty = ChainKernel([h]).values(np.empty((0, 2), dtype=np.int64), [], phi)
     assert empty.shape == (0,)
-    counters = Counters()
-    vals = ChainKernel([h]).values(np.empty((3, 0), dtype=np.int64), [0, 3, 1], phi, counters)
+    with recording() as counters:
+        vals = ChainKernel([h]).values(np.empty((3, 0), dtype=np.int64), [0, 3, 1], phi)
     assert np.array_equal(vals, phi.query_many([0, 3, 1]))
     assert counters.leaf_queries == 3 and counters.max_depth == 0

@@ -8,7 +8,9 @@ from eigensampler import (
     MatrixChain,
     ValidationError,
     chain_entry,
+    recording,
 )
+from eigensampler import instrument
 from eigensampler.hamiltonian import PauliTermHandle
 from eigensampler.imm import ChainKernel
 
@@ -84,8 +86,8 @@ def test_leaf_count_and_depth_on_uniform_rows():
         h, _ = all_rows_s_handle(rng, 16, s)
         chain = MatrixChain([h] * r)
         phi = DenseState(random_state_vector(rng, 16))
-        c = Counters()
-        chain_entry(0, chain, phi, c)
+        with recording() as c:
+            chain_entry(0, chain, phi)
         assert c.leaf_queries == s**r
         assert c.max_depth == r
 
@@ -131,6 +133,21 @@ def test_norm_bounds_default_to_one_each():
     assert chain.r == 2 and chain.s == 1
     with pytest.raises(ValidationError):
         MatrixChain([h, h], norm_bounds=[0.5])
+
+
+def test_recording_nests_and_restores():
+    instrument.add(leaf_queries=1)  # no active recorder: counted nowhere
+    with recording() as outer:
+        instrument.add(leaf_queries=1)
+        with recording(Counters()) as inner:
+            instrument.add(leaf_queries=2, depth=3)
+        instrument.add(leaf_queries=4)
+    instrument.add(leaf_queries=8)
+    assert (outer.leaf_queries, outer.max_depth) == (5, 0)
+    assert (inner.leaf_queries, inner.max_depth) == (2, 3)
+    given = Counters()
+    with recording(given) as got:
+        assert got is given
 
 
 def test_counters_add_is_safe_across_threads():

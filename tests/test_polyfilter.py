@@ -1,6 +1,7 @@
 """Rectangle filter construction: frozen degrees, bands, and conditioning."""
 
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -256,6 +257,17 @@ def test_degree_overflow_reports_best_error():
     err = info.value
     assert err.degree_cap == 40
     assert 0 < err.best_error < 1
+
+
+def test_xi_below_float_resolution_overflows_without_warnings():
+    # 1 - xi/2 rounds to 1, so the target's steepness erfinv(1) would be inf,
+    # and the grid point at the band center would multiply it by 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegreeOverflowError) as info:
+            build_rectangle_polynomial(0.0, 0.25, 1e-181)
+    assert info.value.degree_cap == 200
+    assert info.value.best_error == math.inf
 
 
 def test_metadata_round_trip():

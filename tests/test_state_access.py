@@ -1,12 +1,16 @@
 import math
+import os
+import struct
+import tempfile
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eigensampler import (
     BasisState,
-    Counters,
     DenseState,
     DenseVector,
     MaxEntState,
@@ -17,6 +21,7 @@ from eigensampler import (
     estimate_inner_product,
     make_state,
     median_amplify,
+    recording,
     spawn_streams,
 )
 from eigensampler import state_access
@@ -147,6 +152,38 @@ def test_dense_state_file_round_trip(tmp_path):
     assert np.allclose(got, v, atol=1e-15)
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(st.floats(), st.floats()), max_size=12))
+def test_dense_state_file_round_trip_is_bit_identical(pairs):
+    # (re, im) pairs of any floats, nan payloads, infinities and -0.0 included
+    v = np.array(pairs, dtype=float).reshape(-1, 2).view(complex).ravel()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "v.bin")
+        write_dense_state_file(path, v)
+        got = read_dense_state_file(path)
+    assert got.dtype == complex and got.shape == v.shape
+    assert got.view(np.uint64).tobytes() == v.view(np.uint64).tobytes()
+
+
+@pytest.mark.parametrize("count, payload_bytes", [
+    (2, 32 + 24),  # trailing bytes after the declared entries
+    (2, 24),  # truncated
+    (2**64 - 1, 32),  # a count no file could hold
+])
+def test_dense_state_file_size_must_match_header(tmp_path, count, payload_bytes):
+    path = tmp_path / "v.bin"
+    path.write_bytes(struct.pack("<Q", count) + bytes(payload_bytes))
+    with pytest.raises(StateSpecError):
+        read_dense_state_file(str(path))
+
+
+def test_inner_product_refuses_an_uncountable_batch():
+    psi = DenseState(random_state_vector(np.random.default_rng(4), 4))
+    # ceil(8 / eps^2) samples per batch: eps^2 underflows to 0
+    with pytest.raises(ValidationError):
+        estimate_inner_product(psi, psi, 1.0, 1e-200, 0.1, np.random.default_rng(0))
+
+
 def test_sample_ratios_moments():
     """E[X] is the inner product and E[|X|^2] is ||w||^2 exactly."""
     rng = np.random.default_rng(31)
@@ -269,10 +306,8 @@ def test_pool_does_not_change_inner_product():
     w = DenseVector(random_state_vector(np.random.default_rng(9), 8))
     runs = []
     for cpus in (1, 3):
-        c = Counters()
-        with forced_pool(cpus):
-            est = estimate_inner_product(psi, w, 1.0, 0.2, 0.1, np.random.default_rng(3),
-                                         counters=c)
+        with forced_pool(cpus), recording() as c:
+            est = estimate_inner_product(psi, w, 1.0, 0.2, 0.1, np.random.default_rng(3))
         runs.append((est, c.as_dict()))
     assert runs[0] == runs[1]
     assert runs[0][1]["psi_samples"] == 42 * 200  # ceil(18 ln 10) reps of t = 200

@@ -1,10 +1,14 @@
+import importlib
+import inspect
 import itertools
 import math
+import pkgutil
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import eigensampler
 from eigensampler import (
     ChainSampler,
     CostCapExceeded,
@@ -19,12 +23,13 @@ from eigensampler import (
     exact_sandwich,
     predict_cost,
     reconstruct,
+    recording,
     sample_chain,
     shift_rescale,
 )
 from eigensampler.hamiltonian import shifted_operator
 from eigensampler.imm import MatrixChain
-from eigensampler.transform import POLICIES, power_error_budget
+from eigensampler.transform import POLICIES, power_error_budget, predict_power_cost
 
 from helpers import (
     forced_pool,
@@ -95,8 +100,8 @@ class TestChainSampler:
     def test_counters_record_chain_draws(self):
         rng = np.random.default_rng(5)
         d = random_normalized_decomposition(rng, 2, 3)
-        c = Counters()
-        ChainSampler(d, 2).sample_many(np.random.default_rng(0), 10, counters=c)
+        with recording() as c:
+            ChainSampler(d, 2).sample_many(np.random.default_rng(0), 10)
         assert c.chain_samples == 10
 
 
@@ -179,10 +184,8 @@ class TestPowerEstimator:
         psi = DenseState(random_state_vector(gen, 4))
         runs = []
         for cpus in (1, 3):
-            c = Counters()
-            with forced_pool(cpus):
-                est = estimate_power(psi, psi, d, 2, 0.3, 0.2, np.random.default_rng(6),
-                                     counters=c)
+            with forced_pool(cpus), recording() as c:
+                est = estimate_power(psi, psi, d, 2, 0.3, 0.2, np.random.default_rng(6))
             runs.append((est, c.as_dict()))
         assert runs[0] == runs[1]
 
@@ -193,10 +196,9 @@ class TestPowerEstimator:
         psi = DenseState(random_state_vector(gen, 8))
         runs = []
         for cpus in (1, 3):
-            c = Counters()
-            with forced_pool(cpus):
+            with forced_pool(cpus), recording() as c:
                 est = estimate_power(psi, psi, d, 2, 0.3, 0.05,
-                                     np.random.default_rng(6), counters=c)
+                                     np.random.default_rng(6))
             runs.append((est, c.as_dict()))
         assert runs[0] == runs[1]
         assert runs[0][1]["leaf_queries"] > 0
@@ -279,6 +281,33 @@ class TestPredictCost:
         assert total > 1e12
 
 
+class TestUncountableBatches:
+    """An err whose ceil(64 / err^2) chains overflow a float is refused."""
+
+    def make(self):
+        d = random_normalized_decomposition(np.random.default_rng(0), 2, 3)
+        return d, DenseState(random_state_vector(np.random.default_rng(1), 4))
+
+    def test_single_power(self):
+        d, psi = self.make()
+        with pytest.raises(ValidationError):
+            estimate_power(psi, psi, d, 1, 1e-200, 0.1, np.random.default_rng(0))
+        with pytest.raises(ValidationError):
+            predict_power_cost(d, 1, 1e-200, 0.1)
+
+    # strict divides eta by 4^degree: at degree 12, 64 / err^2 overflows to
+    # inf; at degree 20, err^2 underflows to 0
+    @pytest.mark.parametrize("degree", [12, 20])
+    def test_strict_polynomial(self, degree):
+        d, psi = self.make()
+        P = SimpleNamespace(coeffs=np.eye(degree + 1)[degree], degree=degree)
+        with pytest.raises(ValidationError):
+            predict_cost(d, P, 1e-150, 0.1, policy="strict")
+        with pytest.raises(ValidationError):
+            estimate_polynomial_transform(psi, psi, d, P, 1e-150, 0.1,
+                                          np.random.default_rng(0), policy="strict")
+
+
 class TestPolynomialTransform:
     def test_constant_polynomial_gives_overlap(self):
         gen = np.random.default_rng(20)
@@ -337,11 +366,11 @@ class TestPolynomialTransform:
                                                   for _ in range(4)]))
         psi = DenseState(random_state_vector(gen, 16))
         for P in (T2, LINEAR):
-            c = Counters()
-            estimate_polynomial_transform(
-                psi, psi, d, P, 0.5, 0.2, np.random.default_rng(1),
-                policy="tight", counters=c,
-            )
+            with recording() as c:
+                estimate_polynomial_transform(
+                    psi, psi, d, P, 0.5, 0.2, np.random.default_rng(1),
+                    policy="tight",
+                )
             predicted, _ = predict_cost(d, P, 0.5, 0.2, policy="tight")
             assert 0 < c.leaf_queries <= predicted
 
@@ -349,12 +378,15 @@ class TestPolynomialTransform:
         gen = np.random.default_rng(25)
         d = random_normalized_decomposition(gen, 2, 3)
         psi = DenseState(random_state_vector(gen, 4))
+        # the counters parameter is an inner recorder: it wins over an outer one
         c = Counters()
-        estimate_polynomial_transform(
-            psi, psi, d, LINEAR, 0.5, 0.5, np.random.default_rng(0), counters=c
-        )
+        with recording() as outer:
+            estimate_polynomial_transform(
+                psi, psi, d, LINEAR, 0.5, 0.5, np.random.default_rng(0), counters=c
+            )
         assert c.chain_samples > 0
         assert c.psi_samples > 0
+        assert outer.as_dict() == Counters().as_dict()
 
 
 # estimate_power(psi, psi, shifted_operator(d, 1.0), 3, 0.3, 0.05,
@@ -411,9 +443,9 @@ class TestStratifiedEstimator:
                                                   for _ in range(3)]))
         psi = DenseState(random_state_vector(gen, 8))
         P = zero_gap_polynomial([0.9, 0.0, -0.1, 0.0, -0.7])
-        c = Counters()
-        estimate_polynomial_transform(psi, psi, d, P, 0.5, 0.1,
-                                      np.random.default_rng(2), counters=c)
+        with recording() as c:
+            estimate_polynomial_transform(psi, psi, d, P, 0.5, 0.1,
+                                          np.random.default_rng(2))
         predicted, br = predict_cost(d, P, 0.5, 0.1, policy="tight")
         per_batch = sum(br["chains_per_power"].values())
         assert set(br["chains_per_power"]) == {0, 2, 4}
@@ -445,9 +477,9 @@ class TestStratifiedEstimator:
             3, [random_block_term(gen, 3, 2) for _ in range(3)]
             + random_pauli_terms(gen, 3, 2)))
         psi = DenseState(random_state_vector(gen, 8))
-        c = Counters()
-        est = estimate_power(psi, psi, shifted_operator(d, 1.0), 3, 0.3, 0.05,
-                             np.random.default_rng(77), counters=c)
+        with recording() as c:
+            est = estimate_power(psi, psi, shifted_operator(d, 1.0), 3, 0.3, 0.05,
+                                 np.random.default_rng(77))
         assert (est.real.hex(), est.imag.hex()) == RECORDED_POWER_3
         assert c.chain_samples == c.psi_samples == 38448  # 54 reps of t = 712
         P = SimpleNamespace(coeffs=np.array([0.0, 0.0, 0.0, 1.0]), degree=3)
@@ -464,10 +496,9 @@ class TestStratifiedEstimator:
         P = zero_gap_polynomial([0.9, 0.0, -0.1, 0.0, -0.7])
         runs = []
         for cpus in (1, 3):
-            c = Counters()
-            with forced_pool(cpus):
+            with forced_pool(cpus), recording() as c:
                 est = estimate_polynomial_transform(psi, psi, d, P, 0.5, 0.05,
-                                                    np.random.default_rng(4), counters=c)
+                                                    np.random.default_rng(4))
             runs.append((est, c.as_dict()))
         assert runs[0] == runs[1]
 
@@ -475,9 +506,9 @@ class TestStratifiedEstimator:
         d = random_normalized_decomposition(np.random.default_rng(34), 2, 3)
         psi = DenseState(random_state_vector(np.random.default_rng(0), 4))
         P = zero_gap_polynomial([0.0, 0.0])
-        c = Counters()
-        assert estimate_polynomial_transform(psi, psi, d, P, 0.5, 0.5,
-                                             np.random.default_rng(0), counters=c) == 0
+        with recording() as c:
+            assert estimate_polynomial_transform(psi, psi, d, P, 0.5, 0.5,
+                                                 np.random.default_rng(0)) == 0
         assert predict_cost(d, P, 0.5, 0.5)[0] == 0.0
         assert c.chain_samples == 0
 
@@ -486,6 +517,33 @@ def test_chain_entry_stays_patchable_by_name():
     from eigensampler import imm, transform
 
     assert transform.chain_entry is imm.chain_entry
+
+
+def test_only_the_polynomial_transform_takes_counters():
+    """Costs reach the active recorder (instrument.recording), not a parameter.
+
+    estimate_polynomial_transform keeps counters= for its existing callers.
+    recording() is the recorder itself, and EnergyEstimate's counters field
+    is the dict a scan reports.
+    """
+    found = set()
+    for info in pkgutil.iter_modules(eigensampler.__path__):
+        module = importlib.import_module(f"eigensampler.{info.name}")
+        for name, obj in vars(module).items():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = [(name, obj)]
+            if inspect.isclass(obj):
+                members = [(f"{name}.{attr}", getattr(value, "__func__", value))
+                           for attr, value in vars(obj).items()]
+            for qualname, fn in members:
+                if inspect.isfunction(fn) and "counters" in inspect.signature(fn).parameters:
+                    found.add(f"{info.name}.{qualname}")
+    assert found == {
+        "transform.estimate_polynomial_transform",
+        "instrument.recording",
+        "eigensolve.EnergyEstimate.__init__",
+    }
 
 
 def test_module_constant_tuples():
