@@ -17,8 +17,10 @@ exceeded.
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -189,7 +191,7 @@ def _make_config(args):
         sigma=args.sigma,
         policy=args.policy,
         seed=args.seed,
-        cost_cap=None if np.isinf(args.cost_cap) else args.cost_cap,
+        cost_cap=None if args.cost_cap == math.inf else args.cost_cap,
     )
 
 
@@ -370,10 +372,7 @@ def run_bench(args):
             else:
                 terms.append(_random_block_term(gen, args.n, args.k))
         instance_seed = int(seed_words[index])
-        instance_cfg = SolverConfig(
-            epsilon=cfg.epsilon, chi=cfg.chi, delta=cfg.delta, sigma=cfg.sigma,
-            policy=cfg.policy, seed=instance_seed, cost_cap=cfg.cost_cap,
-        )
+        instance_cfg = replace(cfg, seed=instance_seed)
         record = {"index": index, "seed": instance_seed, "n": args.n,
                   "m": len(terms)}
         lam = None

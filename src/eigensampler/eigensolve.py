@@ -83,13 +83,13 @@ class SolverConfig:
             raise ValidationError(f"chi must be in (0, 1], got {self.chi}")
         if not 0.0 < self.delta < 1.0:
             raise ValidationError(f"delta must be in (0, 1), got {self.delta}")
-        if self.sigma is not None and self.sigma < 0.0:
+        if self.sigma is not None and not self.sigma >= 0.0:
             raise ValidationError(f"sigma must be nonnegative, got {self.sigma}")
         if self.policy not in POLICIES:
             raise ValidationError(
                 f"policy must be one of {', '.join(POLICIES)}, got {self.policy!r}"
             )
-        if self.cost_cap is not None and self.cost_cap <= 0.0:
+        if self.cost_cap is not None and not self.cost_cap > 0.0:
             raise ValidationError(f"cost cap must be positive, got {self.cost_cap}")
 
     @property

@@ -10,6 +10,7 @@ Qubit convention is little-endian: qubit q corresponds to bit q of the basis
 index, and the leftmost character of a Pauli string acts on qubit 0.
 """
 
+import copy
 import json
 import math
 import os
@@ -29,6 +30,9 @@ DENSE_TERM_LIMIT = 12
 
 # Basis indices, masks and rows are int64 throughout, so bit 63 is out of reach.
 MAX_QUBITS = 63
+
+# A normalized decomposition's bounds sum to 1 within this (they are rounded).
+KAPPA_TOL = 1e-9
 
 _PAULI_CHARS = "IXYZ"
 
@@ -55,7 +59,7 @@ class LocalTerm:
 
     @classmethod
     def from_pauli(cls, coeff, string, kappa=None):
-        coeff = float(coeff)
+        coeff = _finite(coeff, "coefficient")
         for ch in string:
             if ch not in _PAULI_CHARS:
                 raise HamiltonianFormatError(
@@ -79,6 +83,8 @@ class LocalTerm:
             raise ValidationError(
                 f"block on {k} qubits must be {2**k}x{2**k}, got {block.shape}"
             )
+        if not np.isfinite(block).all():
+            raise ValidationError(f"block on qubits {qubits} has a non-finite entry")
         herm_gap = np.max(np.abs(block - block.conj().T)) if block.size else 0.0
         if herm_gap > 1e-10:
             raise ValidationError(
@@ -87,10 +93,9 @@ class LocalTerm:
             )
         block = block.copy()
         block.flags.writeable = False
-        if kappa is not None and k <= DENSE_TERM_LIMIT:
-            kappa = _check_kappa_override(kappa, float(np.linalg.norm(block, 2)))
-        elif kappa is not None:
-            kappa = float(kappa)
+        if kappa is not None:
+            norm = float(np.linalg.norm(block, 2)) if k <= DENSE_TERM_LIMIT else None
+            kappa = _check_kappa_override(kappa, norm)
         return cls(qubits, block, None, 1.0, kappa)
 
     @property
@@ -103,9 +108,21 @@ class LocalTerm:
         return f"LocalTerm(block on qubits {self.support})"
 
 
+def _finite(value, what):
+    """value as a finite float, or a ValidationError that names it."""
+    try:
+        value = float(value)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{what} must be a real number, got {value!r}") from None
+    if not math.isfinite(value):
+        raise ValidationError(f"{what} must be finite, got {value}")
+    return value
+
+
 def _check_kappa_override(kappa, norm):
-    kappa = float(kappa)
-    if kappa < norm - 1e-9:
+    """The override as a finite float, checked against norm unless it is None."""
+    kappa = _finite(kappa, "norm bound override")
+    if norm is not None and kappa < norm - 1e-9:
         raise ValidationError(
             f"norm bound override {kappa} is below the term norm {norm}"
         )
@@ -131,27 +148,24 @@ def compute_term_norm(term, dense_limit=DENSE_TERM_LIMIT):
 class SparseTermHandle:
     """Row-query access to one N x N term.
 
-    Subclasses fill in dimension, sparsity (a bound on nonzeros per row) and
-    the two row queries. Handles are immutable and queries are pure.
-    rows_many answers many rows at once: signed permutations read it off
-    their masks, other handles loop over the scalar queries unless they
-    override it with a vectorized version.
+    Subclasses fill in dimension, sparsity (a bound on nonzeros per row), the
+    two row queries and scaled(factor), which returns the same term times a
+    scalar as a handle of its own shape, with the factor folded into its
+    values. Handles are immutable and queries are pure. rows_many answers
+    many rows at once: it loops over the scalar queries unless a subclass
+    overrides it with a vectorized version.
     """
 
     dimension = None
     sparsity = None
 
-    # Set on signed-permutation handles (exactly one nonzero per row with
-    # column = row XOR perm_xmask and value = perm_phase * (-1)^parity(row &
-    # perm_signmask)); rows_many and the chain kernel key off these.
-    perm_xmask = None
-    perm_signmask = None
-    perm_phase = None
-
     def row_nnz(self, i):
         raise NotImplementedError
 
     def row_entry(self, i, ell):
+        raise NotImplementedError
+
+    def scaled(self, factor):
         raise NotImplementedError
 
     def row(self, i):
@@ -165,13 +179,6 @@ class SparseTermHandle:
         Entry e sits in row rows[parent[e]]; entries come row by row, in
         row_entry order, and stored zeros are left out.
         """
-        if self.perm_xmask is not None:
-            rows = np.asarray(rows, dtype=np.int64)
-            if self.perm_phase == 0:
-                rows = rows[:0]
-            signs = 1.0 - 2.0 * _parity(rows & self.perm_signmask)
-            return (np.arange(rows.size, dtype=np.int64), rows ^ self.perm_xmask,
-                    self.perm_phase * signs)
         parent, cols, vals = [], [], []
         for p, i in enumerate(np.asarray(rows, dtype=np.int64).tolist()):
             for col, val in self.row(i):
@@ -191,44 +198,28 @@ def _parity(v):
 
 
 def _scale(vals, factor):
-    # The scalar complex product, spelled out: numpy's vectorized complex
-    # multiply may round differently from the row query's val * factor.
+    """vals times the complex factor as a new array, rounded as Python's val *
+    factor rounds each entry (numpy's vectorized complex multiply may not)."""
     out = np.empty(vals.shape, dtype=complex)
     out.real = vals.real * factor.real - vals.imag * factor.imag
     out.imag = vals.real * factor.imag + vals.imag * factor.real
     return out
 
 
-class PauliTermHandle(SparseTermHandle):
-    """Signed-permutation handle for coeff times a Pauli string."""
+class PermutationHandle(SparseTermHandle):
+    """A signed permutation: at most one nonzero per row.
 
-    def __init__(self, string, coeff, n):
-        if len(string) != n:
-            raise ValidationError(
-                f"Pauli string length {len(string)} does not match n={n}"
-            )
-        self.n = n
-        self.dimension = 2**n
-        self.string = string
-        self.coeff = float(coeff)
-        xmask = zmask = ymask = 0
-        for q, ch in enumerate(string):
-            bit = 1 << q
-            if ch == "X":
-                xmask |= bit
-            elif ch == "Y":
-                xmask |= bit
-                ymask |= bit
-            elif ch == "Z":
-                zmask |= bit
-            elif ch != "I":
-                raise ValidationError(f"unexpected character {ch!r} in Pauli string")
-        ny = bin(ymask).count("1")
-        phase = complex(self.coeff) * (-1j) ** ny
-        self.perm_xmask = xmask
-        self.perm_signmask = zmask | ymask
-        self.perm_phase = phase
+    Row i holds perm_phase * (-1)^parity(i & perm_signmask) at column
+    i XOR perm_xmask; a phase of 0 leaves every row empty. The chain kernel
+    reads the three fields directly.
+    """
+
+    def __init__(self, dimension, xmask, signmask, phase):
+        self.dimension = dimension
         self.sparsity = 1
+        self.perm_xmask = xmask
+        self.perm_signmask = signmask
+        self.perm_phase = complex(phase)
 
     def row_nnz(self, i):
         return 1 if self.perm_phase != 0 else 0
@@ -239,25 +230,41 @@ class PauliTermHandle(SparseTermHandle):
         sign = -1.0 if _parity(i & self.perm_signmask) else 1.0
         return i ^ self.perm_xmask, self.perm_phase * sign
 
+    def rows_many(self, rows):
+        rows = np.asarray(rows, dtype=np.int64)
+        if self.perm_phase == 0:
+            rows = rows[:0]
+        signs = 1.0 - 2.0 * _parity(rows & self.perm_signmask)
+        return (np.arange(rows.size, dtype=np.int64), rows ^ self.perm_xmask,
+                self.perm_phase * signs)
 
-class IdentityHandle(SparseTermHandle):
-    """scale times the identity, as a 1-sparse diagonal handle."""
+    def scaled(self, factor):
+        return PermutationHandle(self.dimension, self.perm_xmask, self.perm_signmask,
+                                 self.perm_phase * complex(factor))
+
+
+class PauliTermHandle(PermutationHandle):
+    """coeff times a Pauli string, as a signed permutation."""
+
+    def __init__(self, string, coeff, n):
+        if len(string) != n:
+            raise ValidationError(
+                f"Pauli string length {len(string)} does not match n={n}"
+            )
+        for ch in string:
+            if ch not in _PAULI_CHARS:
+                raise ValidationError(f"unexpected character {ch!r} in Pauli string")
+        xmask = sum(1 << q for q, ch in enumerate(string) if ch in "XY")
+        signmask = sum(1 << q for q, ch in enumerate(string) if ch in "YZ")
+        phase = complex(float(coeff)) * (-1j) ** string.count("Y")
+        super().__init__(2**n, xmask, signmask, phase)
+
+
+class IdentityHandle(PermutationHandle):
+    """scale times the identity, as a diagonal signed permutation."""
 
     def __init__(self, dimension, scale=1.0):
-        self.dimension = dimension
-        self.scale = complex(scale)
-        self.sparsity = 1
-        self.perm_xmask = 0
-        self.perm_signmask = 0
-        self.perm_phase = self.scale
-
-    def row_nnz(self, i):
-        return 1 if self.scale != 0 else 0
-
-    def row_entry(self, i, ell):
-        if ell != 0 or self.scale == 0:
-            raise IndexError(f"row {i} has no entry {ell}")
-        return i, self.scale
+        super().__init__(dimension, 0, 0, scale)
 
 
 class BlockTermHandle(SparseTermHandle):
@@ -278,7 +285,6 @@ class BlockTermHandle(SparseTermHandle):
         self.n = n
         self.dimension = 2**n
         self.support = support
-        self.block = term.block
         # scatter[b] = bits of the small index b placed at the support qubits
         small = np.arange(2**k, dtype=np.int64)
         scatter = np.zeros(2**k, dtype=np.int64)
@@ -321,34 +327,12 @@ class BlockTermHandle(SparseTermHandle):
         cols = (rows[parent] & ~self._support_mask) | self._col_table[a, pos]
         return parent, cols, self._val_table[a, pos]
 
-
-class ScaledTermHandle(SparseTermHandle):
-    """A handle times a scalar factor."""
-
-    def __init__(self, inner, factor):
-        self.inner = inner
-        self.factor = complex(factor)
-        self.dimension = inner.dimension
-        self.sparsity = inner.sparsity
-        if inner.perm_xmask is not None:
-            self.perm_xmask = inner.perm_xmask
-            self.perm_signmask = inner.perm_signmask
-            self.perm_phase = inner.perm_phase * self.factor
-
-    def row_nnz(self, i):
-        return self.inner.row_nnz(i)
-
-    def row_entry(self, i, ell):
-        col, val = self.inner.row_entry(i, ell)
-        return col, val * self.factor
-
-    def rows_many(self, rows):
-        parent, cols, vals = self.inner.rows_many(rows)
-        vals = _scale(vals, self.factor)
-        keep = vals != 0
-        if keep.all():
-            return parent, cols, vals
-        return parent[keep], cols[keep], vals[keep]
+    def scaled(self, factor):
+        # Same pattern, scaled values; an entry that scales to 0 stays in the
+        # pattern, and rows_many leaves it out as a stored zero.
+        out = copy.copy(self)
+        out._val_table = _scale(self._val_table, complex(factor))
+        return out
 
 
 class ExplicitSparseHandle(SparseTermHandle):
@@ -372,6 +356,12 @@ class ExplicitSparseHandle(SparseTermHandle):
         if ell >= len(cols):
             raise IndexError(f"row {i} has no entry {ell}")
         return int(cols[ell]), complex(vals[ell])
+
+    def scaled(self, factor):
+        factor = complex(factor)
+        return ExplicitSparseHandle(
+            [(cols, _scale(vals, factor)) for cols, vals in self._rows], self.dimension
+        )
 
 
 def term_to_sparse(term, n):
@@ -444,8 +434,9 @@ def build_decomposition(n, local_terms, dense_limit=DENSE_TERM_LIMIT):
 def shift_rescale(decomp):
     """Decomposition of (I + A/kappa)/2, whose spectrum lies in [0, 1].
 
-    Keeps each original term scaled by 1/(2 kappa) and adds the identity as
-    its own 1-sparse term with bound 1/2; the new bounds sum to 1.
+    Puts the identity first, as its own 1-sparse term with scale and bound
+    1/2, then each original term scaled by 1/(2 kappa) (h.scaled, so each
+    keeps its own shape) with its bound scaled alike; the bounds sum to 1.
     """
     if decomp.kappa <= 0:
         raise ZeroKappaError("shift/rescale requires kappa > 0")
@@ -453,36 +444,35 @@ def shift_rescale(decomp):
     terms = [IdentityHandle(decomp.dimension, 0.5)]
     bounds = [0.5]
     for handle, ki in zip(decomp.terms, decomp.kappa_i):
-        terms.append(ScaledTermHandle(handle, half))
+        terms.append(handle.scaled(half))
         bounds.append(ki * half)
     return Decomposition(terms, bounds)
 
 
 def shifted_operator(decomp_prime, c):
-    """Decomposition of (c I - y)/(1 + c), with y = 2A' - I = A/kappa.
+    """Decomposition of (c I - y)/(1 + c) = c/(1 + c) I - (2/(1 + c))(A' - I/2).
 
-    Built from shift_rescale's decomposition of A' = I/2 + sum_i f_i H_i, so
-    y = sum_i 2 f_i H_i. The identity gets scale and bound c/(1 + c), and
-    term i gets factor -2 f_i/(1 + c) and bound 2 b_i/(1 + c); the bounds
-    b_i of A' sum to 1/2, so the new bounds still sum to 1. c must lie in
-    [0, 1], and c = 1 gives I - A' with the terms and bounds of A' bit for
-    bit (only the signs flip). Any other shape is refused.
+    Built from shift_rescale's decomposition of A' (y = 2A' - I = A/kappa):
+    the head identity gets scale and bound c/(1 + c), and every other term
+    is scaled by -2/(1 + c), its bound b_i becoming 2 b_i/(1 + c); those b_i
+    sum to 1/2, so the new bounds sum to 1. c must lie in [0, 1]. At c = 0
+    and c = 1 the factor is -2 or -1, so the terms are those of A' times it
+    bit for bit. Any other shape is refused.
     """
     terms, bounds = decomp_prime.terms, decomp_prime.kappa_i
     head = terms[0] if terms else None
-    if (not isinstance(head, IdentityHandle) or head.scale != 0.5
-            or bounds[0] != 0.5
-            or not all(isinstance(h, ScaledTermHandle) for h in terms[1:])):
+    if (not isinstance(head, IdentityHandle) or head.perm_phase != 0.5
+            or bounds[0] != 0.5 or abs(decomp_prime.kappa - 1.0) > KAPPA_TOL):
         raise ValidationError(
             "shifted_operator needs shift_rescale's decomposition: the "
-            "identity with bound 1/2 first, then scaled terms"
+            "identity with scale and bound 1/2 first, and bounds summing to 1"
         )
     c = float(c)
     if not 0.0 <= c <= 1.0:
         raise ValidationError(f"shift c must be in [0, 1], got {c}")
     scale = 1.0 + c
     head = IdentityHandle(decomp_prime.dimension, c / scale)
-    flipped = [ScaledTermHandle(h.inner, -2.0 * h.factor / scale) for h in terms[1:]]
+    flipped = [h.scaled(-2.0 / scale) for h in terms[1:]]
     scaled = [c / scale] + [2.0 * b / scale for b in bounds[1:]]
     return Decomposition([head] + flipped, scaled)
 
@@ -641,8 +631,9 @@ def _load_json(text):
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise HamiltonianFormatError(f"invalid JSON: {exc}") from None
-    if not isinstance(data, dict) or "n" not in data or "terms" not in data:
-        raise HamiltonianFormatError("JSON Hamiltonian needs 'n' and 'terms'")
+    if not isinstance(data, dict) or "n" not in data or not isinstance(
+            data.get("terms"), list):
+        raise HamiltonianFormatError("JSON Hamiltonian needs 'n' and a list of 'terms'")
     n = data["n"]
     if not isinstance(n, int) or n < 1:
         raise HamiltonianFormatError(f"'n' must be a positive integer, got {n!r}")
@@ -662,22 +653,20 @@ def _load_json(text):
                     LocalTerm.from_pauli(entry.get("coeff", 1.0), string, kappa)
                 )
             elif "block" in entry:
+                qubits = entry.get("qubits", [])
+                if not all(isinstance(q, int) and 0 <= q < n
+                           for q in _json_list(qubits, idx)):
+                    raise HamiltonianFormatError(
+                        f"term {idx}: qubits {qubits} must be integers in [0, {n})"
+                    )
                 block = _json_block(entry["block"], idx)
-                terms.append(
-                    LocalTerm.from_block(entry.get("qubits", []), block, kappa)
-                )
+                terms.append(LocalTerm.from_block(qubits, block, kappa))
             else:
                 raise HamiltonianFormatError(
                     f"term {idx} needs either 'pauli' or 'qubits'+'block'"
                 )
         except ValidationError as exc:
             raise HamiltonianFormatError(f"term {idx}: {exc}") from None
-        if terms[-1].is_pauli is False and any(
-            q >= n for q in terms[-1].support
-        ):
-            raise HamiltonianFormatError(
-                f"term {idx}: qubits {terms[-1].support} outside [0, {n})"
-            )
     return n, terms
 
 
@@ -685,10 +674,20 @@ def _json_block(rows, idx):
     def scalar(entry):
         if isinstance(entry, (int, float)):
             return complex(entry)
-        if isinstance(entry, list) and len(entry) == 2:
+        if (isinstance(entry, list) and len(entry) == 2
+                and all(isinstance(part, (int, float)) for part in entry)):
             return complex(entry[0], entry[1])
         raise HamiltonianFormatError(
             f"term {idx}: block entries must be numbers or [re, im] pairs"
         )
 
+    rows = _json_list(rows, idx)
+    if any(len(_json_list(row, idx)) != len(rows) for row in rows):
+        raise HamiltonianFormatError(f"term {idx}: block must be square")
     return [[scalar(entry) for entry in row] for row in rows]
+
+
+def _json_list(value, idx):
+    if not isinstance(value, list):
+        raise HamiltonianFormatError(f"term {idx}: expected a list, got {value!r}")
+    return value

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import instrument
 from .errors import ValidationError
-from .hamiltonian import _parity
+from .hamiltonian import PermutationHandle, _parity
 
 # Largest frontier (in entries) that one expansion may build, unless a
 # single entry has more successors than this.
@@ -62,10 +62,12 @@ class ChainKernel:
 
     def __init__(self, terms):
         self.terms = list(terms)
-        self.perm = np.array([bool(h.perm_phase) for h in self.terms], dtype=bool)
-        self.xmask = np.array([h.perm_xmask or 0 for h in self.terms], dtype=np.int64)
-        self.signmask = np.array([h.perm_signmask or 0 for h in self.terms], dtype=np.int64)
-        self.phase = np.array([h.perm_phase or 0 for h in self.terms], dtype=complex)
+        perms = [h if isinstance(h, PermutationHandle) and h.perm_phase else None
+                 for h in self.terms]
+        self.perm = np.array([h is not None for h in perms], dtype=bool)
+        self.xmask = np.array([h.perm_xmask if h else 0 for h in perms], dtype=np.int64)
+        self.signmask = np.array([h.perm_signmask if h else 0 for h in perms], dtype=np.int64)
+        self.phase = np.array([h.perm_phase if h else 0 for h in perms], dtype=complex)
         self.width = np.array([1 if p else h.sparsity for h, p in zip(self.terms, self.perm)],
                               dtype=np.int64)
         self.max_width = int(self.width.max(initial=1))

@@ -27,12 +27,12 @@ import numpy as np
 
 from . import instrument
 from .errors import CostCapExceeded, UndefinedRatioError, ValidationError
+from .hamiltonian import KAPPA_TOL
 # chain_entry stays a module attribute, so instrumentation can patch it.
 from .imm import ChainKernel, chain_entry  # noqa: F401
 from .polyfilter import coefficient_l1
 from .state_access import median_amplify, median_reps, samples_per_batch
 
-_KAPPA_TOL = 1e-9
 
 POLICIES = ("strict", "tight", "oracle-exact")
 
@@ -46,7 +46,7 @@ class ChainSampler:
     """
 
     def __init__(self, decomp, r):
-        if abs(decomp.kappa - 1.0) > _KAPPA_TOL:
+        if abs(decomp.kappa - 1.0) > KAPPA_TOL:
             raise ValidationError(
                 f"chain sampling needs a normalized decomposition "
                 f"(kappa = {decomp.kappa!r})"

@@ -13,7 +13,6 @@ from eigensampler.hamiltonian import (
     ExplicitSparseHandle,
     IdentityHandle,
     PauliTermHandle,
-    ScaledTermHandle,
 )
 from eigensampler.imm import ChainKernel
 from eigensampler.oracle import dense_term
@@ -44,7 +43,7 @@ def make_handle(kind, rng, n):
         return BlockTermHandle(LocalTerm.from_block(qubits, block), n)
     if kind == "scaled":
         inner = make_handle(str(rng.choice(CLASSES[:3] + CLASSES[4:])), rng, n)
-        return ScaledTermHandle(inner, maybe_zero(rng, complex(*rng.uniform(-1, 1, 2))))
+        return inner.scaled(maybe_zero(rng, complex(*rng.uniform(-1, 1, 2))))
     rows = []
     for _ in range(dim):
         nnz = int(rng.integers(0, min(3, dim) + 1))

@@ -246,6 +246,16 @@ class TestEstimate:
         assert code == 1
         assert "error" in edoc
 
+    def test_json_terms_that_are_not_a_list_exit_one(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"n": 1, "terms": 5}')
+        code, _, edoc = run_json(
+            capsys, "estimate", "--hamiltonian", str(bad), "--state", "basis:0",
+            "--json",
+        )
+        assert code == 1
+        assert edoc["error"]["type"] == "HamiltonianFormatError"
+
     def test_state_dimension_mismatch(self, capsys, pair_file):
         code, _, edoc = run_json(
             capsys, "estimate", "--hamiltonian", pair_file, "--state", "basis:7",
@@ -309,6 +319,56 @@ class TestEstimate:
             "--policy", "wat", "--json",
         )
         assert code == 1
+
+    @pytest.mark.parametrize("term", [
+        '{"pauli": "Z", "coeff": NaN}',
+        '{"pauli": "Z", "coeff": -Infinity}',
+        '{"pauli": "Z", "coeff": "one"}',
+        '{"pauli": "Z", "coeff": 1.0, "kappa": Infinity}',
+        '{"qubits": [0], "block": [[1, 0], [0, NaN]]}',
+        '{"qubits": [0], "block": [[1, ["0", "1"]], [0, 1]]}',
+        '{"qubits": [0], "block": [[1, 0], [0]]}',
+        '{"qubits": [0], "block": 5}',
+        '{"qubits": "0", "block": [[1, 0], [0, 1]]}',
+        '{"qubits": [0.5], "block": [[1, 0], [0, 1]]}',
+        '{"qubits": [1], "block": [[1, 0], [0, 1]]}',
+    ])
+    def test_malformed_json_term_exits_one(self, capsys, tmp_path, term):
+        path = tmp_path / "h.json"
+        path.write_text('{"n": 1, "terms": [' + term + "]}")
+        code, out, err = run(
+            capsys, "estimate", "--hamiltonian", str(path), "--state", "basis:0",
+            "--policy", "oracle-exact", "--json",
+        )
+        assert code == 1
+        assert out == ""
+        assert "Traceback" not in err
+        error = json.loads(err)["error"]
+        assert error["type"] == "HamiltonianFormatError"
+        assert error["message"].startswith("term 0: ")
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--cost-cap", "nan"), ("--cost-cap", "-inf"), ("--cost-cap", "0"),
+        ("--sigma", "nan"),
+    ])
+    def test_cap_or_sigma_out_of_range_exits_one(self, capsys, z_file, flag, value):
+        code, doc, edoc = run_json(
+            capsys, "estimate", "--hamiltonian", z_file, "--state", "basis:1",
+            "--policy", "oracle-exact", "--epsilon", "0.5", f"{flag}={value}",
+            "--json",
+        )
+        assert code == 1
+        assert doc is None
+        assert edoc["error"]["type"] == "ValidationError"
+
+    def test_infinite_cost_cap_turns_the_cap_off(self, capsys, z_file):
+        code, doc, _ = run_json(
+            capsys, "estimate", "--hamiltonian", z_file, "--state", "basis:1",
+            "--policy", "oracle-exact", "--epsilon", "0.5", "--cost-cap=inf",
+            "--json",
+        )
+        assert code == 0
+        assert doc["config"]["cost_cap"] is None
 
 
 class TestDecide:

@@ -31,7 +31,7 @@ from eigensampler import test_threshold as threshold_test
 from eigensampler.eigensolve import _test_polynomial, doubled_terms, shifted_test
 from eigensampler.hamiltonian import shifted_operator
 from eigensampler.rng import spawn_streams
-from eigensampler.oracle import ground_vector
+from eigensampler.oracle import dense_term, ground_vector
 
 from helpers import (
     hamiltonian_matrix,
@@ -571,6 +571,13 @@ class TestLowPass:
                 else:
                     want = (c * np.eye(2**n) - y) / (1 + c)
                 assert np.max(np.abs(reconstruct(op).matrix - want)) <= 1e-12
+                if c in (0.0, 1.0):
+                    # -2/(1 + c) is -2 or -1, so every term is exactly the
+                    # term of A' times it
+                    for mine, theirs in zip(op.terms[1:], prime.terms[1:]):
+                        assert np.array_equal(dense_term(mine),
+                                              -2.0 / (1 + c) * dense_term(theirs))
+                    assert op.kappa_i[1:] == [2.0 * b / (1 + c) for b in prime.kappa_i[1:]]
             assert shifted_operator(prime, 0.0).kappa_i[0] == 0.0
 
     def test_decomposition_refuses_other_shapes(self):

@@ -18,7 +18,8 @@ from eigensampler.hamiltonian import (
     HamiltonianFormatError,
     IdentityHandle,
     PauliTermHandle,
-    ScaledTermHandle,
+    PermutationHandle,
+    _scale,
 )
 
 from helpers import PAULI, hamiltonian_matrix, pauli_matrix, random_block_term
@@ -101,16 +102,15 @@ class TestBlockHandle:
             term_to_sparse(term, 2)
 
 
-def test_rows_many_matches_row_queries():
-    """Vectorized rows equal the scalar queries, in order, without zeros."""
-    rng = np.random.default_rng(31)
+def one_handle_of_each_shape(rng):
+    """Handles of every class on 3 qubits, zero phases and stored zeros included."""
     n = 3
     block = np.diag([1.0, 0.0, 2.0, -1.0]).astype(complex)
     block[0, 3] = block[3, 0] = -0.5
     explicit = ExplicitSparseHandle(
         [([1, 5], [1.0, 0.0]), ([], []), ([7, 0, 2], [2j, -1.0, 0.5])] + [([3], [1.0])] * 5
     )
-    base = [
+    return [
         PauliTermHandle("XYZ", -0.7, n),
         PauliTermHandle("ZIY", 0.0, n),
         IdentityHandle(2**n, 0.25j),
@@ -119,7 +119,14 @@ def test_rows_many_matches_row_queries():
         BlockTermHandle(LocalTerm.from_block((2, 0), block), n),
         explicit,
     ]
-    handles = base + [ScaledTermHandle(h, f) for h in base for f in (0.3 - 1.2j, 0.0)]
+
+
+def test_rows_many_matches_row_queries():
+    """Vectorized rows equal the scalar queries, in order, without zeros."""
+    rng = np.random.default_rng(31)
+    n = 3
+    base = one_handle_of_each_shape(rng)
+    handles = base + [h.scaled(f) for h in base for f in (0.3 - 1.2j, 0.0)]
     rows = rng.integers(0, 2**n, size=40)
     for h in handles:
         want = [(p, col, val) for p, i in enumerate(rows.tolist())
@@ -127,6 +134,28 @@ def test_rows_many_matches_row_queries():
         parent, cols, vals = h.rows_many(rows)
         got = list(zip(parent.tolist(), cols.tolist(), vals.tolist()))
         assert got == want, h
+
+
+@pytest.mark.parametrize("factor", [0.3 - 1.2j, 0.0, 1.0])
+def test_scaled_rows_are_the_rows_times_the_factor(factor):
+    """h.scaled(f) answers h's rows with every value passed through _scale,
+    entries that scale to zero left out, and the same class of handle."""
+    rng = np.random.default_rng(32)
+    rows = rng.integers(0, 8, size=40)
+    for h in one_handle_of_each_shape(rng):
+        scaled = h.scaled(factor)
+        parent, cols, vals = h.rows_many(rows)
+        vals = _scale(vals, complex(factor))
+        keep = vals != 0
+        got = scaled.rows_many(rows)
+        for have, want in zip(got, (parent[keep], cols[keep], vals[keep])):
+            assert have.dtype == want.dtype
+            assert np.array_equal(have, want), h
+        assert scaled is not h
+        assert scaled.dimension == h.dimension
+        assert scaled.sparsity == h.sparsity
+        shape = PermutationHandle if isinstance(h, PermutationHandle) else type(h)
+        assert type(scaled) is shape
 
 
 def test_compute_term_norm_matches_numpy():

@@ -28,7 +28,6 @@ from eigensampler.hamiltonian import (
     BlockTermHandle,
     IdentityHandle,
     PauliTermHandle,
-    ScaledTermHandle,
 )
 from eigensampler.oracle import (
     ChebyshevMoments,
@@ -133,7 +132,7 @@ class TestDenseTerm:
         explicit, _ = random_sparse_handle(rng, 2**n, min(3, 2**n))
         base = [pauli, identity, block, explicit]
         factor = complex(rng.normal(), rng.normal())
-        return base + [ScaledTermHandle(h, factor) for h in base]
+        return base + [h.scaled(factor) for h in base]
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_every_handle_class_matches_row_queries(self, n):

@@ -513,10 +513,39 @@ class TestStratifiedEstimator:
         assert c.chain_samples == 0
 
 
-def test_chain_entry_stays_patchable_by_name():
-    from eigensampler import imm, transform
+# Every attribute that bench/measure.py replaces by name while it traces, as
+# (owner, attribute, where it is defined). A traced run reaches the solver
+# only while each name stays bound to the object its callers use; a rename
+# would break nothing but `bench/run.py --trace 1`.
+BENCH_PATCHES = [
+    ("eigensolve", "build_decomposition", "hamiltonian"),
+    ("eigensolve", "shift_rescale", "hamiltonian"),
+    ("eigensolve", "make_state", "state_access"),
+    ("eigensolve", "build_rectangle_polynomial", "polyfilter"),
+    ("eigensolve", "exact_sandwich", "oracle"),
+    ("oracle", "reconstruct", "oracle"),
+    ("transform", "estimate_power", "transform"),
+    ("transform", "chain_entry", "imm"),
+] + [
+    # guide states are patched per instance, for each class a workload uses
+    (f"state_access.{cls}", attr, f"state_access.{cls}")
+    for cls in ("DenseState", "MaxEntState", "ProductState")
+    for attr in ("sample_many", "query", "query_many")
+]
 
-    assert transform.chain_entry is imm.chain_entry
+
+def _eigensampler_object(path):
+    module, _, name = path.partition(".")
+    owner = importlib.import_module(f"eigensampler.{module}")
+    return getattr(owner, name) if name else owner
+
+
+@pytest.mark.parametrize("owner, attr, home", BENCH_PATCHES,
+                         ids=[f"{owner}.{attr}" for owner, attr, _ in BENCH_PATCHES])
+def test_bench_patch_target_stays_patchable_by_name(owner, attr, home):
+    target = getattr(_eigensampler_object(owner), attr)
+    assert callable(target)
+    assert target is getattr(_eigensampler_object(home), attr)
 
 
 def test_only_the_polynomial_transform_takes_counters():
