@@ -41,7 +41,7 @@ from .state_access import (
     make_state,
     median_amplify,
 )
-from .imm import MatrixChain, chain_entry
+from .imm import chain_entry
 from .polyfilter import (
     RectanglePolynomial,
     build_rectangle_polynomial,
@@ -53,7 +53,6 @@ from .transform import (
     estimate_polynomial_transform,
     estimate_power,
     predict_cost,
-    sample_chain,
 )
 from .eigensolve import (
     DecisionOutcome,
@@ -94,7 +93,6 @@ __all__ = [
     "GapError",
     "HamiltonianFormatError",
     "LocalTerm",
-    "MatrixChain",
     "MaxEntState",
     "ProductState",
     "RectanglePolynomial",
@@ -126,7 +124,6 @@ __all__ = [
     "predict_cost",
     "reconstruct",
     "recording",
-    "sample_chain",
     "shift_rescale",
     "solve_guided",
     "solve_unguided",

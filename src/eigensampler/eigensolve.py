@@ -91,6 +91,8 @@ class SolverConfig:
             )
         if self.cost_cap is not None and not self.cost_cap > 0.0:
             raise ValidationError(f"cost cap must be positive, got {self.cost_cap}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be nonnegative, got {self.seed}")
 
     @property
     def interval_count(self):
@@ -564,6 +566,8 @@ def decide(H, psi, a, b, cfg):
     """
     a = float(a)
     b = float(b)
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise GapError(f"thresholds must be finite, got a = {a!r}, b = {b!r}")
     if b - a <= cfg.epsilon:
         raise GapError(
             f"gap b - a = {b - a!r} must exceed epsilon = {cfg.epsilon}"

@@ -129,18 +129,18 @@ def _check_kappa_override(kappa, norm):
     return kappa
 
 
-def compute_term_norm(term, dense_limit=DENSE_TERM_LIMIT):
+def compute_term_norm(term):
     """Spectral norm of a single term.
 
     |coefficient| for a Pauli term; the largest singular value of the dense
-    block otherwise. Blocks beyond `dense_limit` qubits are refused.
+    block otherwise. Blocks beyond DENSE_TERM_LIMIT qubits are refused.
     """
     if term.is_pauli:
         return abs(term.coeff)
     k = len(term.support)
-    if k > dense_limit:
+    if k > DENSE_TERM_LIMIT:
         raise DenseLimitError(
-            f"term acts on {k} qubits; dense norm limited to {dense_limit}"
+            f"term acts on {k} qubits; dense norm limited to {DENSE_TERM_LIMIT}"
         )
     return float(np.linalg.norm(term.block, 2))
 
@@ -405,7 +405,7 @@ class Decomposition:
         )
 
 
-def build_decomposition(n, local_terms, dense_limit=DENSE_TERM_LIMIT):
+def build_decomposition(n, local_terms):
     """Embed local terms on n qubits into a Decomposition.
 
     Norm bounds are the exact per-term spectral norms unless a term carries an
@@ -427,7 +427,7 @@ def build_decomposition(n, local_terms, dense_limit=DENSE_TERM_LIMIT):
         if term.kappa_override is not None:
             bounds.append(term.kappa_override)
         else:
-            bounds.append(compute_term_norm(term, dense_limit))
+            bounds.append(compute_term_norm(term))
     return Decomposition(handles, bounds)
 
 

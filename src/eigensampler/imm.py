@@ -1,5 +1,8 @@
 """Batched frontier evaluation of sparse matrix chain products.
 
+A chain has two forms. On the sampled path it is a row of term indices into
+a fixed list of handles, column 0 applied first; chain_entry takes a plain
+list of handles, applied first to last, and evaluates it as one such row.
 ChainKernel computes entries of B_r ... B_1 |phi> for many (chain, row)
 samples at once. It expands a frontier of (sample, row, weight) arrays one
 factor at a time, top factor first: signed permutations through their masks,
@@ -22,46 +25,21 @@ from .hamiltonian import PermutationHandle, _parity
 FRONTIER_LIMIT = 1 << 16
 
 
-class MatrixChain:
-    """An ordered list [B_1, ..., B_r] of row-sparse handles.
-
-    B_1 is applied to the vector first. norm_bounds holds one spectral-norm
-    upper bound per matrix (defaults to 1 each); the empty chain is the
-    identity.
-    """
-
-    def __init__(self, matrices, norm_bounds=None):
-        self.matrices = list(matrices)
-        if norm_bounds is None:
-            norm_bounds = [1.0] * len(self.matrices)
-        self.norm_bounds = [float(b) for b in norm_bounds]
-        if len(self.norm_bounds) != len(self.matrices):
-            raise ValidationError("one norm bound per chain matrix required")
-        dims = {m.dimension for m in self.matrices}
-        if len(dims) > 1:
-            raise ValidationError(f"chain matrices disagree on dimension: {sorted(dims)}")
-        self.dimension = dims.pop() if dims else None
-
-    @property
-    def r(self):
-        return len(self.matrices)
-
-    @property
-    def s(self):
-        return max((m.sparsity for m in self.matrices), default=0)
-
-
 class ChainKernel:
     """The frontier kernel over a fixed list of terms.
 
     The per-term tables are built once, here. A permutation of phase 0 has no
     entries; it counts as a general term, whose row queries return none.
     width bounds the successors of one entry. values() keeps its running
-    state per call, so worker threads may share one kernel.
+    state per call, so worker threads may share one kernel. Terms of
+    different dimensions are refused.
     """
 
     def __init__(self, terms):
         self.terms = list(terms)
+        dims = {h.dimension for h in self.terms}
+        if len(dims) > 1:
+            raise ValidationError(f"chain matrices disagree on dimension: {sorted(dims)}")
         perms = [h if isinstance(h, PermutationHandle) and h.perm_phase else None
                  for h in self.terms]
         self.perm = np.array([h is not None for h in perms], dtype=bool)
@@ -154,9 +132,11 @@ class _Call:
 def chain_entry(ell, chain, phi):
     """Exact <ell| B_r ... B_1 |phi>, one sample of the frontier kernel.
 
-    Touches phi only at the leaves, at most prod(row nnz) <= s^r of them, and
-    holds at most r + 1 frontiers of bounded size.
+    chain lists the handles [B_1, ..., B_r], B_1 applied to phi first; the
+    empty chain is the identity. Touches phi only at the leaves, at most
+    prod(row nnz) <= s^r of them, and holds at most r + 1 frontiers of
+    bounded size.
     """
-    mats = chain.matrices if isinstance(chain, MatrixChain) else list(chain)
+    mats = list(chain)
     picks = np.arange(len(mats), dtype=np.int64)[None, :]
     return complex(ChainKernel(mats).values(picks, [ell], phi)[0])

@@ -11,14 +11,14 @@ on demand by sparse matrix-vector products, ceil(d/2) of them for moments up
 to degree d, so a whole scan costs ceil(max_t d_t / 2) products. The dense
 matrix and the eigendecomposition are built on first use, for the spectral
 queries (ground energy, ground vector, overlap, polynomial_matrix), and
-cached.
+cached. The oracle sees operators and vectors only: it takes no chains and
+imports nothing from the sampled layers (imm, transform).
 """
 
 import numpy as np
 
 from .errors import DenseLimitError, ValidationError
 from .hamiltonian import Decomposition
-from .imm import MatrixChain
 from .state_access import VectorAccessor
 
 # n <= 12 qubits: the O(N^3) eigendecomposition stays in the seconds range.
@@ -131,19 +131,14 @@ def _sum_csr(handles, n):
     return sparse.csr_matrix((data[stored], cols, indptr), shape=(n, n))
 
 
-def sparse_term(handle):
-    """CSR matrix of one row-query handle."""
+def dense_term(handle):
+    """Dense matrix of one row-query handle."""
     n = handle.dimension
     if n > DENSE_DIMENSION_LIMIT:
         raise DenseLimitError(
             f"term dimension {n} exceeds {DENSE_DIMENSION_LIMIT}"
         )
-    return _sum_csr([handle], n)
-
-
-def dense_term(handle):
-    """Dense matrix of one row-query handle."""
-    return sparse_term(handle).toarray()
+    return _sum_csr([handle], n).toarray()
 
 
 def reconstruct(decomp):
@@ -292,39 +287,18 @@ def polynomial_matrix(op, P):
 def exact_sandwich(psi, op, phi, power=None, polynomial=None):
     """Exact <psi| f(op) |phi> by sparse matrix-vector products.
 
-    op may be a MatrixChain (or plain list of handles), a Decomposition, a
-    DenseOperator, a raw matrix, or a ChebyshevMoments sequence built on psi
-    and phi. The operator is applied to phi: r products for power=r (r = 1
-    when neither keyword is given), and for polynomial=P the moments of a
-    ChebyshevMoments sequence, summed against P.cheb, the Chebyshev form
-    P.eval_stable evaluates. Given a sequence, only polynomial=P applies,
-    and the moments it already holds are reused, so a scan that passes one
-    sequence to every test pays for the highest degree only. Nothing is
-    diagonalized. A chain is applied factor by factor and accepts neither
-    keyword.
+    op may be a Decomposition, a DenseOperator, a raw matrix, or a
+    ChebyshevMoments sequence built on psi and phi; it is never a chain,
+    which imm.chain_entry evaluates. The operator is applied to phi: r
+    products for power=r (r = 1 when neither keyword is given), and for
+    polynomial=P the moments of a ChebyshevMoments sequence, summed against
+    P.cheb, the Chebyshev form P.eval_stable evaluates. Given a sequence,
+    only polynomial=P applies, and the moments it already holds are reused,
+    so a scan that passes one sequence to every test pays for the highest
+    degree only. Nothing is diagonalized.
     """
     if power is not None and polynomial is not None:
         raise ValidationError("pass at most one of power and polynomial")
-    if isinstance(op, MatrixChain) or isinstance(op, (list, tuple)):
-        if power is not None or polynomial is not None:
-            raise ValidationError(
-                "power/polynomial do not apply to a matrix chain"
-            )
-        handles = op.matrices if isinstance(op, MatrixChain) else list(op)
-        dims = {h.dimension for h in handles}
-        if len(dims) > 1:
-            raise ValidationError(
-                f"chain matrices disagree on dimension: {sorted(dims)}"
-            )
-        dimension = dims.pop() if dims else None
-        if dimension is None:
-            dimension = np.asarray(phi).shape[0] if isinstance(phi, np.ndarray) \
-                else phi.dimension
-        left = _as_dense_vector(psi, dimension)
-        value = _as_dense_vector(phi, dimension)
-        for handle in handles:
-            value = sparse_term(handle) @ value
-        return complex(np.vdot(left, value))
     if isinstance(op, ChebyshevMoments):
         if polynomial is None:
             raise ValidationError("a moment sequence takes polynomial=P only")

@@ -124,26 +124,17 @@ def _rectangle_target(tau, theta, xi_eff):
     return f
 
 
-def _certify(values, targets, grid, tau, theta, xi_eff):
-    """Check the band constraints for corrected values on a grid.
+def _certify(values, grid, tau, theta, xi_eff):
+    """Whether corrected values on a grid meet the band constraints.
 
-    values must already include the affine correction. Returns (ok, report).
+    values must already include the affine correction.
     """
-    low = (grid >= 0.0) & (grid <= tau)
-    high = grid >= (tau + theta)
-    report = {
-        "max_abs": float(np.max(np.abs(values))),
-        "min_val": float(np.min(values)),
-        "low_min": float(np.min(values[low])) if np.any(low) else None,
-        "high_max": float(np.max(values[high])) if np.any(high) else None,
-        "max_target_gap": float(np.max(np.abs(values - targets))),
-    }
-    ok = report["max_abs"] <= 1.0 + 1e-12 and report["min_val"] >= -1e-12
-    if report["low_min"] is not None:
-        ok = ok and report["low_min"] >= 1.0 - xi_eff
-    if report["high_max"] is not None:
-        ok = ok and report["high_max"] <= xi_eff
-    return ok, report
+    if not (np.max(np.abs(values)) <= 1.0 + 1e-12 and np.min(values) >= -1e-12):
+        return False
+    low = values[(grid >= 0.0) & (grid <= tau)]
+    high = values[grid >= (tau + theta)]
+    return ((low.size == 0 or np.min(low) >= 1.0 - xi_eff)
+            and (high.size == 0 or np.max(high) <= xi_eff))
 
 
 def _corrected(cheb_coeffs, raw_values, gap):
@@ -177,13 +168,11 @@ def _even_chebyshev_interpolant(f, degree):
 
 
 @functools.lru_cache(maxsize=256)
-def build_rectangle_polynomial(tau, theta, xi,
-                               degree_cap=DEGREE_CAP,
-                               grid_points=VERIFY_GRID):
+def build_rectangle_polynomial(tau, theta, xi):
     """Smallest even-degree verified rectangle filter for (tau, theta, xi).
 
     Certifies on the symmetric grid {i / h : |i| <= h} with
-    h = (grid_points - 1) / 2. The target and every candidate are even, so
+    h = (VERIFY_GRID - 1) / 2. The target and every candidate are even, so
     only the h + 1 points x >= 0 are evaluated, as the series in
     y = 2x^2 - 1 with coefficients cheb[::2] (T_2j(x) = T_j(y)); the bands
     lie in [0, 1] and max|P|, min P on [-1, 0) equal those on [0, 1].
@@ -193,7 +182,7 @@ def build_rectangle_polynomial(tau, theta, xi,
     is minimal. A candidate's coarse values are one product with a Chebyshev
     Vandermonde matrix in y built once per call. Raises ValidationError for
     bad arguments and DegreeOverflowError when nothing passes up to
-    degree_cap.
+    DEGREE_CAP.
     """
     tau = float(tau)
     theta = float(theta)
@@ -202,15 +191,9 @@ def build_rectangle_polynomial(tau, theta, xi,
         raise ValidationError(f"xi must be in (0, 1], got {xi}")
     if not 0.0 <= tau < 1.0:
         raise ValidationError(f"tau must be in [0, 1), got {tau}")
-    if theta <= 0.0 or tau + theta > 1.0 + 1e-12:
+    if not theta > 0.0 or tau + theta > 1.0 + 1e-12:
         raise ValidationError(
             f"theta must be in (0, 1 - tau], got theta={theta} with tau={tau}"
-        )
-    if degree_cap < 0:
-        raise ValidationError(f"degree_cap must be >= 0, got {degree_cap}")
-    if grid_points < _COARSE_GRID or grid_points % 2 == 0:
-        raise ValidationError(
-            f"grid_points must be odd and >= {_COARSE_GRID}, got {grid_points}"
         )
     xi_eff = xi - XI_MARGIN
     if xi_eff <= 0.0:
@@ -219,47 +202,45 @@ def build_rectangle_polynomial(tau, theta, xi,
         # erfinv(1) is inf: the target would be a step, and no candidate can
         # certify bands that float arithmetic cannot tell from 0 and 1.
         raise DegreeOverflowError(
-            f"no degree <= {degree_cap} certifies the bands for "
+            f"no degree <= {DEGREE_CAP} certifies the bands for "
             f"tau={tau}, theta={theta}, xi={xi}: xi is below float resolution",
-            degree_cap=degree_cap,
+            degree_cap=DEGREE_CAP,
             best_error=np.inf,
         )
     f = _rectangle_target(tau, theta, xi_eff)
 
-    half = (grid_points - 1) // 2
+    half = (VERIFY_GRID - 1) // 2
     grid = np.arange(half + 1) / half
     y = 2.0 * grid * grid - 1.0
     targets = f(grid)
-    # The coarse grid hits every ((grid_points-1)//(coarse-1))-th fine point,
+    # The coarse grid hits every ((VERIFY_GRID-1)//(coarse-1))-th fine point,
     # so a coarse failure implies a fine failure and minimality is exact.
-    stride = (grid_points - 1) // (_COARSE_GRID - 1)
+    stride = (VERIFY_GRID - 1) // (_COARSE_GRID - 1)
     coarse = grid[::stride]
     coarse_targets = targets[::stride]
-    coarse_basis = _cheb.chebvander(y[::stride], degree_cap // 2)
+    coarse_basis = _cheb.chebvander(y[::stride], DEGREE_CAP // 2)
 
     best_error = np.inf
-    for degree in range(0, degree_cap + 1, 2):
+    for degree in range(0, DEGREE_CAP + 1, 2):
         cheb_coeffs = _even_chebyshev_interpolant(f, degree)
         even = cheb_coeffs[::2]
         raw_coarse = coarse_basis[:, :len(even)] @ even
         gap_coarse = float(np.max(np.abs(raw_coarse - coarse_targets)))
         best_error = min(best_error, gap_coarse)
         _, coarse_vals = _corrected(cheb_coeffs, raw_coarse, gap_coarse)
-        ok, _ = _certify(coarse_vals, coarse_targets, coarse, tau, theta, xi_eff)
-        if not ok:
+        if not _certify(coarse_vals, coarse, tau, theta, xi_eff):
             continue
         raw_full = _cheb.chebval(y, even)
         gap_full = float(np.max(np.abs(raw_full - targets)))
         fixed_cheb, full_vals = _corrected(cheb_coeffs, raw_full, gap_full)
-        ok, _ = _certify(full_vals, targets, grid, tau, theta, xi_eff)
-        if not ok:
+        if not _certify(full_vals, grid, tau, theta, xi_eff):
             continue
-        return RectanglePolynomial(fixed_cheb, tau, theta, xi, True, grid_points)
+        return RectanglePolynomial(fixed_cheb, tau, theta, xi, True, VERIFY_GRID)
     raise DegreeOverflowError(
-        f"no degree <= {degree_cap} certifies the bands for "
+        f"no degree <= {DEGREE_CAP} certifies the bands for "
         f"tau={tau}, theta={theta}, xi={xi} "
         f"(best interpolation error {best_error:.3e})",
-        degree_cap=degree_cap,
+        degree_cap=DEGREE_CAP,
         best_error=best_error,
     )
 

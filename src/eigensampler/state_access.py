@@ -37,17 +37,14 @@ class VectorAccessor:
 class StateAccessor(VectorAccessor):
     """Sample-and-query access to a unit vector.
 
-    sample(rng) draws index j with probability |query(j)|^2; norm is the known
-    Euclidean norm (always 1 for the states built here).
+    sample_many(rng, count) draws indices j with probability |query(j)|^2;
+    norm is the known Euclidean norm (always 1 for the states built here).
     """
 
     norm = 1.0
 
     def sample_many(self, rng, count):
         raise NotImplementedError
-
-    def sample(self, rng):
-        return int(self.sample_many(rng, 1)[0])
 
 
 class DenseVector(VectorAccessor):
@@ -137,12 +134,12 @@ class ProductState(StateAccessor):
 class DenseState(StateAccessor):
     """Explicit amplitude vector with O(1) sampling via a Walker alias table."""
 
-    def __init__(self, values, require_normalized=True):
+    def __init__(self, values):
         values = np.asarray(values, dtype=complex)
         if values.ndim != 1 or values.shape[0] == 0:
             raise StateSpecError("dense state must be a nonempty 1-d vector")
         nrm = float(np.linalg.norm(values))
-        if require_normalized and abs(nrm - 1.0) > _NORM_TOL:
+        if abs(nrm - 1.0) > _NORM_TOL:
             raise StateSpecError(
                 f"dense state norm {nrm:.12g} deviates from 1 by more than {_NORM_TOL}"
             )

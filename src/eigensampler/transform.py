@@ -11,6 +11,9 @@ has mean <psi| A^r |phi> and second moment at most 1 for a unit phi, because
 each ||A_i|| <= kappa_i. Its numerator is one entry of a sparse chain
 product, evaluated by imm.ChainKernel from at most s^r leaf queries of phi.
 
+Every chain on this path is a row of term indices: ChainSampler draws them
+as a (t, r) array and gives their masses, and ChainKernel evaluates them.
+
 A polynomial P(A) = sum_r a_r A^r is estimated by one stratified estimator:
 every batch gives power r a fixed number of chains, proportional to |a_r|,
 and returns sum_r a_r times the mean of that stratum. One median
@@ -40,9 +43,11 @@ POLICIES = ("strict", "tight", "oracle-exact")
 class ChainSampler:
     """Product distribution over index chains of a normalized decomposition.
 
-    Each of the r coordinates is drawn independently with P(i) = kappa_i, so
-    a chain x has mass q(x) = prod_j kappa_{x_j} and the masses sum to 1.
-    Indices are 0-based.
+    A chain is a row of r term indices (0-based), column 0 applied first, as
+    imm.ChainKernel reads it. Each coordinate is drawn independently with
+    P(i) = kappa_i, so a chain x has mass q(x) = prod_j kappa_{x_j} and the
+    masses sum to 1. sample_many draws chains as the rows of a (t, r) array,
+    and masses gives their q(x).
     """
 
     def __init__(self, decomp, r):
@@ -56,20 +61,16 @@ class ChainSampler:
             raise ValidationError(f"power must be nonnegative, got {r}")
         self.decomp = decomp
         self.r = r
-        probs = np.asarray(decomp.kappa_i, dtype=float)
-        self._probs = probs / probs.sum()
+        self._kappa = np.asarray(decomp.kappa_i, dtype=float)
+        self._probs = self._kappa / self._kappa.sum()
 
     @property
     def m(self):
         return self.decomp.m
 
-    def probability(self, x):
-        """Mass q(x) of one chain, from the exact norm bounds."""
-        kappas = self.decomp.kappa_i
-        out = 1.0
-        for idx in np.asarray(x, dtype=np.int64).ravel():
-            out *= kappas[int(idx)]
-        return out
+    def masses(self, chains):
+        """Masses q(x) of a (t, r) array of chains: 1 each when r = 0."""
+        return np.prod(self._kappa[chains], axis=1)
 
     def sample_many(self, rng, count):
         """Draw `count` chains as a (count, r) index array."""
@@ -78,18 +79,6 @@ class ChainSampler:
             return np.empty((count, 0), dtype=np.int64)
         draws = rng.choice(self.m, size=(count, self.r), p=self._probs)
         return draws.astype(np.int64, copy=False)
-
-
-def sample_chain(sampler, rng):
-    """One index chain x in [m]^r under the product distribution."""
-    return sampler.sample_many(rng, 1)[0]
-
-
-def _chain_masses(decomp, chains):
-    if chains.shape[1] == 0:
-        return np.ones(chains.shape[0])
-    kappas = np.asarray(decomp.kappa_i, dtype=float)
-    return np.prod(kappas[chains], axis=1)
 
 
 def _check_budget(name, value):
@@ -115,12 +104,22 @@ def _estimate_strata(psi, phi, decomp, coeffs, err, delta, rng):
 
     coeffs maps each power r to its nonzero coefficient a_r, and c_r comes
     from chain_counts. A batch draws every stratum's chains in order of r,
-    then one guiding-state index per chain.
+    then one guiding-state index per chain. Raises ValidationError, before
+    drawing anything, when a stratum's index array is past numpy's size
+    limit.
     """
     _, t = batch_shape(err, delta)
     counts = chain_counts(coeffs, t)
     if not counts:
         return 0j
+    for r, c in counts.items():
+        # The int64 index array of a stratum, (c, r) chains or c draws.
+        size = c * max(r, 1) * 8
+        if size > np.iinfo(np.intp).max:
+            raise ValidationError(
+                f"a batch of {c} chains of power {r} needs a {size}-byte "
+                f"index array, past the largest array numpy can hold"
+            )
     strata = [(ChainSampler(decomp, r), float(coeffs[r]), c) for r, c in counts.items()]
     bounds = list(itertools.accumulate(counts.values(), initial=0))
     spans = list(zip(bounds, bounds[1:]))
@@ -134,7 +133,8 @@ def _estimate_strata(psi, phi, decomp, coeffs, err, delta, rng):
         instrument.add(psi_samples=total, psi_queries=total)
         vals = np.concatenate([kernel.values(x, j[lo:hi], phi)
                                for x, (lo, hi) in zip(chains, spans)])
-        masses = np.concatenate([_chain_masses(decomp, x) for x in chains])
+        masses = np.concatenate([sampler.masses(x)
+                                 for (sampler, _, _), x in zip(strata, chains)])
         dead = amps == 0
         if np.any(dead):
             bad = dead & (vals != 0)

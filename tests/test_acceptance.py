@@ -20,7 +20,6 @@ from eigensampler import (
     DenseState,
     DenseVector,
     LocalTerm,
-    MatrixChain,
     MaxEntState,
     SolverConfig,
     build_decomposition,
@@ -63,6 +62,7 @@ def single_sample_values(decomp, psi_v, r, count, seed):
     rng = np.random.default_rng(seed)
     sampler = ChainSampler(decomp, r)
     chains = sampler.sample_many(rng, count)
+    masses = sampler.masses(chains)
     psi = DenseState(psi_v)
     js = psi.sample_many(rng, count)
     cache = {}
@@ -71,9 +71,8 @@ def single_sample_values(decomp, psi_v, r, count, seed):
         key = (tuple(int(k) for k in chains[i]), int(js[i]))
         if key not in cache:
             mats = [decomp.terms[k] for k in key[0]]
-            w = chain_entry(key[1], MatrixChain(mats), psi)
-            q = sampler.probability(key[0])
-            cache[key] = w / (psi_v[key[1]] * q)
+            w = chain_entry(key[1], mats, psi)
+            cache[key] = w / (psi_v[key[1]] * masses[i])
         xs[i] = cache[key]
     return xs
 
@@ -95,7 +94,7 @@ def test_gate_01_chain_entries_match_dense(capsys):
             handles.append(handle)
             acc = dense @ acc
         ell = int(np.argmax(np.abs(acc)))
-        est = chain_entry(ell, MatrixChain(handles), DenseState(phi_v))
+        est = chain_entry(ell, handles, DenseState(phi_v))
         worst = max(worst, abs(est - acc[ell]) / abs(acc[ell]))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-9 and elapsed < 10.0
@@ -113,7 +112,7 @@ def test_gate_02_leaf_count_and_recursion_depth(capsys):
         handles = [all_rows_s_handle(rng, dim, s)[0] for _ in range(r)]
         phi = DenseState(random_state_vector(rng, dim))
         with recording() as counters:
-            chain_entry(3, MatrixChain(handles), phi)
+            chain_entry(3, handles, phi)
         assert counters.leaf_queries == s**r
         assert counters.max_depth == r
         checked.append(f"s={s},r={r}")

@@ -361,6 +361,19 @@ class TestEstimate:
         assert doc is None
         assert edoc["error"]["type"] == "ValidationError"
 
+    def test_batch_past_numpy_limit_exits_one(self, capsys, z_file):
+        # The preflight allows it, but a stratum's chain array could not be
+        # allocated: a typed error before anything is drawn, not a traceback.
+        code, out, err = run(
+            capsys, "estimate", "--hamiltonian", z_file, "--state", "basis:1",
+            "--policy", "strict", "--epsilon", "0.5", "--cost-cap", "1e60",
+            "--json",
+        )
+        assert code == 1
+        assert out == ""
+        assert "Traceback" not in err
+        assert json.loads(err)["error"]["type"] == "ValidationError"
+
     def test_infinite_cost_cap_turns_the_cap_off(self, capsys, z_file):
         code, doc, _ = run_json(
             capsys, "estimate", "--hamiltonian", z_file, "--state", "basis:1",
@@ -398,6 +411,19 @@ class TestDecide:
         )
         assert code == 1
         assert edoc["error"]["type"] == "GapError"
+
+    @pytest.mark.parametrize("flag", ["--a=nan", "--b=inf", "--a=-inf"])
+    def test_non_finite_threshold_exits_one(self, capsys, z_file, flag):
+        argv = {"--a": "-0.9", "--b": "0.1"}
+        argv[flag[:3]] = flag[4:]
+        code, out, err = run(
+            capsys, "decide", "--hamiltonian", z_file, "--state", "basis:1",
+            *(f"{k}={v}" for k, v in argv.items()), "--policy", "oracle-exact",
+            "--json",
+        )
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"]["type"] == "GapError"
 
     def test_default_epsilon_from_gap(self, capsys, z_file):
         # no --epsilon: the gap width picks a legal accuracy automatically
@@ -496,6 +522,21 @@ class TestBench:
             for inst in doc["instances"]:
                 assert inst["aborted"] == "cost-cap"
                 assert inst["predicted"] > inst["cap"]
+
+
+@pytest.mark.parametrize("command", ["estimate", "decide", "bench"])
+def test_negative_seed_exits_one(capsys, z_file, command):
+    argv = {
+        "estimate": ["--hamiltonian", z_file, "--state", "basis:1"],
+        "decide": ["--hamiltonian", z_file, "--state", "basis:1",
+                   "--a", "-0.9", "--b", "0.1"],
+        "bench": ["--count", "1", "--n", "2"],
+    }[command]
+    code, out, err = run(capsys, command, *argv, "--seed=-1", "--json")
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    assert json.loads(err)["error"]["type"] == "ValidationError"
 
 
 def test_no_subcommand_exits_one(capsys):

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eigensampler import (
     LocalTerm,
@@ -246,6 +248,93 @@ def test_load_json_equivalent():
     H_t = hamiltonian_matrix(n_t, terms_t)
     H_j = hamiltonian_matrix(n_j, terms_j)
     assert np.allclose(H_t, H_j)
+
+
+@st.composite
+def hamiltonians(draw):
+    """(n, terms) with terms as (coeff, pauli, support, block, kappa) tuples:
+    Pauli strings and Hermitian blocks on up to 2 qubits, optional overrides."""
+    n = draw(st.integers(1, 6))
+    terms = []
+    for _ in range(draw(st.integers(0, 5))):
+        if draw(st.booleans()):
+            coeff = draw(st.floats(allow_nan=False, allow_infinity=False))
+            pauli = draw(st.text("IXYZ", min_size=n, max_size=n))
+            support, block, norm = None, None, abs(coeff)
+        else:
+            coeff, pauli = 1.0, None
+            support = tuple(draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                          max_size=min(2, n), unique=True)))
+            dim = 2 ** len(support)
+            # Bounded, so the norm an override is checked against stays finite.
+            entry = st.floats(-1e100, 1e100, allow_nan=False)
+            block = np.zeros((dim, dim), dtype=complex)
+            for i in range(dim):
+                block[i, i] = draw(entry)
+                for j in range(i + 1, dim):
+                    block[i, j] = complex(draw(entry), draw(entry))
+                    block[j, i] = block[i, j].conjugate()
+            norm = float(np.linalg.norm(block, 2))
+        kappa = None
+        if draw(st.booleans()):
+            kappa = norm + draw(st.floats(0.0, 10.0))
+        terms.append((coeff, pauli, support, block, kappa))
+    return n, terms
+
+
+def render_text(n, terms):
+    lines = [f"n={n}"]
+    for coeff, pauli, support, block, kappa in terms:
+        if pauli is not None:
+            line = f"{coeff!r} {pauli}"
+        else:
+            entries = " ".join(f"{float(v.real)!r},{float(v.imag)!r}"
+                               for v in block.ravel())
+            line = f"BLOCK q={','.join(map(str, support))} {entries}"
+        if kappa is not None:
+            line += f" KAPPA_I={kappa!r}"
+        lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
+def render_json(n, terms):
+    entries = []
+    for coeff, pauli, support, block, kappa in terms:
+        if pauli is not None:
+            entry = {"coeff": coeff, "pauli": pauli}
+        else:
+            entry = {"qubits": list(support),
+                     "block": [[[float(v.real), float(v.imag)] for v in row]
+                               for row in block]}
+        if kappa is not None:
+            entry["kappa"] = kappa
+        entries.append(entry)
+    return json.dumps({"n": n, "terms": entries})
+
+
+def same_bits(a, b):
+    return (a is None and b is None) or (
+        a is not None and b is not None
+        and np.asarray(a).shape == np.asarray(b).shape
+        and np.asarray(a).tobytes() == np.asarray(b).tobytes())
+
+
+@settings(max_examples=150, deadline=None)
+@given(hamiltonians())
+def test_both_parsers_round_trip_bit_for_bit(drawn):
+    n, terms = drawn
+    for text in (render_text(n, terms), render_json(n, terms)):
+        got_n, got = load_hamiltonian(text)
+        assert got_n == n and len(got) == len(terms)
+        for term, (coeff, pauli, support, block, kappa) in zip(got, terms):
+            assert same_bits(term.coeff, coeff)
+            assert term.pauli == pauli
+            if pauli is None:
+                assert term.support == support
+            else:
+                assert term.support == tuple(q for q, c in enumerate(pauli) if c != "I")
+            assert same_bits(term.block, block)
+            assert same_bits(term.kappa_override, kappa)
 
 
 def test_load_from_file(tmp_path):

@@ -5,7 +5,6 @@ from eigensampler import (
     BasisState,
     Counters,
     DenseState,
-    MatrixChain,
     ValidationError,
     chain_entry,
     recording,
@@ -35,22 +34,22 @@ def test_single_pauli_entries():
     z = PauliTermHandle("Z", 1.0, 1)
     phi = BasisState(0, 2)
     # <0|X|0> = 0, <1|X|0> = 1
-    assert chain_entry(0, MatrixChain([x]), phi) == 0
-    assert chain_entry(1, MatrixChain([x]), phi) == 1
+    assert chain_entry(0, [x], phi) == 0
+    assert chain_entry(1, [x], phi) == 1
     # <0|ZX|0> applies X first, then Z: Z|1> = -|1>
-    assert chain_entry(1, MatrixChain([x, z]), phi) == -1
+    assert chain_entry(1, [x, z], phi) == -1
 
 
 def test_empty_chain_is_state_query():
     phi = DenseState(random_state_vector(np.random.default_rng(0), 4))
-    assert chain_entry(2, MatrixChain([]), phi) == phi.query(2)
+    assert chain_entry(2, [], phi) == phi.query(2)
 
 
 def test_pauli_chain_squares_to_identity():
     z = PauliTermHandle("Z", 1.0, 1)
     phi = DenseState(random_state_vector(np.random.default_rng(1), 2))
     for ell in range(2):
-        assert chain_entry(ell, MatrixChain([z, z]), phi) == pytest.approx(
+        assert chain_entry(ell, [z, z], phi) == pytest.approx(
             complex(phi.query(ell))
         )
 
@@ -68,9 +67,8 @@ def test_chain_entry_matches_dense_product(seed):
     phi_v = random_state_vector(rng, dim)
     phi = DenseState(phi_v)
     want_vec = dense_chain_product(denses) @ phi_v
-    chain = MatrixChain(handles)
     for ell in rng.integers(0, dim, size=4):
-        got = chain_entry(int(ell), chain, phi)
+        got = chain_entry(int(ell), handles, phi)
         assert got == pytest.approx(want_vec[int(ell)], abs=1e-10)
 
 
@@ -84,7 +82,7 @@ def test_leaf_count_and_depth_on_uniform_rows():
     rng = np.random.default_rng(77)
     for s, r in [(2, 3), (3, 2), (1, 5)]:
         h, _ = all_rows_s_handle(rng, 16, s)
-        chain = MatrixChain([h] * r)
+        chain = [h] * r
         phi = DenseState(random_state_vector(rng, 16))
         with recording() as c:
             chain_entry(0, chain, phi)
@@ -96,7 +94,7 @@ def test_mismatched_dimensions_rejected():
     a = PauliTermHandle("X", 1.0, 1)
     b = PauliTermHandle("XI", 1.0, 2)
     with pytest.raises(ValidationError):
-        MatrixChain([a, b])
+        chain_entry(0, [a, b], BasisState(0, 2))
 
 
 def test_chain_vector_fast_path_matches_recursion():
@@ -110,11 +108,10 @@ def test_chain_vector_fast_path_matches_recursion():
         PauliTermHandle("IYX", 0.25, n),
     ]
     phi = DenseState(random_state_vector(rng, 8))
-    chain = MatrixChain(handles)
     idx = np.arange(8)
     picks = np.broadcast_to(np.arange(3), (8, 3))
     fast = ChainKernel(handles).values(picks, idx, phi)
-    slow = np.array([chain_entry(i, chain, phi) for i in range(8)])
+    slow = np.array([chain_entry(i, handles, phi) for i in range(8)])
     assert np.allclose(fast, slow, atol=1e-12)
     # handles are listed first-applied-first, so the dense product reverses
     want_mat = dense_chain_product([
@@ -124,15 +121,6 @@ def test_chain_vector_fast_path_matches_recursion():
     ])
     assert np.allclose(fast, want_mat @ np.asarray([phi.query(i) for i in range(8)]),
                        atol=1e-12)
-
-
-def test_norm_bounds_default_to_one_each():
-    h = PauliTermHandle("Z", 0.5, 1)
-    chain = MatrixChain([h, h])
-    assert chain.norm_bounds == [1.0, 1.0]
-    assert chain.r == 2 and chain.s == 1
-    with pytest.raises(ValidationError):
-        MatrixChain([h, h], norm_bounds=[0.5])
 
 
 def test_recording_nests_and_restores():

@@ -1,3 +1,4 @@
+import ast
 import math
 
 import numpy as np
@@ -13,7 +14,6 @@ from eigensampler import (
     DenseState,
     LocalTerm,
     MaxEntState,
-    MatrixChain,
     ValidationError,
     build_decomposition,
     build_rectangle_polynomial,
@@ -29,6 +29,7 @@ from eigensampler.hamiltonian import (
     IdentityHandle,
     PauliTermHandle,
 )
+from eigensampler import oracle
 from eigensampler.oracle import (
     ChebyshevMoments,
     dense_term,
@@ -301,27 +302,6 @@ class TestExactSandwich:
         exact_sandwich(psi, d, psi, power=3)
         exact_sandwich(psi, ChebyshevMoments(d, psi), psi, polynomial=P)
 
-    def test_chain_dispatch_applies_sequentially(self):
-        d = build_decomposition(1, [LocalTerm.from_pauli(1.0, "X"),
-                                    LocalTerm.from_pauli(1.0, "Z")])
-        x, z = d.terms
-        psi = BasisState(1, 2)
-        phi = BasisState(0, 2)
-        # X then Z: Z X |0> = Z|1> = -|1>
-        got = exact_sandwich(psi, MatrixChain([x, z]), phi)
-        assert got == pytest.approx(-1.0)
-        got2 = exact_sandwich(psi, [x, z], phi)
-        assert got2 == pytest.approx(-1.0)
-
-    def test_chain_rejects_power_and_polynomial(self):
-        d = build_decomposition(1, [LocalTerm.from_pauli(1.0, "X")])
-        chain = MatrixChain([d.terms[0]])
-        psi = BasisState(0, 2)
-        with pytest.raises(ValidationError):
-            exact_sandwich(psi, chain, psi, power=2)
-        with pytest.raises(ValidationError):
-            exact_sandwich(psi, [d.terms[0]], psi, polynomial=object())
-
 
 class TestChebyshevMoments:
     @settings(max_examples=60, deadline=None)
@@ -394,3 +374,22 @@ def test_reconstruct_respects_dense_limit():
     d = build_decomposition(13, terms)
     with pytest.raises(DenseLimitError):
         reconstruct(d)
+
+
+def test_oracle_imports_nothing_from_the_sampled_layers():
+    # The exact oracle checks the sampled estimators, so it must not share
+    # their chain code; every import, module level or local, is read.
+    with open(oracle.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    sampled = {"imm", "transform"}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            parts += [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            parts = [p for alias in node.names for p in alias.name.split(".")]
+        else:
+            continue
+        found += sorted(sampled.intersection(parts))
+    assert found == []

@@ -47,7 +47,6 @@ def test_basis_state_queries_and_samples():
 def test_dense_state_requires_normalization():
     with pytest.raises(StateSpecError):
         DenseState(np.array([1.0, 1.0]))
-    DenseState(np.array([1.0, 1.0]), require_normalized=False)
 
 
 def test_dense_state_born_rule_frequencies():

@@ -24,11 +24,9 @@ from eigensampler import (
     predict_cost,
     reconstruct,
     recording,
-    sample_chain,
     shift_rescale,
 )
 from eigensampler.hamiltonian import shifted_operator
-from eigensampler.imm import MatrixChain
 from eigensampler.transform import POLICIES, power_error_budget, predict_power_cost
 
 from helpers import (
@@ -63,19 +61,21 @@ class TestChainSampler:
         rng = np.random.default_rng(1)
         d = random_normalized_decomposition(rng, 2, 3)
         w = np.asarray(d.kappa_i)
-        for x in [(0, 0), (1, 2), (2, 1)]:
-            assert ChainSampler(d, 2).probability(x) == pytest.approx(
-                w[x[0]] * w[x[1]]
-            )
+        chains = np.array([(0, 0), (1, 2), (2, 1)])
+        assert ChainSampler(d, 2).masses(chains) == pytest.approx(
+            w[chains[:, 0]] * w[chains[:, 1]]
+        )
+        # The empty chain has mass 1.
+        empty = np.empty((3, 0), dtype=np.int64)
+        assert np.array_equal(ChainSampler(d, 0).masses(empty), np.ones(3))
 
     def test_chain_mass_sums_to_one(self):
         rng = np.random.default_rng(2)
         d = random_normalized_decomposition(rng, 2, 3)
         for r in range(4):
-            s = ChainSampler(d, r)
-            total = sum(
-                s.probability(x) for x in itertools.product(range(d.m), repeat=r)
-            )
+            chains = np.array(list(itertools.product(range(d.m), repeat=r)),
+                              dtype=np.int64)
+            total = ChainSampler(d, r).masses(chains).sum()
             assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_sample_frequencies_track_probabilities(self):
@@ -94,8 +94,6 @@ class TestChainSampler:
         assert out.shape == (5, 3) and out.dtype == np.int64
         empty = ChainSampler(d, 0).sample_many(np.random.default_rng(0), 5)
         assert empty.shape == (5, 0)
-        one = sample_chain(ChainSampler(d, 2), np.random.default_rng(0))
-        assert one.shape == (2,)
 
     def test_counters_record_chain_draws(self):
         rng = np.random.default_rng(5)
@@ -110,6 +108,7 @@ def single_sample_values(decomp, psi_v, r, count, seed):
     rng = np.random.default_rng(seed)
     sampler = ChainSampler(decomp, r)
     chains = sampler.sample_many(rng, count)
+    masses = sampler.masses(chains)
     psi = DenseState(psi_v)
     js = psi.sample_many(rng, count)
     cache = {}
@@ -118,9 +117,8 @@ def single_sample_values(decomp, psi_v, r, count, seed):
         key = (tuple(int(k) for k in chains[i]), int(js[i]))
         if key not in cache:
             mats = [decomp.terms[k] for k in key[0]]
-            w = chain_entry(key[1], MatrixChain(mats), psi)
-            q = sampler.probability(key[0])
-            cache[key] = w / (psi_v[key[1]] * q)
+            w = chain_entry(key[1], mats, psi)
+            cache[key] = w / (psi_v[key[1]] * masses[i])
         xs[i] = cache[key]
     return xs
 
