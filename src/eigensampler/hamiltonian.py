@@ -148,52 +148,29 @@ def compute_term_norm(term):
 class SparseTermHandle:
     """Row-query access to one N x N term.
 
-    Subclasses fill in dimension, sparsity (a bound on nonzeros per row), the
-    two row queries and scaled(factor), which returns the same term times a
-    scalar as a handle of its own shape, with the factor folded into its
-    values. Handles are immutable and queries are pure. rows_many answers
-    many rows at once: it loops over the scalar queries unless a subclass
-    overrides it with a vectorized version.
+    Subclasses fill in dimension, sparsity (a bound on nonzeros per row),
+    rows_many(rows), which answers a batch of rows in one call, and
+    scaled(factor), which returns the same term times a scalar as a handle
+    of its own shape, with the factor folded into its values. Handles are
+    immutable and queries are pure.
+
+    rows_many returns the nonzero entries of the rows as (parent, cols, vals)
+    arrays: entry e sits in row rows[parent[e]], entries come row by row, in
+    the handle's storage order, and stored zeros are left out.
     """
 
     dimension = None
     sparsity = None
 
-    def row_nnz(self, i):
-        raise NotImplementedError
-
-    def row_entry(self, i, ell):
+    def rows_many(self, rows):
         raise NotImplementedError
 
     def scaled(self, factor):
         raise NotImplementedError
 
-    def row(self, i):
-        """Iterate (column, value) pairs of row i."""
-        for ell in range(self.row_nnz(i)):
-            yield self.row_entry(i, ell)
-
-    def rows_many(self, rows):
-        """Nonzero entries of many rows, as (parent, cols, vals) arrays.
-
-        Entry e sits in row rows[parent[e]]; entries come row by row, in
-        row_entry order, and stored zeros are left out.
-        """
-        parent, cols, vals = [], [], []
-        for p, i in enumerate(np.asarray(rows, dtype=np.int64).tolist()):
-            for col, val in self.row(i):
-                if val != 0:
-                    parent.append(p)
-                    cols.append(col)
-                    vals.append(val)
-        return (np.array(parent, dtype=np.int64), np.array(cols, dtype=np.int64),
-                np.array(vals, dtype=complex))
-
 
 def _parity(v):
-    """Parity of the set bits of v (a non-negative int or int64 ndarray)."""
-    if isinstance(v, int):
-        return v.bit_count() & 1
+    """Parity of the set bits of each entry of an int64 array."""
     return np.bitwise_count(v) & 1
 
 
@@ -220,15 +197,6 @@ class PermutationHandle(SparseTermHandle):
         self.perm_xmask = xmask
         self.perm_signmask = signmask
         self.perm_phase = complex(phase)
-
-    def row_nnz(self, i):
-        return 1 if self.perm_phase != 0 else 0
-
-    def row_entry(self, i, ell):
-        if ell != 0 or self.perm_phase == 0:
-            raise IndexError(f"row {i} has no entry {ell}")
-        sign = -1.0 if _parity(i & self.perm_signmask) else 1.0
-        return i ^ self.perm_xmask, self.perm_phase * sign
 
     def rows_many(self, rows):
         rows = np.asarray(rows, dtype=np.int64)
@@ -294,8 +262,7 @@ class BlockTermHandle(SparseTermHandle):
         # Row a of the small block as padded tables: its nonzero columns,
         # placed at the support qubits, and their values (padding holds 0).
         nonzero = [np.flatnonzero(term.block[a]) for a in range(2**k)]
-        self._nnz = [len(cols) for cols in nonzero]
-        self.sparsity = max(self._nnz, default=0)
+        self.sparsity = max((len(cols) for cols in nonzero), default=0)
         self._col_table = np.zeros((2**k, self.sparsity), dtype=np.int64)
         self._val_table = np.zeros((2**k, self.sparsity), dtype=complex)
         for a, cols in enumerate(nonzero):
@@ -303,21 +270,11 @@ class BlockTermHandle(SparseTermHandle):
             self._val_table[a, :len(cols)] = term.block[a, cols]
 
     def _small_row(self, rows):
-        """Small-block row read by each of rows (an int or an int64 array)."""
+        """Small-block row read by each of rows (an int64 array)."""
         a = rows & 0
         for p, q in enumerate(self.support):
             a = a | (((rows >> q) & 1) << p)
         return a
-
-    def row_nnz(self, i):
-        return self._nnz[self._small_row(i)]
-
-    def row_entry(self, i, ell):
-        a = self._small_row(i)
-        if ell >= self._nnz[a]:
-            raise IndexError(f"row {i} has no entry {ell}")
-        col = (i & ~self._support_mask) | int(self._col_table[a, ell])
-        return col, complex(self._val_table[a, ell])
 
     def rows_many(self, rows):
         rows = np.asarray(rows, dtype=np.int64)
@@ -336,32 +293,36 @@ class BlockTermHandle(SparseTermHandle):
 
 
 class ExplicitSparseHandle(SparseTermHandle):
-    """Handle over explicit per-row (columns, values) data."""
+    """Handle over explicit per-row (columns, values) data.
+
+    The rows are held as padded tables, as BlockTermHandle holds its small
+    block: row i's columns and values fill the front of row i of each table,
+    and the padding holds 0, so rows_many is one gather.
+    """
 
     def __init__(self, rows, dimension=None):
-        self._rows = [
-            (np.asarray(cols, dtype=np.int64), np.asarray(vals, dtype=complex))
-            for cols, vals in rows
-        ]
-        self.dimension = dimension if dimension is not None else len(self._rows)
-        if len(self._rows) != self.dimension:
+        rows = [(np.asarray(cols, dtype=np.int64), np.asarray(vals, dtype=complex))
+                for cols, vals in rows]
+        self.dimension = dimension if dimension is not None else len(rows)
+        if len(rows) != self.dimension:
             raise ValidationError("row data does not cover the stated dimension")
-        self.sparsity = max((len(c) for c, _ in self._rows), default=0)
+        self.sparsity = max((len(cols) for cols, _ in rows), default=0)
+        self._col_table = np.zeros((len(rows), self.sparsity), dtype=np.int64)
+        self._val_table = np.zeros((len(rows), self.sparsity), dtype=complex)
+        for i, (cols, vals) in enumerate(rows):
+            self._col_table[i, :len(cols)] = cols
+            self._val_table[i, :len(vals)] = vals
 
-    def row_nnz(self, i):
-        return len(self._rows[i][0])
-
-    def row_entry(self, i, ell):
-        cols, vals = self._rows[i]
-        if ell >= len(cols):
-            raise IndexError(f"row {i} has no entry {ell}")
-        return int(cols[ell]), complex(vals[ell])
+    def rows_many(self, rows):
+        rows = np.asarray(rows, dtype=np.int64)
+        parent, pos = np.nonzero(self._val_table[rows])
+        i = rows[parent]
+        return parent, self._col_table[i, pos], self._val_table[i, pos]
 
     def scaled(self, factor):
-        factor = complex(factor)
-        return ExplicitSparseHandle(
-            [(cols, _scale(vals, factor)) for cols, vals in self._rows], self.dimension
-        )
+        out = copy.copy(self)
+        out._val_table = _scale(self._val_table, complex(factor))
+        return out
 
 
 def term_to_sparse(term, n):

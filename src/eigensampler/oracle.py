@@ -107,11 +107,11 @@ class DenseOperator:
 def _sum_csr(handles, n):
     """CSR matrix of a sum of row-query handles, accumulated in handle order.
 
-    Every handle answers all its rows at once, and np.add.at adds the
-    entries that land on one position one after another, in handle order,
-    so each entry is the same floating-point sum that a dense accumulation
-    of the terms in order gives, and one term's values equal its row
-    queries' exactly.
+    Every handle answers all its rows in one rows_many call, its only row
+    query, and np.add.at adds the entries that land on one position one
+    after another, in handle order, so each entry is the same floating-point
+    sum that a dense accumulation of the terms in order gives, and one
+    term's values are the values rows_many returns, bit for bit.
     """
     from scipy import sparse
 

@@ -22,23 +22,28 @@ _NORM_TOL = 1e-8
 
 
 class VectorAccessor:
-    """Query access to the coordinates of a fixed complex vector."""
+    """Query access to the coordinates of a fixed complex vector.
+
+    Subclasses answer query_many(idx), the amplitudes at an array of indices
+    in idx's shape. query(j) reads one amplitude through it.
+    """
 
     dimension = None
 
-    def query(self, j):
+    def query_many(self, idx):
         raise NotImplementedError
 
-    def query_many(self, idx):
-        idx = np.asarray(idx)
-        return np.array([self.query(int(j)) for j in idx.ravel()]).reshape(idx.shape)
+    def query(self, j):
+        """The amplitude at index j, as a complex."""
+        return complex(self.query_many(np.asarray([j], dtype=np.int64))[0])
 
 
 class StateAccessor(VectorAccessor):
     """Sample-and-query access to a unit vector.
 
-    sample_many(rng, count) draws indices j with probability |query(j)|^2;
-    norm is the known Euclidean norm (always 1 for the states built here).
+    sample_many(rng, count) draws indices j with probability |psi_j|^2, where
+    query_many gives the amplitudes psi_j; norm is the known Euclidean norm
+    (always 1 for the states built here).
     """
 
     norm = 1.0
@@ -53,9 +58,6 @@ class DenseVector(VectorAccessor):
         if self._values.ndim != 1:
             raise StateSpecError("dense vector must be one-dimensional")
         self.dimension = self._values.shape[0]
-
-    def query(self, j):
-        return complex(self._values[j])
 
     def query_many(self, idx):
         return self._values[np.asarray(idx, dtype=np.int64)]
@@ -73,9 +75,6 @@ class BasisState(StateAccessor):
             )
         self.index = index
         self.dimension = dimension
-
-    def query(self, j):
-        return 1.0 + 0.0j if j == self.index else 0.0j
 
     def query_many(self, idx):
         idx = np.asarray(idx, dtype=np.int64)
@@ -105,17 +104,8 @@ class ProductState(StateAccessor):
                 )
         self.n = len(pairs)
         self.dimension = 2**self.n
-        self._pairs = pairs
         self._p1 = np.abs(np.array([b for _, b in pairs])) ** 2
         self._tables = [_byte_table(pairs[lo:lo + 8]) for lo in range(0, self.n, 8)]
-
-    def query(self, j):
-        j = int(j)
-        out = 1.0 + 0.0j
-        for a, b in self._pairs:
-            out *= b if j & 1 else a
-            j >>= 1
-        return out
 
     def query_many(self, idx):
         idx = np.asarray(idx, dtype=np.int64)
@@ -148,9 +138,6 @@ class DenseState(StateAccessor):
         self.dimension = values.shape[0]
         probs = np.abs(values) ** 2
         self._alias_prob, self._alias_idx = _build_alias_table(probs / probs.sum())
-
-    def query(self, j):
-        return complex(self._values[j])
 
     def query_many(self, idx):
         return self._values[np.asarray(idx, dtype=np.int64)]
@@ -199,7 +186,8 @@ class MaxEntState(StateAccessor):
     """Maximally entangled pairing of two n-qubit registers.
 
     Index layout puts the first register in the low n bits, so the nonzero
-    amplitudes sit where both halves agree: query(i + (i << n)) = 2^(-n/2).
+    amplitudes sit where both halves agree: the amplitude at i + (i << n) is
+    2^(-n/2).
     """
 
     def __init__(self, n):
@@ -209,11 +197,6 @@ class MaxEntState(StateAccessor):
         self.half = 2**n
         self.dimension = self.half * self.half
         self._amp = self.half ** -0.5
-
-    def query(self, j):
-        low = j & (self.half - 1)
-        high = j >> self.n
-        return complex(self._amp) if low == high else 0.0j
 
     def query_many(self, idx):
         idx = np.asarray(idx, dtype=np.int64)

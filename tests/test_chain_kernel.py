@@ -54,13 +54,13 @@ def make_handle(kind, rng, n):
 
 
 def reference_entry(ell, mats, phi, depth=0):
-    """(value, leaf count, deepest level) of one entry, by recursion over rows."""
+    """(value, leaf count, deepest level) of one entry, by recursion over
+    rows, one rows_many call per row."""
     if not mats:
         return complex(phi.query(ell)), 1, depth
     total, leaves, deepest = 0j, 0, depth
-    for col, val in mats[-1].row(ell):
-        if val == 0:
-            continue
+    _, cols, vals = mats[-1].rows_many([ell])
+    for col, val in zip(cols.tolist(), vals.tolist()):
         v, c, d = reference_entry(col, mats[:-1], phi, depth + 1)
         total += val * v
         leaves += c

@@ -24,38 +24,49 @@ from eigensampler.hamiltonian import (
     _scale,
 )
 
-from helpers import PAULI, hamiltonian_matrix, pauli_matrix, random_block_term
+from helpers import (
+    PAULI,
+    hamiltonian_matrix,
+    pauli_matrix,
+    random_block_term,
+    term_matrix,
+)
 
 
 def dense_of_handle(handle):
+    """Dense matrix of a handle, from one rows_many call over every row."""
     dim = handle.dimension
+    parent, cols, vals = handle.rows_many(np.arange(dim))
     out = np.zeros((dim, dim), dtype=complex)
-    for i in range(dim):
-        for ell in range(handle.row_nnz(i)):
-            c, v = handle.row_entry(i, ell)
-            out[i, c] += v
+    np.add.at(out, (parent, cols), vals)
     return out
+
+
+def row_entries(handle, i):
+    """(column, value) pairs of row i, in the order rows_many gives them."""
+    _, cols, vals = handle.rows_many([i])
+    return list(zip(cols.tolist(), vals.tolist()))
 
 
 class TestPauliHandle:
     def test_single_qubit_rows(self):
         """Character q of the string acts on bit q of the index."""
         h = PauliTermHandle("X", 1.0, 1)
-        assert h.row_entry(0, 0) == (1, 1.0 + 0j)
-        assert h.row_entry(1, 0) == (0, 1.0 + 0j)
+        assert row_entries(h, 0) == [(1, 1.0 + 0j)]
+        assert row_entries(h, 1) == [(0, 1.0 + 0j)]
         h = PauliTermHandle("Z", 2.0, 1)
-        assert h.row_entry(0, 0) == (0, 2.0 + 0j)
-        assert h.row_entry(1, 0) == (1, -2.0 + 0j)
+        assert row_entries(h, 0) == [(0, 2.0 + 0j)]
+        assert row_entries(h, 1) == [(1, -2.0 + 0j)]
         h = PauliTermHandle("Y", 1.0, 1)
-        assert h.row_entry(0, 0) == (1, -1j)
-        assert h.row_entry(1, 0) == (0, 1j)
+        assert row_entries(h, 0) == [(1, -1j)]
+        assert row_entries(h, 1) == [(0, 1j)]
 
     def test_leftmost_character_is_qubit_zero(self):
         # "XI" flips bit 0, "IX" flips bit 1
         h = PauliTermHandle("XI", 1.0, 2)
-        assert h.row_entry(0, 0)[0] == 1
+        assert row_entries(h, 0)[0][0] == 1
         h = PauliTermHandle("IX", 1.0, 2)
-        assert h.row_entry(0, 0)[0] == 2
+        assert row_entries(h, 0)[0][0] == 2
 
     @pytest.mark.parametrize("string", ["XZ", "YY", "ZIY", "XYZ", "IZX"])
     def test_rows_match_kronecker_product(self, string):
@@ -66,8 +77,8 @@ class TestPauliHandle:
     def test_pauli_is_one_sparse(self):
         h = PauliTermHandle("XYZI", 0.3, 4)
         assert h.sparsity == 1
-        for i in range(16):
-            assert h.row_nnz(i) == 1
+        parent, _, _ = h.rows_many(np.arange(16))
+        assert parent.tolist() == list(range(16))
 
     def test_bad_character_rejected(self):
         with pytest.raises(HamiltonianFormatError):
@@ -88,10 +99,10 @@ class TestBlockHandle:
         term = random_block_term(rng, n, 2)
         h = term_to_sparse(term, n)
         off_support = sum(1 << q for q in range(n) if q not in term.support)
-        for i in range(2**n):
-            for ell in range(h.row_nnz(i)):
-                c, _ = h.row_entry(i, ell)
-                assert (c & off_support) == (i & off_support)
+        rows = np.arange(2**n)
+        parent, cols, _ = h.rows_many(rows)
+        assert parent.size > 0
+        assert np.array_equal(cols & off_support, rows[parent] & off_support)
 
     def test_non_hermitian_block_rejected(self):
         bad = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -104,38 +115,56 @@ class TestBlockHandle:
             term_to_sparse(term, 2)
 
 
-def one_handle_of_each_shape(rng):
-    """Handles of every class on 3 qubits, zero phases and stored zeros included."""
+EXPLICIT_ROWS = [([1, 5], [1.0, 0.0]), ([], []), ([7, 0, 2], [2j, -1.0, 0.5])] + \
+    [([3], [1.0])] * 5
+
+
+def explicit_dense(rows):
+    out = np.zeros((len(rows), len(rows)), dtype=complex)
+    for i, (cols, vals) in enumerate(rows):
+        out[i, cols] = vals
+    return out
+
+
+def one_handle_of_each_shape(rng, with_dense=False):
+    """Handles of every class on 3 qubits, zero phases and stored zeros included.
+
+    With with_dense, each comes paired with its dense matrix, built from the
+    Pauli matrices, helpers.term_matrix or the row data, not from a handle.
+    """
     n = 3
     block = np.diag([1.0, 0.0, 2.0, -1.0]).astype(complex)
     block[0, 3] = block[3, 0] = -0.5
-    explicit = ExplicitSparseHandle(
-        [([1, 5], [1.0, 0.0]), ([], []), ([7, 0, 2], [2j, -1.0, 0.5])] + [([3], [1.0])] * 5
-    )
-    return [
-        PauliTermHandle("XYZ", -0.7, n),
-        PauliTermHandle("ZIY", 0.0, n),
-        IdentityHandle(2**n, 0.25j),
-        IdentityHandle(2**n, 0.0),
-        BlockTermHandle(random_block_term(rng, n, 2), n),
-        BlockTermHandle(LocalTerm.from_block((2, 0), block), n),
-        explicit,
+    random_term = random_block_term(rng, n, 2)
+    zero_block = LocalTerm.from_block((2, 0), block)
+    pairs = [
+        (PauliTermHandle("XYZ", -0.7, n), -0.7 * pauli_matrix("XYZ")),
+        (PauliTermHandle("ZIY", 0.0, n), 0.0 * pauli_matrix("ZIY")),
+        (IdentityHandle(2**n, 0.25j), 0.25j * np.eye(2**n)),
+        (IdentityHandle(2**n, 0.0), np.zeros((2**n, 2**n))),
+        (BlockTermHandle(random_term, n), term_matrix(random_term, n)),
+        (BlockTermHandle(zero_block, n), term_matrix(zero_block, n)),
+        (ExplicitSparseHandle(EXPLICIT_ROWS), explicit_dense(EXPLICIT_ROWS)),
     ]
+    return pairs if with_dense else [h for h, _ in pairs]
 
 
-def test_rows_many_matches_row_queries():
-    """Vectorized rows equal the scalar queries, in order, without zeros."""
+def test_rows_many_matches_dense_rows():
+    """rows_many gives the nonzeros of each asked row of an independently
+    built dense matrix, row by row, as many times as the row is asked."""
     rng = np.random.default_rng(31)
     n = 3
-    base = one_handle_of_each_shape(rng)
-    handles = base + [h.scaled(f) for h in base for f in (0.3 - 1.2j, 0.0)]
+    pairs = one_handle_of_each_shape(rng, with_dense=True)
+    pairs += [(h.scaled(f), f * dense) for h, dense in pairs for f in (0.3 - 1.2j, 0.0)]
     rows = rng.integers(0, 2**n, size=40)
-    for h in handles:
-        want = [(p, col, val) for p, i in enumerate(rows.tolist())
-                for col, val in h.row(i) if val != 0]
+    for h, dense in pairs:
         parent, cols, vals = h.rows_many(rows)
-        got = list(zip(parent.tolist(), cols.tolist(), vals.tolist()))
-        assert got == want, h
+        assert parent.dtype == cols.dtype == np.int64 and vals.dtype == complex
+        assert np.all(np.diff(parent) >= 0) and np.all(vals != 0), h
+        for p, i in enumerate(rows.tolist()):
+            mine = parent == p
+            assert sorted(cols[mine].tolist()) == np.flatnonzero(dense[i]).tolist(), h
+            assert np.allclose(vals[mine], dense[i, cols[mine]], rtol=1e-14, atol=0), h
 
 
 @pytest.mark.parametrize("factor", [0.3 - 1.2j, 0.0, 1.0])
@@ -385,9 +414,11 @@ def test_explicit_sparse_handle():
     h = ExplicitSparseHandle([([1], [2.0]), ([0, 2], [1j, -1.0]), ([], [])])
     assert h.dimension == 3
     assert h.sparsity == 2
-    assert h.row_nnz(2) == 0
-    assert h.row_entry(1, 0) == (0, 1j)
-    with pytest.raises(IndexError):
-        h.row_entry(0, 1)
+    assert row_entries(h, 2) == []
+    assert row_entries(h, 1) == [(0, 1j), (2, -1.0 + 0j)]
+    parent, cols, vals = h.rows_many([1, 0, 1])
+    assert parent.tolist() == [0, 0, 1, 2, 2]
+    assert cols.tolist() == [0, 2, 1, 0, 2]
+    assert vals.tolist() == [1j, -1.0, 2.0, 1j, -1.0]
     with pytest.raises(ValidationError):
         ExplicitSparseHandle([([0], [1.0])], dimension=4)

@@ -46,24 +46,25 @@ from helpers import (
     random_pauli_terms,
     random_sparse_handle,
     random_state_vector,
+    term_matrix,
 )
 
 
-def row_query_dense(handle):
-    """Reference dense build: one row query at a time."""
-    n = handle.dimension
-    mat = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        for col, val in handle.row(i):
-            mat[i, col] += val
-    return mat
+def assert_same_matrix(got, want):
+    """got holds nonzeros exactly where want does, equal to rounding."""
+    assert np.array_equal(got != 0, want != 0)
+    assert np.allclose(got, want, rtol=1e-14, atol=0)
 
 
-def random_mixed_decomposition(rng, n, m_pauli, m_block):
+def random_mixed_terms(rng, n, m_pauli, m_block):
     terms = random_pauli_terms(rng, n, m_pauli)
     terms += [random_block_term(rng, n, int(rng.integers(1, min(n, 3) + 1)))
               for _ in range(m_block)]
-    return build_decomposition(n, terms)
+    return terms
+
+
+def random_mixed_decomposition(rng, n, m_pauli, m_block):
+    return build_decomposition(n, random_mixed_terms(rng, n, m_pauli, m_block))
 
 
 class TestDenseOperator:
@@ -121,40 +122,57 @@ class TestDenseOperator:
 
 
 class TestDenseTerm:
-    """The mask and scatter builds agree exactly with row-by-row queries."""
+    """The row queries of every handle class build the term's dense matrix.
+
+    The references come from the Pauli matrices, helpers.term_matrix and the
+    dense matrix random_sparse_handle returns, never from a handle's tables.
+    """
 
     @staticmethod
     def handles(rng, n):
+        """(handle, reference dense matrix) of each class, scaled ones too."""
         string = "".join(rng.choice(list("IXYZ"), size=n))
-        pauli = PauliTermHandle(string, float(rng.normal()), n)
-        identity = IdentityHandle(2**n, complex(rng.normal(), rng.normal()))
+        coeff = float(rng.normal())
+        scale = complex(rng.normal(), rng.normal())
         block_term = random_block_term(rng, n, int(rng.integers(1, n + 1)))
-        block = BlockTermHandle(block_term, n)
-        explicit, _ = random_sparse_handle(rng, 2**n, min(3, 2**n))
-        base = [pauli, identity, block, explicit]
+        explicit, explicit_dense = random_sparse_handle(rng, 2**n, min(3, 2**n))
+        base = [
+            (PauliTermHandle(string, coeff, n), coeff * pauli_matrix(string)),
+            (IdentityHandle(2**n, scale), scale * np.eye(2**n)),
+            (BlockTermHandle(block_term, n), term_matrix(block_term, n)),
+            (explicit, explicit_dense),
+        ]
         factor = complex(rng.normal(), rng.normal())
-        return base + [h.scaled(factor) for h in base]
+        return base + [(h.scaled(factor), factor * dense) for h, dense in base]
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_every_handle_class_matches_row_queries(self, n):
         rng = np.random.default_rng(100 + n)
         for _ in range(5):
-            for handle in self.handles(rng, n):
-                assert np.array_equal(dense_term(handle), row_query_dense(handle))
+            for handle, want in self.handles(rng, n):
+                assert_same_matrix(dense_term(handle), want)
 
     def test_block_with_zero_entries(self):
         block = np.diag([1.0, -1.0, 2.0, 0.0]).astype(complex)
         block[0, 3] = block[3, 0] = 0.5
-        handle = BlockTermHandle(LocalTerm.from_block((2, 0), block), 3)
-        assert np.array_equal(dense_term(handle), row_query_dense(handle))
+        term = LocalTerm.from_block((2, 0), block)
+        got = dense_term(BlockTermHandle(term, 3))
+        assert np.array_equal(got, term_matrix(term, 3))
 
     def test_reconstruct_sums_terms_in_order(self):
+        """Each entry is the sum of the terms' entries in term order, bit for
+        bit, and the sum is (H + kappa I) / (2 kappa)."""
         rng = np.random.default_rng(3)
-        d = shift_rescale(random_mixed_decomposition(rng, 4, 5, 3))
-        want = np.zeros((16, 16), dtype=complex)
-        for handle in d.terms:
-            want += row_query_dense(handle)
-        assert np.array_equal(reconstruct(d).matrix, want)
+        terms = random_mixed_terms(rng, 4, 5, 3)
+        d = build_decomposition(4, terms)
+        prime = shift_rescale(d)
+        in_order = np.zeros((16, 16), dtype=complex)
+        for handle in prime.terms:
+            in_order += dense_term(handle)
+        got = reconstruct(prime).matrix
+        assert np.array_equal(got, in_order)
+        want = (hamiltonian_matrix(4, terms) + d.kappa * np.eye(16)) / (2 * d.kappa)
+        assert np.allclose(got, want, rtol=0, atol=1e-14)
 
 
 def test_reconstruct_pauli_sum():

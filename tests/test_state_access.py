@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import struct
@@ -70,7 +71,13 @@ def test_product_state_amplitudes_factorize():
         assert abs(st.query(idx) - want) <= 1e-15
 
 
+def product_amplitudes(pairs):
+    """The amplitude vector of a product state: qubit q is bit q of the index."""
+    return functools.reduce(np.kron, [np.array(pair) for pair in reversed(pairs)])
+
+
 def test_product_state_query_equals_query_many():
+    """query(j) and query_many read the product state's amplitude vector."""
     rng = np.random.default_rng(12)
     pairs = []
     for _ in range(7):
@@ -78,27 +85,57 @@ def test_product_state_query_equals_query_many():
         nrm = math.sqrt(abs(a) ** 2 + abs(b) ** 2)
         pairs.append((a / nrm, b / nrm))
     st = ProductState(pairs)
+    want = product_amplitudes(pairs)
     idx = rng.integers(0, st.dimension, size=200)
     batch = st.query_many(idx)
-    # numpy's vectorized complex multiply may round differently in the last bit
     scalar = np.array([st.query(j) for j in idx])
-    assert np.allclose(scalar, batch, rtol=1e-14, atol=0)
+    assert np.allclose(batch, want[idx], rtol=1e-14, atol=0)
+    assert np.array_equal(scalar, batch)
     assert isinstance(st.query(np.int64(idx[0])), complex)
 
 
 @pytest.mark.parametrize("n", [3, 11, 20])
 def test_product_state_byte_tables_match_query(n):
     """query_many gathers from one table per byte of the index; an n that is
-    not a multiple of 8 leaves a short last table."""
+    not a multiple of 8 leaves a short last table. The amplitudes are
+    checked against per-qubit products taken bit by bit."""
     rng = np.random.default_rng(100 + n)
     a, b = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
     nrm = np.sqrt(np.abs(a) ** 2 + np.abs(b) ** 2)
-    st = ProductState(list(zip(a / nrm, b / nrm)))
+    a, b = a / nrm, b / nrm
+    st = ProductState(list(zip(a, b)))
     idx = rng.integers(0, st.dimension, size=(40, 5))
     batch = st.query_many(idx)
     assert batch.shape == idx.shape
-    scalar = np.array([[st.query(j) for j in row] for row in idx])
-    assert np.allclose(batch, scalar, rtol=1e-13, atol=0)
+    bits = (idx[..., None] >> np.arange(n)) & 1
+    want = np.prod(np.where(bits == 1, b, a), axis=-1)
+    assert np.allclose(batch, want, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: DenseVector(np.array([0.5, -1j, 0.0, 2.0])),
+    lambda: BasisState(2, 4),
+    lambda: ProductState([(0.6, 0.8j), (0.0, 1.0)]),
+    lambda: DenseState(np.array([0.5, 0.5j, -0.5, 0.5])),
+    lambda: MaxEntState(1),
+])
+def test_query_reads_the_amplitude_vector(make):
+    """Every state class answers query and query_many from one vector."""
+    want = {
+        "DenseVector": [0.5, -1j, 0.0, 2.0],
+        "BasisState": [0, 0, 1, 0],
+        "ProductState": [0.0, 0.0, 0.6, 0.8j],
+        "DenseState": [0.5, 0.5j, -0.5, 0.5],
+        "MaxEntState": [2 ** -0.5, 0, 0, 2 ** -0.5],
+    }
+    st = make()
+    amps = np.array(want[type(st).__name__], dtype=complex)
+    idx = np.array([[3, 0], [1, 2]])
+    assert np.allclose(st.query_many(idx), amps[idx], rtol=1e-15, atol=0)
+    for j in range(4):
+        got = st.query(j)
+        assert type(got) is complex
+        assert abs(got - amps[j]) <= 1e-15
 
 
 def test_maxent_state_amplitudes():

@@ -573,5 +573,20 @@ def test_only_the_polynomial_transform_takes_counters():
     }
 
 
+def test_one_query_form_per_layer():
+    """Handles answer rows_many and states answer query_many, with no scalar
+    second form: no class of hamiltonian defines row_nnz, row_entry or row,
+    and of the classes of state_access only VectorAccessor defines query,
+    once, through query_many."""
+    found = {"row_nnz": set(), "row_entry": set(), "row": set(), "query": set()}
+    for module in (eigensampler.hamiltonian, eigensampler.state_access):
+        for name, obj in vars(module).items():
+            if inspect.isclass(obj) and obj.__module__ == module.__name__:
+                for attr in found.keys() & vars(obj).keys():
+                    found[attr].add(name)
+    assert found == {"row_nnz": set(), "row_entry": set(), "row": set(),
+                     "query": {"VectorAccessor"}}
+
+
 def test_module_constant_tuples():
     assert POLICIES == ("strict", "tight", "oracle-exact")
