@@ -37,6 +37,7 @@ from .errors import (
     ValidationError,
 )
 from .hamiltonian import (
+    MAX_QUBITS,
     LocalTerm,
     build_decomposition,
     shift_rescale,
@@ -546,6 +547,11 @@ def solve_unguided(H, cfg):
     is replaced by that bound.
     """
     n, terms = _coerce_hamiltonian(H)
+    if 2 * n > MAX_QUBITS:
+        raise ValidationError(
+            f"the unguided mode doubles n = {n} qubits to {2 * n}, past the "
+            f"limit of {MAX_QUBITS}; it takes n <= {MAX_QUBITS // 2}"
+        )
     if not terms:
         return _zero_hamiltonian_estimate(cfg)
     decomp = build_decomposition(2 * n, doubled_terms(terms, n))

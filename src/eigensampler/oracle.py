@@ -44,7 +44,12 @@ class DenseOperator:
         from scipy import sparse
 
         if not sparse.issparse(matrix):
-            matrix = np.asarray(matrix, dtype=complex)
+            try:
+                matrix = np.asarray(matrix, dtype=complex)
+            except (TypeError, ValueError):
+                raise ValidationError(
+                    f"operator must be a matrix of numbers, got {type(matrix).__name__}"
+                ) from None
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValidationError(f"operator must be square, got {matrix.shape}")
         if matrix.shape[0] > DENSE_DIMENSION_LIMIT:

@@ -336,14 +336,25 @@ def sample_ratios(psi, w, count, rng):
     amps = psi.query_many(j)
     wvals = w.query_many(j)
     instrument.add(psi_samples=count, psi_queries=count, vector_queries=count)
+    amps, wvals = clear_dead_amplitudes(j, amps, wvals)
+    return wvals / amps
+
+
+def clear_dead_amplitudes(j, amps, vals):
+    """(amps, vals) with every dead amplitude (amps == 0) set to 1 and its
+    value to 0, so that its ratio vals / amps is 0.
+
+    j holds the sampled indices. Raises UndefinedRatioError, naming the
+    first such index, when a dead amplitude has a nonzero value.
+    """
     dead = amps == 0
     if np.any(dead):
-        bad = dead & (wvals != 0)
+        bad = dead & (vals != 0)
         if np.any(bad):
             raise UndefinedRatioError(int(j[np.argmax(bad)]))
         amps = np.where(dead, 1.0, amps)
-        wvals = np.where(dead, 0.0, wvals)
-    return wvals / amps
+        vals = np.where(dead, 0.0, vals)
+    return amps, vals
 
 
 def samples_per_batch(scale, eps, name):

@@ -29,12 +29,17 @@ from contextlib import nullcontext
 import numpy as np
 
 from . import instrument
-from .errors import CostCapExceeded, UndefinedRatioError, ValidationError
+from .errors import CostCapExceeded, ValidationError
 from .hamiltonian import KAPPA_TOL
 # chain_entry stays a module attribute, so instrumentation can patch it.
 from .imm import ChainKernel, chain_entry  # noqa: F401
 from .polyfilter import coefficient_l1
-from .state_access import median_amplify, median_reps, samples_per_batch
+from .state_access import (
+    clear_dead_amplitudes,
+    median_amplify,
+    median_reps,
+    samples_per_batch,
+)
 
 
 POLICIES = ("strict", "tight", "oracle-exact")
@@ -135,13 +140,7 @@ def _estimate_strata(psi, phi, decomp, coeffs, err, delta, rng):
                                for x, (lo, hi) in zip(chains, spans)])
         masses = np.concatenate([sampler.masses(x)
                                  for (sampler, _, _), x in zip(strata, chains)])
-        dead = amps == 0
-        if np.any(dead):
-            bad = dead & (vals != 0)
-            if np.any(bad):
-                raise UndefinedRatioError(int(j[np.argmax(bad)]))
-            amps = np.where(dead, 1.0, amps)
-            vals = np.where(dead, 0.0, vals)
+        amps, vals = clear_dead_amplitudes(j, amps, vals)
         ys = vals / (amps * masses)
         value = None
         for (_, a, _), (lo, hi) in zip(strata, spans):

@@ -275,6 +275,21 @@ class TestEstimate:
         assert edoc["error"]["type"] == "ValidationError"
         assert "64 qubits" in edoc["error"]["message"]
 
+    def test_unguided_past_31_qubits_exits_one(self, capsys, tmp_path):
+        """The unguided mode doubles n, so it refuses n = 32 itself and says
+        which n it was given."""
+        path = tmp_path / "wide.txt"
+        path.write_text("n=32\n1.0 Z" + "I" * 31 + "\n")
+        code, doc, edoc = run_json(
+            capsys, "estimate", "--hamiltonian", str(path), "--state", "maxent",
+            "--epsilon", "1.0", "--json",
+        )
+        assert code == 1
+        assert doc is None
+        assert edoc["error"]["type"] == "ValidationError"
+        assert "n = 32" in edoc["error"]["message"]
+        assert "n <= 31" in edoc["error"]["message"]
+
     def test_shifted_power_past_degree_cap_exits_one(self, capsys, z_file):
         # At chi 0.5 and epsilon 0.002 test 0 separates its bounds only past
         # r = 1386, at every shift. (At chi 1 test 0 always separates: its

@@ -81,6 +81,16 @@ class TestDenseOperator:
         with pytest.raises(ValidationError):
             DenseOperator(np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("bad", [{"a": 1}, [[1.0, 2.0], [3.0]], "abc"])
+    def test_rejects_non_matrix(self, bad):
+        with pytest.raises(ValidationError, match="matrix of numbers"):
+            DenseOperator(bad)
+
+    def test_sandwich_refuses_a_list_of_handles(self):
+        d = build_decomposition(2, [LocalTerm.from_pauli(1.0, "XZ")])
+        with pytest.raises(ValidationError):
+            exact_sandwich(BasisState(0, 4), list(d.terms), BasisState(0, 4))
+
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValidationError):
             DenseOperator(np.array([[0.0, 1.0], [0.0, 0.0]]))
