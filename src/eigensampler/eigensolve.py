@@ -261,12 +261,14 @@ class ShiftedTest:
 
 def _shift_factors(shifts, tau, theta):
     """(yes ratio, no ratio) of each shift c: (c - y_tau)/(1 + c) and
-    max(c - y_h, 1 - c)/(1 + c). Works on floats and on numpy arrays; at
-    c = 1 the ratios are exactly 1 - tau and max(0, 1 - tau - theta)."""
+    max(c - y_h, 1 - c)/(1 + c), in the form ShiftedTest's bounds are
+    proved in. The band edges y_tau = 2 tau - 1 and y_h = 2 (tau + theta) - 1
+    come first, so the numerators are one difference each of c and an edge.
+    Works on floats and on numpy arrays."""
+    y_tau = 2.0 * tau - 1.0
+    y_h = 2.0 * (tau + theta) - 1.0
     scale = 1.0 + shifts
-    yes = scale - 2.0 * tau
-    no = yes - 2.0 * theta
-    return yes / scale, np.maximum(no, 1.0 - shifts) / scale
+    return (shifts - y_tau) / scale, np.maximum(shifts - y_h, 1.0 - shifts) / scale
 
 
 def _log_costs(shifts, powers, tau, theta, chi, s):

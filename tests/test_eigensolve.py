@@ -747,6 +747,9 @@ def smallest_separating_power(t, epsilon, chi):
 )
 # the c = 1 power separates only at err 2.2e-168, too small to be counted
 @example(epsilon=0.0234375, place=0.9375, chi=0.001953125, s=1, delta=0.5)
+# at c = 1 the no ratio taken as (1 + c - 2 tau) - 2 theta rounded twice, to
+# 9.999999999926734e-06, below the exact 1 - epsilon
+@example(epsilon=0.99999, place=0.75, chi=1.0, s=1, delta=0.5)
 def test_shifted_bounds_properties(epsilon, place, chi, s, delta):
     T = math.ceil(4 / epsilon)
     t = min(int(place * T), T - 1)
