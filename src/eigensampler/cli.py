@@ -217,8 +217,7 @@ def _oracle_block(n, terms, state_spec, cfg, estimate, unguided):
         psi = make_state(state_spec, n)
     op = reconstruct(decomp)
     lam = exact_ground_energy(op)
-    psi_dense = psi.query_many(np.arange(dim, dtype=np.int64))
-    overlap = exact_overlap(op, psi_dense, cfg.resolved_sigma(estimate.kappa))
+    overlap = exact_overlap(op, psi, cfg.resolved_sigma(estimate.kappa))
     abs_error = abs(estimate.e_star - lam)
     return {
         "lambda_min": lam,
@@ -304,8 +303,7 @@ def run_oracle(args):
     if args.state is not None:
         sigma = args.sigma if args.sigma is not None else 0.0
         psi = make_state(args.state, n)
-        psi_dense = psi.query_many(np.arange(op.dimension, dtype=np.int64))
-        result["overlap"] = exact_overlap(op, psi_dense, sigma)
+        result["overlap"] = exact_overlap(op, psi, sigma)
         result["sigma"] = sigma
     config = {"hamiltonian": args.hamiltonian, "state": args.state,
               "sigma": args.sigma, "spectrum": args.spectrum}

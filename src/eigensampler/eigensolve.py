@@ -550,10 +550,8 @@ def solve_unguided(H, cfg):
     """
     n, terms = _coerce_hamiltonian(H)
     if 2 * n > MAX_QUBITS:
-        raise ValidationError(
-            f"the unguided mode doubles n = {n} qubits to {2 * n}, past the "
-            f"limit of {MAX_QUBITS}; it takes n <= {MAX_QUBITS // 2}"
-        )
+        raise ValidationError(f"the unguided mode doubles n = {n} qubits past the "
+                              f"limit of {MAX_QUBITS}; it takes n <= {MAX_QUBITS // 2}")
     if not terms:
         return _zero_hamiltonian_estimate(cfg)
     decomp = build_decomposition(2 * n, doubled_terms(terms, n))

@@ -47,9 +47,7 @@ class DenseOperator:
             try:
                 matrix = np.asarray(matrix, dtype=complex)
             except (TypeError, ValueError):
-                raise ValidationError(
-                    f"operator must be a matrix of numbers, got {type(matrix).__name__}"
-                ) from None
+                raise ValidationError("operator must be a matrix of numbers") from None
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValidationError(f"operator must be square, got {matrix.shape}")
         if matrix.shape[0] > DENSE_DIMENSION_LIMIT:
@@ -237,16 +235,14 @@ def _as_operator(op):
 
 
 def _as_dense_vector(vec, dimension):
-    if isinstance(vec, np.ndarray):
-        out = np.asarray(vec, dtype=complex)
-    elif hasattr(vec, "to_array"):
-        out = vec.to_array()
-    elif isinstance(vec, VectorAccessor):
-        out = np.asarray(
-            vec.query_many(np.arange(dimension, dtype=np.int64)), dtype=complex
-        )
-    else:
-        out = np.asarray(vec, dtype=complex)
+    """vec as a complex (dimension,) array; a state is read in one query_many."""
+    if isinstance(vec, VectorAccessor):
+        if vec.dimension != dimension:
+            raise ValidationError(
+                f"vector has dimension {vec.dimension}, expected {dimension}"
+            )
+        vec = vec.query_many(np.arange(dimension, dtype=np.int64))
+    out = np.asarray(vec, dtype=complex)
     if out.shape != (dimension,):
         raise ValidationError(
             f"vector has shape {out.shape}, expected ({dimension},)"

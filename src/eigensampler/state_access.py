@@ -62,9 +62,6 @@ class DenseVector(VectorAccessor):
     def query_many(self, idx):
         return self._values[np.asarray(idx, dtype=np.int64)]
 
-    def to_array(self):
-        return self._values.copy()
-
 
 class BasisState(StateAccessor):
     def __init__(self, index, dimension):
@@ -141,9 +138,6 @@ class DenseState(StateAccessor):
 
     def query_many(self, idx):
         return self._values[np.asarray(idx, dtype=np.int64)]
-
-    def to_array(self):
-        return self._values.copy()
 
     def sample_many(self, rng, count):
         slot = rng.integers(0, self.dimension, size=count)
@@ -341,12 +335,9 @@ def sample_ratios(psi, w, count, rng):
 
 
 def clear_dead_amplitudes(j, amps, vals):
-    """(amps, vals) with every dead amplitude (amps == 0) set to 1 and its
-    value to 0, so that its ratio vals / amps is 0.
-
-    j holds the sampled indices. Raises UndefinedRatioError, naming the
-    first such index, when a dead amplitude has a nonzero value.
-    """
+    """(amps, vals) with each dead amplitude (amps == 0) set to 1 and its
+    value to 0, so its ratio is 0; a dead amplitude with a nonzero value
+    raises UndefinedRatioError at its sampled index j."""
     dead = amps == 0
     if np.any(dead):
         bad = dead & (vals != 0)

@@ -90,7 +90,7 @@ def test_kernel_matches_dense_and_recursion(problem, limit):
         got = ChainKernel(terms).values(chains, rows, phi)
 
     dense = [dense_term(h) for h in terms]
-    phi_v = phi.to_array()
+    phi_v = phi.query_many(np.arange(phi.dimension))
     want, leaves, deepest = [], 0, 0
     for picks, ell in zip(chains, rows):
         vec = phi_v

@@ -91,6 +91,11 @@ class TestDenseOperator:
         with pytest.raises(ValidationError):
             exact_sandwich(BasisState(0, 4), list(d.terms), BasisState(0, 4))
 
+    def test_sandwich_refuses_a_state_of_another_dimension(self):
+        op = DenseOperator(np.diag([1.0, -1.0, 0.5, 0.0]))
+        with pytest.raises(ValidationError, match="dimension 8, expected 4"):
+            exact_sandwich(BasisState(0, 8), op, BasisState(0, 4))
+
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValidationError):
             DenseOperator(np.array([[0.0, 1.0], [0.0, 0.0]]))
