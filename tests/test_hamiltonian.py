@@ -126,18 +126,16 @@ def explicit_dense(rows):
     return out
 
 
-def one_handle_of_each_shape(rng, with_dense=False):
-    """Handles of every class on 3 qubits, zero phases and stored zeros included.
-
-    With with_dense, each comes paired with its dense matrix, built from the
-    Pauli matrices, helpers.term_matrix or the row data, not from a handle.
-    """
+def one_handle_of_each_shape(rng):
+    """Handles of every class on 3 qubits, zero phases and stored zeros
+    included, each paired with its dense matrix, built from the Pauli
+    matrices, helpers.term_matrix or the row data, not from a handle."""
     n = 3
     block = np.diag([1.0, 0.0, 2.0, -1.0]).astype(complex)
     block[0, 3] = block[3, 0] = -0.5
     random_term = random_block_term(rng, n, 2)
     zero_block = LocalTerm.from_block((2, 0), block)
-    pairs = [
+    return [
         (PauliTermHandle("XYZ", -0.7, n), -0.7 * pauli_matrix("XYZ")),
         (PauliTermHandle("ZIY", 0.0, n), 0.0 * pauli_matrix("ZIY")),
         (IdentityHandle(2**n, 0.25j), 0.25j * np.eye(2**n)),
@@ -146,7 +144,6 @@ def one_handle_of_each_shape(rng, with_dense=False):
         (BlockTermHandle(zero_block, n), term_matrix(zero_block, n)),
         (ExplicitSparseHandle(EXPLICIT_ROWS), explicit_dense(EXPLICIT_ROWS)),
     ]
-    return pairs if with_dense else [h for h, _ in pairs]
 
 
 def test_rows_many_matches_dense_rows():
@@ -154,7 +151,7 @@ def test_rows_many_matches_dense_rows():
     built dense matrix, row by row, as many times as the row is asked."""
     rng = np.random.default_rng(31)
     n = 3
-    pairs = one_handle_of_each_shape(rng, with_dense=True)
+    pairs = one_handle_of_each_shape(rng)
     pairs += [(h.scaled(f), f * dense) for h, dense in pairs for f in (0.3 - 1.2j, 0.0)]
     rows = rng.integers(0, 2**n, size=40)
     for h, dense in pairs:
@@ -173,7 +170,7 @@ def test_scaled_rows_are_the_rows_times_the_factor(factor):
     entries that scale to zero left out, and the same class of handle."""
     rng = np.random.default_rng(32)
     rows = rng.integers(0, 8, size=40)
-    for h in one_handle_of_each_shape(rng):
+    for h, _ in one_handle_of_each_shape(rng):
         scaled = h.scaled(factor)
         parent, cols, vals = h.rows_many(rows)
         vals = _scale(vals, complex(factor))
