@@ -25,6 +25,7 @@ state, whose ground-space overlap is at least 2^(-n/2) regardless of H.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -80,6 +81,11 @@ class SolverConfig:
     def __post_init__(self):
         if not 0.0 < self.epsilon <= 1.0:
             raise ValidationError(f"epsilon must be in (0, 1], got {self.epsilon}")
+        if 4.0 / self.epsilon == math.inf:
+            raise ValidationError(
+                f"epsilon = {self.epsilon!r} is too small: the scan's "
+                f"ceil(4 / epsilon) intervals overflow a float"
+            )
         if not 0.0 < self.chi <= 1.0:
             raise ValidationError(f"chi must be in (0, 1], got {self.chi}")
         if not 0.0 < self.delta < 1.0:
@@ -92,8 +98,10 @@ class SolverConfig:
             )
         if self.cost_cap is not None and not self.cost_cap > 0.0:
             raise ValidationError(f"cost cap must be positive, got {self.cost_cap}")
-        if self.seed < 0:
-            raise ValidationError(f"seed must be nonnegative, got {self.seed}")
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ValidationError(
+                f"seed must be a nonnegative integer, got {self.seed!r}"
+            )
 
     @property
     def interval_count(self):
@@ -552,12 +560,12 @@ def solve_unguided(H, cfg):
     if 2 * n > MAX_QUBITS:
         raise ValidationError(f"the unguided mode doubles n = {n} qubits past the "
                               f"limit of {MAX_QUBITS}; it takes n <= {MAX_QUBITS // 2}")
+    cfg = replace(cfg, chi=2.0 ** (-n / 2.0))
     if not terms:
         return _zero_hamiltonian_estimate(cfg)
     decomp = build_decomposition(2 * n, doubled_terms(terms, n))
     if decomp.kappa == 0.0:
         return _zero_hamiltonian_estimate(cfg)
-    cfg = replace(cfg, chi=2.0 ** (-n / 2.0))
     psi = MaxEntState(n)
     rng = make_generator(cfg.seed)
     return estimate_smallest_eigenvalue(decomp, psi, cfg, rng)

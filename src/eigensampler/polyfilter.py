@@ -18,9 +18,10 @@ band_report re-checks a built filter independently on the full grid.
 
 Two coefficient forms are kept: the Chebyshev form, which is the numerically
 stable one and is used for every internal evaluation, and the monomial form,
-converted in extended precision on first use, which only the stratified
-sampled estimator consumes. Double-precision Horner on the monomial form
-degrades as sum|a_i| * 1e-16 and is exposed only through eval_poly.
+which only the stratified sampled estimator consumes. It is converted on
+first use exactly, in integers, and each coefficient is rounded once to
+double. Double-precision Horner on the monomial form degrades as
+sum|a_i| * 1e-16 and is exposed only through eval_poly.
 """
 
 import functools
@@ -43,16 +44,15 @@ class RectanglePolynomial:
 
     cheb: Chebyshev coefficients, which define the polynomial and its degree;
     verified: whether the band checks passed, along with the grid resolution
-    used. The monomial form is converted from cheb in extended precision on
-    first access and cached: coeffs holds the monomial coefficients a_0..a_d
-    in double precision and coeffs_extended the extended-precision ones,
-    because the double-rounded ones carry an unavoidable absolute error near
+    used. coeffs, the monomial coefficients a_0..a_d, is converted from cheb
+    exactly on first access, rounded once to double and cached. Even
+    correctly rounded, the doubles carry an absolute error near
     sum|a_i| * 2^-53 that swamps small values of the polynomial once the
     coefficients grow large.
     """
 
     __slots__ = ("cheb", "degree", "tau", "theta", "xi", "verified",
-                 "grid_points", "_monomial")
+                 "grid_points", "_coeffs")
 
     def __init__(self, cheb, tau, theta, xi, verified, grid_points):
         self.cheb = np.asarray(cheb, dtype=float)
@@ -63,22 +63,15 @@ class RectanglePolynomial:
         self.xi = float(xi)
         self.verified = bool(verified)
         self.grid_points = int(grid_points)
-        self._monomial = None
-
-    def _monomial_form(self):
-        if self._monomial is None:
-            coeffs, extended = _cheb_to_monomial_extended(self.cheb)
-            coeffs.flags.writeable = False
-            self._monomial = (coeffs, extended)
-        return self._monomial
+        self._coeffs = None
 
     @property
     def coeffs(self):
-        return self._monomial_form()[0]
-
-    @property
-    def coeffs_extended(self):
-        return self._monomial_form()[1]
+        if self._coeffs is None:
+            mono, den = _cheb_to_monomial_exact(self.cheb)
+            self._coeffs = np.array([m / den for m in mono])
+            self._coeffs.flags.writeable = False
+        return self._coeffs
 
     def eval_stable(self, x):
         """Evaluate via the Chebyshev form (Clenshaw recurrence)."""
@@ -111,8 +104,8 @@ def constant_one_polynomial(tau, theta, xi):
 
 
 def _rectangle_target(tau, theta, xi_eff):
-    # Imported here, as mpmath is below: scipy.special costs about 0.3 s to
-    # load, and only rectangle builds need it, never a tight scan.
+    # Imported here: scipy.special costs about 0.3 s to load, and only
+    # rectangle builds need it, never a tight scan.
     from scipy.special import erf, erfinv
 
     center = tau + theta / 2.0
@@ -245,67 +238,48 @@ def build_rectangle_polynomial(tau, theta, xi):
     )
 
 
-def _cheb_to_monomial_extended(cheb_coeffs):
-    """Chebyshev-to-monomial conversion with extended-precision accumulation.
+def _cheb_to_monomial_exact(cheb_coeffs):
+    """Exact monomial coefficients of sum_k cheb[k] T_k, as (numerators, den).
 
     The conversion matrix entries reach 4^d, so double accumulation loses the
-    small coefficients entirely; mpmath keeps the result exact to far below
-    double rounding. Returns both the double view and the extended one.
+    small coefficients entirely. But every double is an integer over a power
+    of two and every T_k has integer monomial coefficients, so over the
+    common denominator den of the cheb entries the sum is exact in Python
+    ints, with T_k built by T_(k+1) = 2x T_k - T_(k-1).
     """
-    import mpmath as mp
-
-    d = len(cheb_coeffs) - 1
-    dps = max(50, int(0.7 * d) + 40)
-    with mp.workdps(dps):
-        mono = [mp.mpf(0)] * (d + 1)
-        for i, row in enumerate(_iter_cheb_rows(d)):
-            coeff = mp.mpf(float(cheb_coeffs[i]))
-            if coeff != 0:
-                for j, tv in enumerate(row):
-                    mono[j] += coeff * tv
-        return np.array([float(v) for v in mono]), tuple(mono)
-
-
-def _iter_cheb_rows(d):
-    """Yield monomial coefficient lists of T_0 .. T_d (exact integers)."""
-    import mpmath as mp
-
-    t_prev = [mp.mpf(1)]
-    yield t_prev
-    if d == 0:
-        return
-    t_cur = [mp.mpf(0), mp.mpf(1)]
-    yield t_cur
-    for _ in range(2, d + 1):
-        shifted = [mp.mpf(0)] + [2 * v for v in t_cur]
-        t_next = [
-            shifted[j] - (t_prev[j] if j < len(t_prev) else mp.mpf(0))
-            for j in range(len(shifted))
-        ]
-        yield t_next
-        t_prev, t_cur = t_cur, t_next
+    ratios = [float(c).as_integer_ratio() for c in cheb_coeffs]
+    den = max(q for _, q in ratios)
+    mono = [0] * len(ratios)
+    # T_(-1) = x keeps the recurrence valid at k = 0: T_1 = 2x T_0 - x
+    t_prev, t = [0, 1], [1]
+    for p, q in ratios:
+        if p:
+            c = p * (den // q)
+            for j, a in enumerate(t):
+                mono[j] += c * a
+        t_next = [0] + [2 * a for a in t]
+        for j, a in enumerate(t_prev):
+            t_next[j] -= a
+        t_prev, t = t, t_next
+    return mono, den
 
 
-def eval_monomial_extended(P, xs, dps=None):
-    """Horner on the monomial form in extended precision (for verification).
+def eval_monomial_exact(P, xs):
+    """Horner on the exact monomial form, rounded once per point (for checks).
 
-    Uses the extended monomial coefficients, so the comparison against the
-    Chebyshev form measures the conversion, not the double rounding of huge
-    coefficients.
+    At each double x = p/q it sums m_j p^j q^(d-j) in integers, so the
+    comparison against the Chebyshev form measures the conversion, not the
+    double rounding of huge coefficients.
     """
-    import mpmath as mp
-
-    if dps is None:
-        dps = max(60, int(0.7 * P.degree) + 40)
-    coeffs = P.coeffs_extended
-    with mp.workdps(dps):
-        out = []
-        for x in np.atleast_1d(xs):
-            acc = mp.mpf(0)
-            xm = mp.mpf(float(x))
-            for a in reversed(coeffs):
-                acc = acc * xm + a
-            out.append(float(acc))
+    mono, den = _cheb_to_monomial_exact(P.cheb)
+    out = []
+    for x in np.atleast_1d(xs):
+        p, q = float(x).as_integer_ratio()
+        acc, qk = mono[-1], 1
+        for m in mono[-2::-1]:
+            qk *= q
+            acc = acc * p + m * qk
+        out.append(acc / (den * qk))
     return np.array(out)
 
 

@@ -365,8 +365,18 @@ def samples_per_batch(scale, eps, name):
 
 
 def median_reps(delta):
-    """Repetitions ceil(18 ln(1/delta)) that median_amplify runs at delta."""
-    return max(1, math.ceil(18.0 * math.log(1.0 / delta)))
+    """Repetitions ceil(18 ln(1/delta)) that median_amplify runs at delta.
+
+    Raises ValidationError when 1/delta overflows to inf, as it does for a
+    delta below about 5.6e-309 and for one that underflowed to 0.
+    """
+    inverse = 1.0 / delta if delta > 0 else math.inf
+    if inverse == math.inf:
+        raise ValidationError(
+            f"delta = {delta!r} is too small: 1/delta overflows a float, so "
+            f"ceil(18 ln(1/delta)) repetitions cannot be counted"
+        )
+    return max(1, math.ceil(18.0 * math.log(inverse)))
 
 
 # Samples per repetition from which median_amplify runs the repetitions on

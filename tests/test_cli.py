@@ -31,13 +31,13 @@ def pair_file(tmp_path):
     return str(p)
 
 
-# Runs the CLI in a fresh interpreter, then reports on stderr which of the
-# rectangle builder's heavy dependencies the run loaded.
+# Runs the CLI in a fresh interpreter, then reports on stderr whether the run
+# loaded scipy.special, which only rectangle builds need.
 FRESH_CLI = """
 import json, sys
 from eigensampler.cli import main
 code = main(sys.argv[1:])
-heavy = sorted(m for m in ("scipy.special", "mpmath") if m in sys.modules)
+heavy = [m for m in ["scipy.special"] if m in sys.modules]
 print(json.dumps({"code": code, "heavy": heavy}), file=sys.stderr)
 """
 
@@ -101,8 +101,8 @@ class TestEstimate:
         assert (record["degree"], record["shift"]) == (6, 0.125)
 
     def test_tight_run_is_byte_identical_across_processes(self, z_file):
-        # and loads neither scipy.special nor mpmath: only rectangle builds
-        # (strict, oracle-exact, poly) need them
+        # and does not load scipy.special: only rectangle builds (strict,
+        # oracle-exact, poly) need it
         argv = ("estimate", "--hamiltonian", z_file, "--state", "basis:1",
                 "--epsilon", "0.5", "--seed", "9", "--transcript", "--json")
         out1, status1 = run_fresh(*argv)
@@ -388,6 +388,43 @@ class TestEstimate:
         assert out == ""
         assert "Traceback" not in err
         assert json.loads(err)["error"]["type"] == "ValidationError"
+
+    @pytest.mark.parametrize("policy", ["tight", "strict", "oracle-exact"])
+    @pytest.mark.parametrize("epsilon", ["1e-310", "5e-324"])
+    def test_subnormal_epsilon_exits_one(self, capsys, z_file, policy, epsilon):
+        # 4/epsilon overflows, so the scan's interval count does not exist
+        code, out, err = run(
+            capsys, "estimate", "--hamiltonian", z_file, "--state", "basis:1",
+            "--policy", policy, "--epsilon", epsilon, "--json",
+        )
+        assert code == 1
+        assert out == ""
+        assert "Traceback" not in err
+        assert json.loads(err)["error"]["type"] == "ValidationError"
+
+    @pytest.mark.parametrize("policy", ["tight", "strict"])
+    @pytest.mark.parametrize("delta", ["1e-310", "5e-324"])
+    def test_subnormal_delta_exits_one_when_sampled(self, capsys, z_file,
+                                                    policy, delta):
+        # the per-test delta/T has no finite ln(1/delta) repetition count
+        code, out, err = run(
+            capsys, "estimate", "--hamiltonian", z_file, "--state", "basis:1",
+            "--policy", policy, "--epsilon", "0.5", "--delta", delta, "--json",
+        )
+        assert code == 1
+        assert out == ""
+        assert "Traceback" not in err
+        assert json.loads(err)["error"]["type"] == "ValidationError"
+
+    def test_subnormal_delta_runs_under_oracle_exact(self, capsys, z_file):
+        # the exact oracle draws no samples, so it needs no repetitions
+        code, doc, _ = run_json(
+            capsys, "estimate", "--hamiltonian", z_file, "--state", "basis:1",
+            "--policy", "oracle-exact", "--epsilon", "0.5", "--delta", "1e-310",
+            "--json",
+        )
+        assert code == 0
+        assert doc["result"]["e_star"] == -1.0
 
     def test_infinite_cost_cap_turns_the_cap_off(self, capsys, z_file):
         code, doc, _ = run_json(

@@ -86,11 +86,20 @@ class TestSolverConfig:
             {"policy": "bogus"},
             {"cost_cap": 0.0},
             {"sigma": -0.5},
+            {"epsilon": 1e-310},  # 4/epsilon overflows
+            {"epsilon": 5e-324},
+            {"seed": -1},
+            {"seed": None},
+            {"seed": 1.5},
+            {"seed": "3"},
         ],
     )
     def test_rejects_bad_fields(self, kw):
         with pytest.raises(ValidationError):
             SolverConfig(**kw)
+
+    def test_accepts_numpy_integer_seed(self):
+        assert SolverConfig(seed=np.int64(7)).seed == 7
 
     def test_frozen(self):
         cfg = SolverConfig()
@@ -278,6 +287,13 @@ class TestSolveEntryPoints:
         est = solve_unguided((1, Z_TERMS), oracle_cfg(epsilon=0.5, chi=0.123))
         assert est.chi == pytest.approx(2**-0.5)
 
+    @pytest.mark.parametrize("terms", [[], [LocalTerm.from_pauli(0.0, "ZI")]],
+                             ids=["no-terms", "zero-term"])
+    def test_solve_unguided_zero_hamiltonian_reports_its_chi(self, terms):
+        est = solve_unguided((2, terms), oracle_cfg(chi=0.9))
+        assert est.e_star == 0.0
+        assert est.chi == 0.5
+
     def test_doubled_terms_embed_identity_factor(self):
         n = 2
         terms = random_pauli_terms(np.random.default_rng(3), n, 3)
@@ -311,7 +327,7 @@ def watch_oracle(monkeypatch):
     polyfilter.build_rectangle_polynomial.cache_clear()
     monkeypatch.setattr(oracle, "reconstruct", counting)
     monkeypatch.setattr(np.linalg, "eigh", refuse)
-    monkeypatch.setattr(polyfilter, "_cheb_to_monomial_extended", refuse)
+    monkeypatch.setattr(polyfilter, "_cheb_to_monomial_exact", refuse)
     return calls
 
 

@@ -1,7 +1,10 @@
 """Rectangle filter construction: frozen degrees, bands, and conditioning."""
 
+import ast
 import math
+import os
 import warnings
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import chebyshev as _cheb
 
+import eigensampler
 from eigensampler import (
     DegreeOverflowError,
     RectanglePolynomial,
@@ -23,7 +27,7 @@ from eigensampler.polyfilter import (
     _rectangle_target,
     band_report,
     constant_one_polynomial,
-    eval_monomial_extended,
+    eval_monomial_exact,
 )
 
 XI12 = 1 / 12
@@ -195,8 +199,38 @@ def test_chebyshev_monomial_round_trip(params):
     P = build_rectangle_polynomial(*params)
     xs = np.linspace(-1.0, 1.0, 2001)
     stable = P.eval_stable(xs)
-    mono = eval_monomial_extended(P, xs)
+    mono = eval_monomial_exact(P, xs)
     assert np.max(np.abs(stable - mono)) <= 1e-7
+
+
+def _exact_reference(cheb):
+    """numpy's cheb2poly run on exact Fractions, each coefficient rounded once."""
+    exact = _cheb.cheb2poly(np.array([Fraction(c) for c in cheb], dtype=object))
+    out = np.zeros(len(cheb))
+    out[:len(exact)] = [float(v) for v in exact]
+    return out
+
+
+def _solver_profiles():
+    yield from sorted(FROZEN_DEGREES)
+    for epsilon, n in sorted(UNGUIDED_DEGREES):
+        for t in range(len(UNGUIDED_DEGREES[epsilon, n])):
+            yield _unguided_bands(t, epsilon, n)
+
+
+def test_monomial_coefficients_are_correctly_rounded():
+    """coeffs equal, bit for bit, an independent exact conversion."""
+    polys = [build_rectangle_polynomial(*params) for params in _solver_profiles()]
+    polys.append(constant_one_polynomial(0.9, 0.3, XI12))
+    for P in polys:
+        assert P.coeffs.tobytes() == _exact_reference(P.cheb).tobytes(), P
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=41))
+def test_random_chebyshev_vectors_convert_exactly(cheb):
+    P = RectanglePolynomial(cheb, 0.0, 0.5, 0.1, False, 0)
+    assert P.coeffs.tobytes() == _exact_reference(P.cheb).tobytes()
 
 
 def test_double_precision_horner_degrades_gracefully():
@@ -260,3 +294,24 @@ def test_metadata_round_trip():
     assert (P.tau, P.theta, P.xi) == (0.5, 0.25, 0.05)
     assert P.grid_points == 100_001
     assert isinstance(P, RectanglePolynomial)
+
+
+def test_package_imports_no_mpmath():
+    # The monomial conversion is exact in Python ints; every import, module
+    # level or local, of every module is read.
+    package = os.path.dirname(eigensampler.__file__)
+    found = []
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            elif isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            else:
+                continue
+            found += [name for m in modules if m.split(".")[0] == "mpmath"]
+    assert found == []

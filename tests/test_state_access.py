@@ -307,6 +307,20 @@ def test_median_amplify_repetition_count():
     assert len(calls) == 1  # clamped to at least one repetition
 
 
+@pytest.mark.parametrize("delta", [1e-310, 5e-324, 0.0])
+def test_median_reps_refuses_delta_whose_inverse_overflows(delta):
+    # 1/delta is inf, so ln(1/delta) repetitions cannot be counted
+    with pytest.raises(ValidationError, match="delta"):
+        state_access.median_reps(delta)
+
+
+def test_median_reps_keeps_its_count_down_to_the_smallest_normal_delta():
+    for delta in (0.999, 0.05, 1e-9, 1e-300, 2.2250738585072014e-308):
+        want = max(1, math.ceil(18.0 * math.log(1.0 / delta)))
+        assert state_access.median_reps(delta) == want
+    assert state_access.median_reps(2.2250738585072014e-308) == 12752
+
+
 def test_median_amplify_coordinatewise():
     # real and imaginary parts are amplified independently
     vals = iter([1 + 9j, 2 + 8j, 3 + 7j])
