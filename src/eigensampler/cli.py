@@ -24,24 +24,20 @@ from dataclasses import replace
 
 import numpy as np
 
-from .eigensolve import (
-    SolverConfig,
-    decide,
-    doubled_terms,
-    solve_guided,
-    solve_unguided,
-)
-from .errors import CostCapExceeded, EigensamplerError
+from .eigensolve import SolverConfig, decide, solve_guided, solve_unguided
+from .errors import CostCapExceeded, EigensamplerError, ValidationError
 from .hamiltonian import LocalTerm, build_decomposition, load_hamiltonian
 from .oracle import (
     DENSE_DIMENSION_LIMIT,
+    check_window,
     exact_ground_energy,
     exact_overlap,
     ground_vector,
+    maxent_overlap,
     reconstruct,
 )
 from .polyfilter import band_report, build_rectangle_polynomial, coefficient_l1
-from .state_access import DenseState, MaxEntState, make_state
+from .state_access import DenseState, make_state
 from .transform import POLICIES
 
 
@@ -144,19 +140,23 @@ def _add_solver(parser):
                         help="target accuracy, in units of kappa")
     parser.add_argument("--chi", type=float, default=1.0,
                         help="guiding-state overlap lower bound")
-    parser.add_argument("--sigma", type=float, default=None,
-                        help="low-energy window width (default epsilon/2 * kappa)")
     parser.add_argument("--delta", type=float, default=0.05,
                         help="total failure probability")
     parser.add_argument("--policy", choices=POLICIES, default="tight",
                         help="error-budget policy")
     parser.add_argument("--cost-cap", type=float, default=1e9,
                         help="predicted leaf-operation cap (inf disables)")
+
+
+def _add_report(parser):
     parser.add_argument("--transcript", action="store_true",
                         help="include the per-test transcript in the report")
     parser.add_argument("--oracle-check", action="store_true",
                         help="append an exact-diagonalization comparison "
                              "when the dimension permits")
+    parser.add_argument("--sigma", type=float, default=None,
+                        help="the oracle check's low-energy window width "
+                             "(default epsilon/2 * kappa of the run)")
 
 
 def _add_input(parser, state_required=True):
@@ -172,7 +172,7 @@ def _config_echo(args, cfg, extra=None):
         "state": getattr(args, "state", None),
         "epsilon": cfg.epsilon,
         "chi": cfg.chi,
-        "sigma": cfg.sigma,
+        "sigma": args.sigma,
         "delta": cfg.delta,
         "policy": cfg.policy,
         "seed": cfg.seed,
@@ -184,11 +184,12 @@ def _config_echo(args, cfg, extra=None):
 
 
 def _make_config(args):
+    if getattr(args, "sigma", None) is not None:  # refused before the run
+        check_window(args.sigma)
     return SolverConfig(
         epsilon=args.epsilon,
         chi=args.chi,
         delta=args.delta,
-        sigma=args.sigma,
         policy=args.policy,
         seed=args.seed,
         cost_cap=None if args.cost_cap == math.inf else args.cost_cap,
@@ -205,27 +206,29 @@ def _load_input(args):
     return n, terms, digest
 
 
-def _oracle_block(n, terms, state_spec, cfg, estimate, unguided):
-    dim = 2 ** (2 * n if unguided else n)
-    if dim > DENSE_DIMENSION_LIMIT:
-        return {"skipped": f"dimension {dim} exceeds the dense oracle limit"}
-    if unguided:
-        decomp = build_decomposition(2 * n, doubled_terms(terms, n))
-        psi = MaxEntState(n)
-    else:
-        decomp = build_decomposition(n, terms)
-        psi = make_state(state_spec, n)
-    op = reconstruct(decomp)
+def _oracle_block(args, n, terms, estimate):
+    """Exact check of a run, on its n-qubit operator, at the run's epsilon and chi."""
+    tolerance = estimate.epsilon * estimate.kappa
+    sigma = 0.5 * tolerance if args.sigma is None else args.sigma
+    if estimate.kappa > 0.0 and sigma >= tolerance:
+        raise ValidationError(f"sigma={sigma} must stay below "
+                              f"epsilon*kappa={tolerance}")
+    if 2**n > DENSE_DIMENSION_LIMIT:
+        return {"skipped": f"dimension {2**n} exceeds the dense oracle limit"}
+    op = reconstruct(build_decomposition(n, terms))
     lam = exact_ground_energy(op)
-    overlap = exact_overlap(op, psi, cfg.resolved_sigma(estimate.kappa))
+    if args.state.strip().lower() == "maxent":
+        overlap = maxent_overlap(op, sigma)
+    else:
+        overlap = exact_overlap(op, make_state(args.state, n), sigma)
     abs_error = abs(estimate.e_star - lam)
     return {
         "lambda_min": lam,
         "abs_error": abs_error,
-        "tolerance": cfg.epsilon * estimate.kappa,
-        "within_tolerance": bool(abs_error <= cfg.epsilon * estimate.kappa + 1e-12),
+        "tolerance": tolerance,
+        "within_tolerance": bool(abs_error <= tolerance + 1e-12),
         "overlap": overlap,
-        "overlap_promise": cfg.chi,
+        "overlap_promise": estimate.chi,
     }
 
 
@@ -246,7 +249,7 @@ def run_estimate(args):
     wall = time.perf_counter() - start
     oracle = None
     if args.oracle_check:
-        oracle = _oracle_block(n, terms, args.state, cfg, estimate, unguided)
+        oracle = _oracle_block(args, n, terms, estimate)
     return RunReport(
         command="estimate",
         input_digest=digest,
@@ -261,23 +264,16 @@ def run_decide(args):
     """Execute the LOW/HIGH decision; returns a RunReport."""
     n, terms, digest = _load_input(args)
     cfg = _make_config(args)
-    state = args.state
     start = time.perf_counter()
-    outcome = decide((n, terms), state, args.a, args.b, cfg)
+    outcome = decide((n, terms), args.state, args.a, args.b, cfg)
     wall = time.perf_counter() - start
     oracle = None
     if args.oracle_check:
-        unguided = state.strip().lower() == "maxent"
-        oracle = _oracle_block(n, terms, state, cfg, outcome.estimate, unguided)
+        oracle = _oracle_block(args, n, terms, outcome.estimate)
         if "lambda_min" in oracle:
-            kappa = outcome.estimate.kappa
-            lam = oracle["lambda_min"]
-            if lam <= args.a * kappa:
-                oracle["promise_side"] = "LOW"
-            elif lam > args.b * kappa:
-                oracle["promise_side"] = "HIGH"
-            else:
-                oracle["promise_side"] = "violated"
+            lam, kappa = oracle["lambda_min"], outcome.estimate.kappa
+            oracle["promise_side"] = ("LOW" if lam <= args.a * kappa else
+                                      "HIGH" if lam > args.b * kappa else "violated")
     return RunReport(
         command="decide",
         input_digest=digest,
@@ -302,8 +298,7 @@ def run_oracle(args):
         result["spectrum"] = [float(v) for v in op.eigenvalues]
     if args.state is not None:
         sigma = args.sigma if args.sigma is not None else 0.0
-        psi = make_state(args.state, n)
-        result["overlap"] = exact_overlap(op, psi, sigma)
+        result["overlap"] = exact_overlap(op, make_state(args.state, n), sigma)
         result["sigma"] = sigma
     config = {"hamiltonian": args.hamiltonian, "state": args.state,
               "sigma": args.sigma, "spectrum": args.spectrum}
@@ -356,7 +351,8 @@ def run_bench(args):
     seed_words = np.random.SeedSequence(args.seed).generate_state(
         max(1, args.count), np.uint64
     )
-    oracle_ok = args.n <= 12
+    max_n = DENSE_DIMENSION_LIMIT.bit_length() - 1  # the dense oracle's qubits
+    oracle_ok = args.n <= max_n
     successes = 0
     compared = 0
     aborted = 0
@@ -423,7 +419,7 @@ def run_bench(args):
             successes / compared if compared else None
         )
     else:
-        summary["notice"] = "oracle disabled for n > 12; success fraction omitted"
+        summary["notice"] = f"oracle disabled for n > {max_n}; success fraction omitted"
     if walls:
         summary["_mean_wall_s"] = float(np.mean(walls))
     yield "summary", summary
@@ -468,6 +464,7 @@ def build_parser():
     p_est = sub.add_parser("estimate", help="ground-energy estimate")
     _add_input(p_est)
     _add_solver(p_est)
+    _add_report(p_est)
     _add_common(p_est)
     p_est.set_defaults(func=lambda a: _cmd_simple(run_estimate, a))
 
@@ -478,6 +475,7 @@ def build_parser():
     p_dec.add_argument("--b", type=float, required=True,
                        help="upper threshold, in units of kappa")
     _add_solver(p_dec)
+    _add_report(p_dec)
     _add_common(p_dec)
     p_dec.set_defaults(func=lambda a: _cmd_simple(run_decide, a))
 

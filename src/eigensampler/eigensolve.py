@@ -63,17 +63,11 @@ from .transform import (
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs shared by every solver entry point.
-
-    sigma is the absolute width of the low-energy window backing the overlap
-    promise; None means the default (epsilon/2)*kappa, resolved once kappa is
-    known. It parameterizes verification only, never the scan itself.
-    """
+    """Knobs shared by every solver entry point."""
 
     epsilon: float = 0.25
     chi: float = 1.0
     delta: float = 0.05
-    sigma: float = None
     policy: str = "tight"
     seed: int = 0
     cost_cap: float = 1e9
@@ -90,8 +84,6 @@ class SolverConfig:
             raise ValidationError(f"chi must be in (0, 1], got {self.chi}")
         if not 0.0 < self.delta < 1.0:
             raise ValidationError(f"delta must be in (0, 1), got {self.delta}")
-        if self.sigma is not None and not self.sigma >= 0.0:
-            raise ValidationError(f"sigma must be nonnegative, got {self.sigma}")
         if self.policy not in POLICIES:
             raise ValidationError(
                 f"policy must be one of {', '.join(POLICIES)}, got {self.policy!r}"
@@ -106,11 +98,6 @@ class SolverConfig:
     @property
     def interval_count(self):
         return math.ceil(4.0 / self.epsilon)
-
-    def resolved_sigma(self, kappa):
-        if self.sigma is not None:
-            return self.sigma
-        return 0.5 * self.epsilon * kappa
 
 
 @dataclass
@@ -438,11 +425,6 @@ def estimate_smallest_eigenvalue(decomp, psi, cfg, rng):
             f"operator dimension {decomp.dimension}"
         )
     kappa = decomp.kappa
-    if cfg.sigma is not None and cfg.sigma >= cfg.epsilon * kappa:
-        raise ValidationError(
-            f"sigma={cfg.sigma} must stay below epsilon*kappa="
-            f"{cfg.epsilon * kappa}"
-        )
     prime = shift_rescale(decomp)
     if cfg.policy == "oracle-exact":
         # One reconstruction and one moment sequence per scan: every test

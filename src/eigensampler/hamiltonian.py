@@ -111,6 +111,8 @@ class LocalTerm:
 def _finite(value, what):
     """value as a finite float, or a ValidationError that names it."""
     try:
+        if isinstance(value, (bool, str)):  # float() reads both
+            raise TypeError
         value = float(value)
     except (TypeError, ValueError):
         raise ValidationError(f"{what} must be a real number, got {value!r}") from None
@@ -596,7 +598,7 @@ def _load_json(text):
             data.get("terms"), list):
         raise HamiltonianFormatError("JSON Hamiltonian needs 'n' and a list of 'terms'")
     n = data["n"]
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:  # a JSON true or false is no number
         raise HamiltonianFormatError(f"'n' must be a positive integer, got {n!r}")
     terms = []
     for idx, entry in enumerate(data["terms"]):
@@ -615,7 +617,7 @@ def _load_json(text):
                 )
             elif "block" in entry:
                 qubits = entry.get("qubits", [])
-                if not all(isinstance(q, int) and 0 <= q < n
+                if not all(type(q) is int and 0 <= q < n
                            for q in _json_list(qubits, idx)):
                     raise HamiltonianFormatError(
                         f"term {idx}: qubits {qubits} must be integers in [0, {n})"
@@ -633,10 +635,10 @@ def _load_json(text):
 
 def _json_block(rows, idx):
     def scalar(entry):
-        if isinstance(entry, (int, float)):
+        if type(entry) in (int, float):
             return complex(entry)
         if (isinstance(entry, list) and len(entry) == 2
-                and all(isinstance(part, (int, float)) for part in entry)):
+                and all(type(part) in (int, float) for part in entry)):
             return complex(entry[0], entry[1])
         raise HamiltonianFormatError(
             f"term {idx}: block entries must be numbers or [re, im] pairs"

@@ -261,21 +261,38 @@ def ground_vector(op):
     return op.eigenvectors[:, 0].copy()
 
 
-def exact_overlap(op, w, sigma):
-    """Norm of the projection of w onto the low-energy eigenspace.
+def check_window(sigma):
+    """Refuse a window width that is negative or NaN."""
+    if not sigma >= 0:
+        raise ValidationError(f"sigma must be nonnegative, got {sigma}")
 
-    The eigenspace collects eigenvalues within sigma of the smallest; the
-    cutoff carries a 1e-9 slack so exactly degenerate eigenvalues that
+
+def _window(op, sigma):
+    """Mask of op's eigenvalues within sigma of the smallest.
+
+    The cutoff carries a 1e-9 slack so exactly degenerate eigenvalues that
     scatter at machine precision stay grouped.
     """
-    if sigma < 0:
-        raise ValidationError(f"sigma must be nonnegative, got {sigma}")
+    check_window(sigma)
+    return op.eigenvalues <= op.eigenvalues[0] + sigma + _DEGENERACY_TOL
+
+
+def exact_overlap(op, w, sigma):
+    """Norm of the projection of w onto the eigenvectors in op's window."""
     op = _as_operator(op)
     w = _as_dense_vector(w, op.dimension)
-    cutoff = op.eigenvalues[0] + sigma + _DEGENERACY_TOL
-    members = op.eigenvalues <= cutoff
-    components = op.eigenvectors[:, members].conj().T @ w
+    components = op.eigenvectors[:, _window(op, sigma)].conj().T @ w
     return float(np.linalg.norm(components))
+
+
+def maxent_overlap(op, sigma):
+    """exact_overlap of op (x) I and the maximally entangled state, on op alone.
+
+    That state gives <B (x) I> = tr(B)/N for N = op.dimension, so the window
+    of op (x) I holds d/N of its norm squared, for the d eigenvalues in op's.
+    """
+    op = _as_operator(op)
+    return float(np.sqrt(np.count_nonzero(_window(op, sigma)) / op.dimension))
 
 
 def polynomial_matrix(op, P):

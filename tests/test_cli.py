@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import eigensampler
+from eigensampler import cli
 from eigensampler.cli import main
 from eigensampler.eigensolve import shifted_test
 from eigensampler.state_access import write_dense_state_file
@@ -256,6 +257,17 @@ class TestEstimate:
         assert code == 1
         assert edoc["error"]["type"] == "HamiltonianFormatError"
 
+    def test_json_boolean_qubit_count_exits_one(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"n": true, "terms": [{"pauli": "Z", "coeff": 1.0}]}')
+        code, out, edoc = run_json(
+            capsys, "estimate", "--hamiltonian", str(bad), "--state", "basis:0",
+            "--policy", "oracle-exact", "--json",
+        )
+        assert code == 1
+        assert out is None
+        assert edoc["error"]["type"] == "HamiltonianFormatError"
+
     def test_state_dimension_mismatch(self, capsys, pair_file):
         code, _, edoc = run_json(
             capsys, "estimate", "--hamiltonian", pair_file, "--state", "basis:7",
@@ -347,6 +359,12 @@ class TestEstimate:
         '{"qubits": "0", "block": [[1, 0], [0, 1]]}',
         '{"qubits": [0.5], "block": [[1, 0], [0, 1]]}',
         '{"qubits": [1], "block": [[1, 0], [0, 1]]}',
+        # float() reads booleans and numeric strings, but JSON numbers are numbers
+        '{"pauli": "Z", "coeff": true}',
+        '{"pauli": "Z", "coeff": "0.5"}',
+        '{"pauli": "Z", "coeff": 1.0, "kappa": "2"}',
+        '{"qubits": [false], "block": [[1, 0], [0, 1]]}',
+        '{"qubits": [0], "block": [[true, 0], [0, 1]]}',
     ])
     def test_malformed_json_term_exits_one(self, capsys, tmp_path, term):
         path = tmp_path / "h.json"
@@ -436,6 +454,88 @@ class TestEstimate:
         assert doc["config"]["cost_cap"] is None
 
 
+class TestOracleCheck:
+    """--oracle-check runs on the n-qubit operator at the run's epsilon and chi."""
+
+    def test_decide_check_uses_the_runs_epsilon(self, capsys, tmp_path):
+        # the gap (a, b) = (-1, 1.5) sets the run's epsilon to 1, not 0.25
+        path = tmp_path / "h.txt"
+        path.write_text("n=2\n0.948 XX\n0.688 IZ\n-0.014 IX\n")
+        code, doc, _ = run_json(
+            capsys, "decide", "--hamiltonian", str(path), "--state", "basis:2",
+            "--a", "-1", "--b", "1.5", "--epsilon", "0.25", "--chi", "0.5",
+            "--policy", "oracle-exact", "--oracle-check", "--json",
+        )
+        assert code == 0
+        assert doc["result"]["estimate"]["epsilon"] == 1.0
+        oracle = doc["oracle"]
+        assert oracle["tolerance"] == pytest.approx(1.65)
+        assert oracle["within_tolerance"] is True
+        assert oracle["abs_error"] <= oracle["tolerance"]
+
+    def test_unguided_check_promises_the_runs_chi(self, capsys, z_file):
+        code, doc, _ = run_json(
+            capsys, "estimate", "--hamiltonian", z_file, "--state", "maxent",
+            "--policy", "oracle-exact", "--epsilon", "0.5", "--oracle-check",
+            "--json",
+        )
+        assert code == 0
+        oracle = doc["oracle"]
+        assert oracle["overlap_promise"] == pytest.approx(2**-0.5)
+        assert oracle["overlap"] >= oracle["overlap_promise"] - 1e-12
+        assert oracle["lambda_min"] == -1.0
+
+    def test_unguided_check_reconstructs_only_n_qubit_operators(
+            self, capsys, pair_file, monkeypatch):
+        dimensions = []
+        reconstruct = cli.reconstruct
+
+        def recording_reconstruct(decomp):
+            dimensions.append(decomp.dimension)
+            return reconstruct(decomp)
+
+        monkeypatch.setattr(cli, "reconstruct", recording_reconstruct)
+        code, doc, _ = run_json(
+            capsys, "estimate", "--hamiltonian", pair_file, "--state", "maxent",
+            "--policy", "oracle-exact", "--epsilon", "0.5", "--oracle-check",
+            "--json",
+        )
+        assert code == 0
+        assert doc["oracle"]["within_tolerance"] is True
+        assert dimensions and set(dimensions) == {4}
+
+    @pytest.mark.parametrize("state", ["basis:1", "maxent"])
+    def test_window_at_the_tolerance_exits_one(self, capsys, z_file, state):
+        code, out, err = run(
+            capsys, "estimate", "--hamiltonian", z_file, "--state", state,
+            "--policy", "oracle-exact", "--epsilon", "0.25", "--sigma", "0.3",
+            "--oracle-check", "--json",
+        )
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"]["type"] == "ValidationError"
+
+    def test_window_is_read_only_by_the_check(self, capsys, z_file):
+        code, doc, _ = run_json(
+            capsys, "estimate", "--hamiltonian", z_file, "--state", "basis:1",
+            "--policy", "oracle-exact", "--epsilon", "0.25", "--sigma", "5",
+            "--json",
+        )
+        assert code == 0
+        assert doc["config"]["sigma"] == 5.0
+
+    def test_zero_hamiltonian_takes_any_window(self, capsys, tmp_path):
+        path = tmp_path / "zero.txt"
+        path.write_text("n=1\n0.0 Z\n")
+        code, doc, _ = run_json(
+            capsys, "estimate", "--hamiltonian", str(path), "--state", "basis:0",
+            "--policy", "oracle-exact", "--sigma", "0.1", "--oracle-check",
+            "--json",
+        )
+        assert code == 0
+        assert doc["oracle"]["overlap"] == 1.0
+
+
 class TestDecide:
     def test_low(self, capsys, z_file):
         code, doc, _ = run_json(
@@ -499,6 +599,15 @@ class TestOracleCommand:
         assert res["overlap"] == 1.0
         assert res["kappa"] == 1.0
 
+    def test_nan_window_exits_one(self, capsys, pair_file):
+        code, out, err = run(
+            capsys, "oracle", "--hamiltonian", pair_file, "--state", "basis:0",
+            "--sigma", "nan", "--json",
+        )
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"]["type"] == "ValidationError"
+
 
 class TestPolyCommand:
     def test_report_fields(self, capsys):
@@ -555,6 +664,15 @@ class TestBench:
         _, out1, _ = run(capsys, *argv)
         _, out2, _ = run(capsys, *argv)
         assert out1 == out2
+
+    @pytest.mark.parametrize("flag", [
+        ["--sigma", "0.1"], ["--transcript"], ["--oracle-check"],
+    ], ids=["sigma", "transcript", "oracle-check"])
+    def test_refuses_flags_it_does_not_read(self, capsys, flag):
+        code, out, err = run(capsys, "bench", "--count", "1", *flag, "--json")
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"]["type"] == "CliUsageError"
 
     def test_sampled_policy_records_aborts(self, capsys):
         # tight instances now finish and match the oracle; strict ones and

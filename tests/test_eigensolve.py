@@ -60,7 +60,6 @@ class TestSolverConfig:
         assert cfg.epsilon == 0.25
         assert cfg.chi == 1.0
         assert cfg.delta == 0.05
-        assert cfg.sigma is None
         assert cfg.policy == "tight"
         assert cfg.cost_cap == 1e9
 
@@ -69,10 +68,6 @@ class TestSolverConfig:
         assert SolverConfig(epsilon=0.5).interval_count == 8
         assert SolverConfig(epsilon=0.3).interval_count == math.ceil(4 / 0.3)
         assert SolverConfig(epsilon=1.0).interval_count == 4
-
-    def test_resolved_sigma(self):
-        assert SolverConfig(epsilon=0.5).resolved_sigma(2.0) == pytest.approx(0.5)
-        assert SolverConfig(sigma=0.1).resolved_sigma(2.0) == pytest.approx(0.1)
 
     @pytest.mark.parametrize(
         "kw",
@@ -85,7 +80,6 @@ class TestSolverConfig:
             {"delta": 1.0},
             {"policy": "bogus"},
             {"cost_cap": 0.0},
-            {"sigma": -0.5},
             {"epsilon": 1e-310},  # 4/epsilon overflows
             {"epsilon": 5e-324},
             {"seed": -1},
@@ -216,12 +210,6 @@ class TestEstimate:
         )
         for rec in est2.transcript:
             assert abs(rec.estimate) <= 1 / 12 + 1e-12
-
-    def test_sigma_bounds_enforced(self):
-        d = build_decomposition(1, Z_TERMS)
-        cfg = oracle_cfg(epsilon=0.25, sigma=0.3)  # >= epsilon * kappa
-        with pytest.raises(ValidationError):
-            estimate_smallest_eigenvalue(d, BasisState(1, 2), cfg, np.random.default_rng(0))
 
     def test_dimension_mismatch_rejected(self):
         d = build_decomposition(2, HEISENBERG)

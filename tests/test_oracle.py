@@ -1,5 +1,6 @@
 import ast
 import math
+import os
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from eigensampler.oracle import (
     ChebyshevMoments,
     dense_term,
     ground_vector,
+    maxent_overlap,
     polynomial_matrix,
 )
 from eigensampler.polyfilter import DEGREE_CAP
@@ -241,6 +243,29 @@ class TestExactOverlap:
         got = exact_overlap(op, MaxEntState(n), 0.0)
         assert got >= 2 ** (-n / 2) - 1e-12
 
+    @pytest.mark.parametrize("sigma", [-0.5, math.nan])
+    def test_bad_window_is_refused(self, sigma):
+        op = DenseOperator(np.diag([0.0, 1.0]).astype(complex))
+        with pytest.raises(ValidationError):
+            exact_overlap(op, BasisState(0, 2), sigma)
+        with pytest.raises(ValidationError):
+            maxent_overlap(op, sigma)
+
+    def test_maxent_overlap_matches_the_doubled_operator(self):
+        # gate-08-style instances, Pauli terms and blocks, at several windows
+        rng = np.random.default_rng(808)
+        for _ in range(12):
+            n = int(rng.integers(1, 4))
+            terms = random_pauli_terms(rng, n, 3)
+            if n > 1:
+                terms.append(random_block_term(rng, n, 2))
+            decomp = build_decomposition(n, terms)
+            op = reconstruct(decomp)
+            doubled = reconstruct(build_decomposition(2 * n, doubled_terms(terms, n)))
+            for sigma in (0.0, 0.1 * decomp.kappa, 0.25 * decomp.kappa, decomp.kappa):
+                want = exact_overlap(doubled, MaxEntState(n), sigma)
+                assert abs(maxent_overlap(op, sigma) - want) <= 1e-15
+
 
 class TestExactSandwich:
     def test_matrix_elements(self):
@@ -425,4 +450,29 @@ def test_oracle_imports_nothing_from_the_sampled_layers():
         else:
             continue
         found += sorted(sampled.intersection(parts))
+    assert found == []
+
+
+def test_only_the_solver_names_the_doubling():
+    # Only eigensolve builds H (x) I and its maximally entangled guide; every
+    # other module, the CLI's oracle check included, works on n qubits.
+    package = os.path.dirname(oracle.__file__)
+    allowed = {"eigensolve.py", "state_access.py", "__init__.py"}
+    doubling = {"doubled_terms", "MaxEntState"}
+    found = []
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py") or name in allowed:
+            continue
+        with open(os.path.join(package, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            found += [(name, n) for n in names if n in doubling]
     assert found == []
