@@ -80,6 +80,7 @@ class TestSolverConfig:
             {"delta": 1.0},
             {"policy": "bogus"},
             {"cost_cap": 0.0},
+            {"epsilon": float("nan")},
             {"epsilon": 1e-310},  # 4/epsilon overflows
             {"epsilon": 5e-324},
             {"seed": -1},
