@@ -10,8 +10,8 @@ Subcommands:
 Reports are printed as text by default and as JSON with --json; JSON output
 is byte-identical across runs for the same command line (wall-clock timings
 appear only in the text rendering). Errors are written to stderr as one JSON
-object. Exit codes: 0 success, 1 invalid input, 2 predicted-cost cap
-exceeded.
+object. Exit codes: 0 success, 1 invalid input or out of memory, 2
+predicted-cost cap exceeded.
 """
 
 import argparse
@@ -33,7 +33,6 @@ from .oracle import (
     exact_ground_energy,
     exact_overlap,
     ground_vector,
-    maxent_overlap,
     reconstruct,
 )
 from .polyfilter import band_report, build_rectangle_polynomial, coefficient_l1
@@ -113,7 +112,9 @@ def _print_report(report, as_json):
 
 
 def _error_json(exc):
-    payload = {"type": type(exc).__name__, "message": str(exc)}
+    # numpy raises MemoryError subclasses with private names
+    name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
+    payload = {"type": name, "message": str(exc)}
     if isinstance(exc, CostCapExceeded):
         breakdown = dict(exc.breakdown)
         for key in ("per_power", "chains_per_power"):
@@ -217,10 +218,8 @@ def _oracle_block(args, n, terms, estimate):
         return {"skipped": f"dimension {2**n} exceeds the dense oracle limit"}
     op = reconstruct(build_decomposition(n, terms))
     lam = exact_ground_energy(op)
-    if args.state.strip().lower() == "maxent":
-        overlap = maxent_overlap(op, sigma)
-    else:
-        overlap = exact_overlap(op, make_state(args.state, n), sigma)
+    unguided = args.state.strip().lower() == "maxent"
+    overlap = exact_overlap(op, None if unguided else make_state(args.state, n), sigma)
     abs_error = abs(estimate.e_star - lam)
     return {
         "lambda_min": lam,
@@ -520,7 +519,7 @@ def main(argv=None):
     except CostCapExceeded as exc:
         print(_error_json(exc), file=sys.stderr)
         return 2
-    except (EigensamplerError, OSError) as exc:
+    except (EigensamplerError, OSError, MemoryError) as exc:
         print(_error_json(exc), file=sys.stderr)
         return 1
 

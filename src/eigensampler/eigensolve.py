@@ -19,9 +19,12 @@ low-pass operator I - A' (see ShiftedTest). Under `strict` and
 blocks above tau + epsilon/4: the filtered expectation is at least
 11 chi^2/12 in the first case and at most chi^2/12 in the second.
 
-The guided solver builds the decomposition from local terms; the unguided
-solver doubles the system to H (x) I and guides with the maximally entangled
-state, whose ground-space overlap is at least 2^(-n/2) regardless of H.
+The guided solver builds the decomposition from local terms. The unguided
+solver guides H (x) I with the maximally entangled state Phi (ground-space
+overlap at least 2^(-n/2) for every H), but since <Phi|B (x) I|Phi> =
+tr(B)/2^n it scans H itself with psi = None, which every layer reads as
+that normalized trace: a uniform start row a and the diagonal entry
+<a|B_x|a> when sampled, the (N, N) block I/sqrt(N) (Phi reshaped) exactly.
 """
 
 import math
@@ -38,7 +41,6 @@ from .errors import (
     ValidationError,
 )
 from .hamiltonian import (
-    MAX_QUBITS,
     LocalTerm,
     build_decomposition,
     shift_rescale,
@@ -417,9 +419,9 @@ def estimate_smallest_eigenvalue(decomp, psi, cfg, rng):
     epsilon*kappa of the smallest eigenvalue with probability 1 - delta,
     provided psi meets the overlap promise. If every test says no (possible
     only through stochastic failure), the top interval is reported and
-    no_yes_found is set.
+    no_yes_found is set. psi = None is the normalized trace.
     """
-    if psi.dimension != decomp.dimension:
+    if psi is not None and psi.dimension != decomp.dimension:
         raise ValidationError(
             f"guiding state dimension {psi.dimension} does not match "
             f"operator dimension {decomp.dimension}"
@@ -533,24 +535,18 @@ def doubled_terms(terms, n):
 def solve_unguided(H, cfg):
     """Ground-energy estimate with no guiding state.
 
-    Doubles the system to H (x) I on 2n qubits and guides with the maximally
-    entangled pairing of the registers, which overlaps every eigenspace of
-    the doubled operator with weight at least 2^(-n/2). The configured chi
-    is replaced by that bound.
+    The scan of H (x) I guided by the maximally entangled state, run on H's
+    own n-qubit decomposition with psi = None (see the module docstring), so
+    it takes n up to build_decomposition's 63. chi is replaced by 2^(-n/2).
     """
     n, terms = _coerce_hamiltonian(H)
-    if 2 * n > MAX_QUBITS:
-        raise ValidationError(f"the unguided mode doubles n = {n} qubits past the "
-                              f"limit of {MAX_QUBITS}; it takes n <= {MAX_QUBITS // 2}")
     cfg = replace(cfg, chi=2.0 ** (-n / 2.0))
     if not terms:
         return _zero_hamiltonian_estimate(cfg)
-    decomp = build_decomposition(2 * n, doubled_terms(terms, n))
+    decomp = build_decomposition(n, terms)
     if decomp.kappa == 0.0:
         return _zero_hamiltonian_estimate(cfg)
-    psi = MaxEntState(n)
-    rng = make_generator(cfg.seed)
-    return estimate_smallest_eigenvalue(decomp, psi, cfg, rng)
+    return estimate_smallest_eigenvalue(decomp, None, cfg, make_generator(cfg.seed))
 
 
 def decide(H, psi, a, b, cfg):

@@ -338,10 +338,11 @@ class Decomposition:
     """A matrix as a sum of row-sparse terms with per-term norm bounds.
 
     kappa_i[i] upper-bounds the spectral norm of term i, kappa is their sum,
-    and s is the largest per-row nonzero count over the terms.
+    and s is the largest per-row nonzero count over the terms. The dimension
+    is the terms'; with no terms it is the given one.
     """
 
-    def __init__(self, terms, kappa_i):
+    def __init__(self, terms, kappa_i, dimension=0):
         terms = list(terms)
         kappa_i = [float(k) for k in kappa_i]
         if len(terms) != len(kappa_i):
@@ -355,7 +356,7 @@ class Decomposition:
         self.kappa_i = kappa_i
         self.kappa = float(sum(kappa_i))
         self.s = max((t.sparsity for t in terms), default=0)
-        self.dimension = dims.pop() if dims else 0
+        self.dimension = dims.pop() if dims else dimension
 
     @property
     def m(self):
@@ -391,7 +392,7 @@ def build_decomposition(n, local_terms):
             bounds.append(term.kappa_override)
         else:
             bounds.append(compute_term_norm(term))
-    return Decomposition(handles, bounds)
+    return Decomposition(handles, bounds, 2**n)
 
 
 def shift_rescale(decomp):

@@ -54,12 +54,13 @@ class ChainKernel:
         """Entries (B_{x_r} ... B_{x_1} phi)(rows[i]) for every sample i.
 
         chains is a (t, r) index array into the terms, column 0 holding the
-        factor applied to phi first. Stored zeros are skipped, so sample i
+        factor applied to phi first; phi = None (see eigensolve) reads the
+        diagonal entry at rows[i]. Stored zeros are skipped, so sample i
         costs prod(row nnz) <= s^r leaf queries of phi; the active recorder
         (instrument.recording) counts exactly those.
         """
         rows = np.asarray(rows, dtype=np.int64).ravel()
-        call = _Call(chains, phi, rows.size)
+        call = _Call(chains, phi, rows)
         # Every weight starts at 1: a read-only broadcast, never written.
         ones = np.broadcast_to(np.complex128(1), rows.shape)
         self._finish(call, np.arange(rows.size, dtype=np.int64), rows, ones, call.r - 1)
@@ -87,7 +88,9 @@ class ChainKernel:
                 call.depth = max(call.depth, call.r - col)
             col -= 1
         if row.size:
-            leaf = weight * np.asarray(call.phi.query_many(row), dtype=complex)
+            # phi None: the diagonal entry <a|B_x|a>, a = rows[sample]
+            amps = row == call.rows[sample] if call.phi is None else call.phi.query_many(row)
+            leaf = weight * np.asarray(amps, dtype=complex)
             call.leaves += row.size
             np.add.at(call.out, sample, leaf)
 
@@ -122,10 +125,10 @@ class ChainKernel:
 class _Call:
     """Running state of one ChainKernel.values call."""
 
-    def __init__(self, chains, phi, t):
+    def __init__(self, chains, phi, rows):
         self.chains = np.asarray(chains, dtype=np.int64)
-        self.r, self.phi = self.chains.shape[1], phi
-        self.out = np.zeros(t, dtype=complex)
+        self.r, self.phi, self.rows = self.chains.shape[1], phi, rows
+        self.out = np.zeros(rows.size, dtype=complex)
         self.leaves = self.depth = 0
 
 

@@ -235,7 +235,11 @@ def _as_operator(op):
 
 
 def _as_dense_vector(vec, dimension):
-    """vec as a complex (dimension,) array; a state is read in one query_many."""
+    """vec as a complex (dimension,) array; a state is read in one query_many.
+    None (see eigensolve) is the (N, N) block I/sqrt(N), so np.vdot reads
+    tr(...)/N."""
+    if vec is None:
+        return np.eye(dimension, dtype=complex) * dimension ** -0.5
     if isinstance(vec, VectorAccessor):
         if vec.dimension != dimension:
             raise ValidationError(
@@ -285,16 +289,6 @@ def exact_overlap(op, w, sigma):
     return float(np.linalg.norm(components))
 
 
-def maxent_overlap(op, sigma):
-    """exact_overlap of op (x) I and the maximally entangled state, on op alone.
-
-    That state gives <B (x) I> = tr(B)/N for N = op.dimension, so the window
-    of op (x) I holds d/N of its norm squared, for the d eigenvalues in op's.
-    """
-    op = _as_operator(op)
-    return float(np.sqrt(np.count_nonzero(_window(op, sigma)) / op.dimension))
-
-
 def polynomial_matrix(op, P):
     """Dense P(A) through the eigenbasis, using the stable Chebyshev form."""
     op = _as_operator(op)
@@ -320,9 +314,10 @@ def exact_sandwich(psi, op, phi, power=None, polynomial=None):
     if isinstance(op, ChebyshevMoments):
         if polynomial is None:
             raise ValidationError("a moment sequence takes polynomial=P only")
-        left = _as_dense_vector(psi, op.dimension)
-        right = _as_dense_vector(phi, op.dimension)
-        if not (np.array_equal(left, op.psi) and np.array_equal(right, op.phi)):
+        # None matches only a trace sequence, whose (N, N) blocks are not rebuilt
+        if not all(built.ndim == 2 if vec is None
+                   else np.array_equal(_as_dense_vector(vec, op.dimension), built)
+                   for vec, built in ((psi, op.psi), (phi, op.phi))):
             raise ValidationError(
                 "psi and phi differ from the vectors the moment sequence "
                 "was built on"

@@ -109,7 +109,8 @@ def _estimate_strata(psi, phi, decomp, coeffs, err, delta, rng):
 
     coeffs maps each power r to its nonzero coefficient a_r, and c_r comes
     from chain_counts. A batch draws every stratum's chains in order of r,
-    then one guiding-state index per chain. Raises ValidationError, before
+    then one guiding-state index per chain (uniform for psi = None, see
+    eigensolve). Raises ValidationError, before
     drawing anything, when a stratum's index array is past numpy's size
     limit.
     """
@@ -133,8 +134,12 @@ def _estimate_strata(psi, phi, decomp, coeffs, err, delta, rng):
 
     def one_batch(stream):
         chains = [sampler.sample_many(stream, c) for sampler, _, c in strata]
-        j = psi.sample_many(stream, total)
-        amps = np.asarray(psi.query_many(j), dtype=complex)
+        if psi is None:  # the normalized trace: a uniform start row, weight 1
+            j = stream.integers(0, decomp.dimension, size=total)
+            amps = np.ones(total, dtype=complex)
+        else:
+            j = psi.sample_many(stream, total)
+            amps = np.asarray(psi.query_many(j), dtype=complex)
         instrument.add(psi_samples=total, psi_queries=total)
         vals = np.concatenate([kernel.values(x, j[lo:hi], phi)
                                for x, (lo, hi) in zip(chains, spans)])

@@ -68,6 +68,18 @@ def reference_entry(ell, mats, phi, depth=0):
     return total, leaves, deepest
 
 
+def dense_diagonal(terms, chains, rows):
+    """<a|B_x|a> of each chain x and start row a, from dense products."""
+    dense = [dense_term(h) for h in terms]
+    out = []
+    for picks, a in zip(chains, rows):
+        product = np.eye(terms[0].dimension, dtype=complex)
+        for k in picks:
+            product = dense[k] @ product
+        out.append(product[a, a])
+    return np.array(out)
+
+
 @st.composite
 def chain_problems(draw):
     n = draw(st.integers(1, 3))
@@ -152,6 +164,31 @@ def test_frontier_stays_under_limit(monkeypatch, t):
     assert counters.leaf_queries > 10 * limit
     assert max(sizes) <= limit
     assert phi.largest <= limit
+
+
+@settings(max_examples=100, deadline=None)
+@given(chain_problems(), st.integers(1, 7))
+def test_trace_guide_reads_the_diagonal_entry(problem, limit):
+    # phi = None: sample i is <a|B_x|a> at a = rows[i], split or not
+    terms, chains, rows, _ = problem
+    want = dense_diagonal(terms, chains, rows)
+    got = ChainKernel(terms).values(chains, rows, None)
+    assert np.allclose(got, want, rtol=0, atol=1e-12)
+    with mock.patch.object(imm, "FRONTIER_LIMIT", limit):
+        split = ChainKernel(terms).values(chains, rows, None)
+    assert np.allclose(split, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["pauli", "block"])
+def test_trace_guide_on_pauli_and_block_chains(kind):
+    rng = np.random.default_rng(17)
+    terms = [make_handle(kind, rng, 3) for _ in range(4)]
+    chains = rng.integers(0, len(terms), size=(200, 3))
+    rows = rng.integers(0, 8, size=200)
+    got = ChainKernel(terms).values(chains, rows, None)
+    want = dense_diagonal(terms, chains, rows)
+    assert np.count_nonzero(want) > 0
+    assert np.allclose(got, want, rtol=0, atol=1e-12)
 
 
 def test_empty_input_and_power_zero():

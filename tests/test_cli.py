@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import eigensampler
-from eigensampler import cli
+from eigensampler import cli, transform
 from eigensampler.cli import main
 from eigensampler.eigensolve import shifted_test
 from eigensampler.state_access import write_dense_state_file
@@ -287,11 +287,21 @@ class TestEstimate:
         assert edoc["error"]["type"] == "ValidationError"
         assert "64 qubits" in edoc["error"]["message"]
 
-    def test_unguided_past_31_qubits_exits_one(self, capsys, tmp_path):
-        """The unguided mode doubles n, so it refuses n = 32 itself and says
-        which n it was given."""
+    def test_unguided_takes_up_to_63_qubits(self, capsys, tmp_path):
+        """The unguided mode solves on n qubits: at n = 40 it ends at the
+        cost cap of its first test, and only n = 64 meets the qubit limit."""
+        path = tmp_path / "forty.txt"
+        path.write_text("n=40\n1.0 Z" + "I" * 39 + "\n0.5 X" + "I" * 39 + "\n")
+        code, doc, edoc = run_json(
+            capsys, "estimate", "--hamiltonian", str(path), "--state", "maxent",
+            "--epsilon", "1.0", "--json",
+        )
+        assert code == 2
+        assert doc is None
+        assert edoc["error"]["type"] == "CostCapExceeded"
+        assert edoc["error"]["breakdown"]["filter"] == "shifted"
         path = tmp_path / "wide.txt"
-        path.write_text("n=32\n1.0 Z" + "I" * 31 + "\n")
+        path.write_text("n=64\n1.0 Z" + "I" * 63 + "\n")
         code, doc, edoc = run_json(
             capsys, "estimate", "--hamiltonian", str(path), "--state", "maxent",
             "--epsilon", "1.0", "--json",
@@ -299,8 +309,7 @@ class TestEstimate:
         assert code == 1
         assert doc is None
         assert edoc["error"]["type"] == "ValidationError"
-        assert "n = 32" in edoc["error"]["message"]
-        assert "n <= 31" in edoc["error"]["message"]
+        assert "64 qubits" in edoc["error"]["message"]
 
     def test_shifted_power_past_degree_cap_exits_one(self, capsys, z_file):
         # At chi 0.5 and epsilon 0.002 test 0 separates its bounds only past
@@ -443,6 +452,27 @@ class TestEstimate:
         )
         assert code == 0
         assert doc["result"]["e_star"] == -1.0
+
+    def test_out_of_memory_exits_one_with_a_json_error(
+            self, capsys, pair_file, monkeypatch):
+        # a batch past memory, as --cost-cap inf allows, without allocating
+        # it; numpy raises a subclass with a private name
+        class _ArrayMemoryError(MemoryError):
+            pass
+
+        def exhausted(self, rng, count):
+            raise _ArrayMemoryError(f"cannot allocate {count} chains")
+
+        monkeypatch.setattr(transform.ChainSampler, "sample_many", exhausted)
+        code, out, err = run(
+            capsys, "estimate", "--hamiltonian", pair_file, "--state", "basis:0",
+            "--cost-cap", "inf", "--json",
+        )
+        assert code == 1
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "MemoryError"
+        assert "cannot allocate" in error["message"]
 
     def test_infinite_cost_cap_turns_the_cap_off(self, capsys, z_file):
         code, doc, _ = run_json(
@@ -607,6 +637,28 @@ class TestOracleCommand:
         assert code == 1
         assert out == ""
         assert json.loads(err)["error"]["type"] == "ValidationError"
+
+    @pytest.mark.parametrize("name, text", [("none.txt", "n=2\n"),
+                                            ("none.json", '{"n": 2, "terms": []}')],
+                             ids=["text", "json"])
+    def test_hamiltonian_without_terms_is_zero_on_its_qubits(
+            self, capsys, tmp_path, name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        code, doc, _ = run_json(capsys, "oracle", "--hamiltonian", str(path),
+                                "--spectrum", "--json")
+        assert code == 0
+        assert doc["result"]["lambda_min"] == 0.0
+        assert doc["result"]["spectrum"] == [0.0] * 4
+        for state in ("basis:0", "maxent"):
+            code, doc, _ = run_json(
+                capsys, "estimate", "--hamiltonian", str(path), "--state", state,
+                "--oracle-check", "--json",
+            )
+            assert code == 0
+            assert doc["oracle"]["lambda_min"] == 0.0
+            assert doc["oracle"]["within_tolerance"] is True
+            assert doc["oracle"]["overlap"] == pytest.approx(1.0)
 
 
 class TestPolyCommand:

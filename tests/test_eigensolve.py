@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 from eigensampler import (
     BasisState,
     CostCapExceeded,
+    Decomposition,
     DegreeOverflowError,
     DenseState,
     GapError,
     LocalTerm,
+    MaxEntState,
     SolverConfig,
     ValidationError,
     build_decomposition,
@@ -30,7 +32,7 @@ from eigensampler import eigensolve, oracle, polyfilter, transform
 from eigensampler import test_threshold as threshold_test
 from eigensampler.eigensolve import _test_polynomial, doubled_terms, shifted_test
 from eigensampler.hamiltonian import shifted_operator
-from eigensampler.rng import spawn_streams
+from eigensampler.rng import make_generator, spawn_streams
 from eigensampler.oracle import dense_term, ground_vector
 
 from helpers import (
@@ -366,6 +368,98 @@ class TestOracleExactScan:
         est = solve_unguided((2, terms), oracle_cfg(epsilon=0.5))
         assert len(calls) == 1
         assert len(est.transcript) > 1
+
+
+def mixed_terms(n, seed):
+    rng = np.random.default_rng(seed)
+    terms = random_pauli_terms(rng, n, 3)
+    return terms + ([random_block_term(rng, n, 2)] if n > 1 else [])
+
+
+def doubled_scan(n, terms, cfg):
+    """The reference scan: H (x) I on 2n qubits, guided by MaxEntState."""
+    decomp = build_decomposition(2 * n, doubled_terms(terms, n))
+    cfg = replace(cfg, chi=2.0 ** (-n / 2.0))
+    return estimate_smallest_eigenvalue(decomp, MaxEntState(n), cfg,
+                                        make_generator(cfg.seed))
+
+
+class TestUnguidedOnNQubits:
+    """The unguided scan runs on H's n-qubit decomposition with psi = None."""
+
+    # a whole tight scan runs in seconds only at n = 1
+    @pytest.mark.parametrize("n, policy", [(1, "tight"), (2, "strict"),
+                                           (2, "oracle-exact")])
+    def test_builds_only_n_qubit_decompositions(self, monkeypatch, n, policy):
+        terms = mixed_terms(n, 61)
+        qubits, dimensions = [], []
+        build, init = eigensolve.build_decomposition, Decomposition.__init__
+
+        def recording_build(count, local_terms):
+            qubits.append(count)
+            return build(count, local_terms)
+
+        def recording_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            dimensions.append(self.dimension)
+
+        monkeypatch.setattr(eigensolve, "build_decomposition", recording_build)
+        monkeypatch.setattr(Decomposition, "__init__", recording_init)
+        cfg = SolverConfig(epsilon=1.0, policy=policy)
+        if policy == "strict":  # the rectangle's 4^degree mass is past any run
+            with pytest.raises(CostCapExceeded):
+                solve_unguided((n, terms), cfg)
+        else:
+            solve_unguided((n, terms), cfg)
+        assert qubits == [n]
+        assert dimensions and set(dimensions) == {2**n}
+
+    @pytest.mark.parametrize("n, policy, epsilon", [
+        (1, "tight", 1.0), (1, "oracle-exact", 0.35), (2, "oracle-exact", 0.35),
+        (3, "oracle-exact", 0.35), (3, "oracle-exact", 0.5),
+    ])
+    def test_matches_the_doubled_scan(self, n, policy, epsilon):
+        terms = mixed_terms(n, 70 + n)
+        cfg = SolverConfig(epsilon=epsilon, policy=policy, seed=9)
+        got, want = solve_unguided((n, terms), cfg), doubled_scan(n, terms, cfg)
+        assert ((got.t_star, got.e_star, got.chi, got.samples_used, got.counters)
+                == (want.t_star, want.e_star, want.chi, want.samples_used,
+                    want.counters))
+        assert len(got.transcript) == len(want.transcript) > 1
+        for a, b in zip(got.transcript, want.transcript):
+            assert ((a.t, a.yes, a.filter, a.degree, a.shift)
+                    == (b.t, b.yes, b.filter, b.degree, b.shift))
+            assert abs(a.estimate - b.estimate) <= 1e-12
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_tight_stops_where_the_doubled_scan_stops(self, n):
+        # at n >= 2 the first tight test is past the default cap on both
+        terms = mixed_terms(n, 70 + n)
+        cfg = SolverConfig(epsilon=1.0, policy="tight", seed=9)
+        with pytest.raises(CostCapExceeded) as got:
+            solve_unguided((n, terms), cfg)
+        with pytest.raises(CostCapExceeded) as want:
+            doubled_scan(n, terms, cfg)
+        assert got.value.predicted == want.value.predicted
+        assert got.value.breakdown == want.value.breakdown
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_sampled_trace_draws_what_the_doubled_guide_draws(self, n):
+        # one shifted power of a tight test, at a loose err so it runs
+        terms = mixed_terms(n, 80 + n)
+        single = shifted_operator(shift_rescale(build_decomposition(n, terms)), 0.5)
+        doubled = shifted_operator(
+            shift_rescale(build_decomposition(2 * n, doubled_terms(terms, n))), 0.5)
+        psi = MaxEntState(n)
+        for r in (1, 2, 4):
+            with recording() as got_counts:
+                got = transform.estimate_power(None, None, single, r, 0.1, 0.3,
+                                               make_generator(r))
+            with recording() as want_counts:
+                want = transform.estimate_power(psi, psi, doubled, r, 0.1, 0.3,
+                                                make_generator(r))
+            assert abs(got - want) <= 1e-12
+            assert got_counts.as_dict() == want_counts.as_dict()
 
 
 class TestDecide:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eigensampler import (
+    Decomposition,
     LocalTerm,
     ValidationError,
     build_decomposition,
@@ -215,6 +216,12 @@ def test_build_decomposition_totals():
     assert np.allclose(d.kappa_i, norms)
     assert abs(d.kappa - sum(norms)) <= 1e-12
     assert d.s == max(h.sparsity for h in d.terms)
+
+
+def test_decomposition_without_terms_keeps_its_qubits_dimension():
+    empty = build_decomposition(2, [])
+    assert (empty.m, empty.kappa, empty.dimension) == (0, 0.0, 4)
+    assert Decomposition([], []).dimension == 0
 
 
 def test_build_decomposition_refuses_64_qubits():

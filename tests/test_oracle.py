@@ -35,7 +35,6 @@ from eigensampler.oracle import (
     ChebyshevMoments,
     dense_term,
     ground_vector,
-    maxent_overlap,
     polynomial_matrix,
 )
 from eigensampler.polyfilter import DEGREE_CAP
@@ -242,6 +241,9 @@ class TestExactOverlap:
         op = reconstruct(build_decomposition(2 * n, doubled))
         got = exact_overlap(op, MaxEntState(n), 0.0)
         assert got >= 2 ** (-n / 2) - 1e-12
+        # the trace guide gives the same overlap from the n-qubit operator
+        single = reconstruct(build_decomposition(n, terms))
+        assert abs(exact_overlap(single, None, 0.0) - got) <= 1e-15
 
     @pytest.mark.parametrize("sigma", [-0.5, math.nan])
     def test_bad_window_is_refused(self, sigma):
@@ -249,7 +251,7 @@ class TestExactOverlap:
         with pytest.raises(ValidationError):
             exact_overlap(op, BasisState(0, 2), sigma)
         with pytest.raises(ValidationError):
-            maxent_overlap(op, sigma)
+            exact_overlap(op, None, sigma)
 
     def test_maxent_overlap_matches_the_doubled_operator(self):
         # gate-08-style instances, Pauli terms and blocks, at several windows
@@ -264,7 +266,7 @@ class TestExactOverlap:
             doubled = reconstruct(build_decomposition(2 * n, doubled_terms(terms, n)))
             for sigma in (0.0, 0.1 * decomp.kappa, 0.25 * decomp.kappa, decomp.kappa):
                 want = exact_overlap(doubled, MaxEntState(n), sigma)
-                assert abs(maxent_overlap(op, sigma) - want) <= 1e-15
+                assert abs(exact_overlap(op, None, sigma) - want) <= 1e-15
 
 
 class TestExactSandwich:
@@ -342,6 +344,23 @@ class TestExactSandwich:
         got = exact_sandwich(psi, op, psi, polynomial=P)
         assert abs(got - want) <= 1e-12
         assert abs(got - np.vdot(psi_v, polynomial_matrix(op, P) @ psi_v)) <= 1e-12
+        # the trace guide reads the same filter off the n-qubit operator
+        single = reconstruct(shift_rescale(build_decomposition(n, terms)))
+        assert abs(exact_sandwich(None, single, None, polynomial=P) - got) <= 1e-15
+
+    def test_trace_guide_is_the_normalized_trace(self):
+        # psi = phi = None gives tr f(A)/N: mean(P(lambda)) and mean(lambda^r)
+        rng = np.random.default_rng(32)
+        for n in (1, 2, 3, 4):
+            op = reconstruct(shift_rescale(random_mixed_decomposition(rng, n, 4, 1)))
+            lam = op.eigenvalues
+            for P in (_test_polynomial(1, 0.35, 2.0 ** (-n / 2)),
+                      build_rectangle_polynomial(0.25, 0.25, 1 / 12)):
+                got = exact_sandwich(None, op, None, polynomial=P)
+                assert abs(got - np.mean(P.eval_stable(lam))) <= 1e-12
+            for r in range(4):
+                got = exact_sandwich(None, op, None, power=r)
+                assert abs(got - np.mean(lam ** r)) <= 1e-12
 
     def test_sandwich_does_not_diagonalize(self, monkeypatch):
         rng = np.random.default_rng(4)
@@ -359,6 +378,8 @@ class TestExactSandwich:
         exact_sandwich(psi, d, phi, polynomial=P)
         exact_sandwich(psi, d, psi, power=3)
         exact_sandwich(psi, ChebyshevMoments(d, psi), psi, polynomial=P)
+        exact_sandwich(None, d, None, polynomial=P)
+        exact_sandwich(None, ChebyshevMoments(d, None), None, polynomial=P)
 
 
 class TestChebyshevMoments:
@@ -414,6 +435,25 @@ class TestChebyshevMoments:
             exact_sandwich(other, moments, psi, polynomial=P)
         with pytest.raises(ValidationError, match="polynomial=P only"):
             exact_sandwich(psi, moments, psi, power=2)
+        with pytest.raises(ValidationError, match="moment sequence"):
+            exact_sandwich(None, moments, None, polynomial=P)
+
+    def test_trace_sequence_is_matched_without_its_block(self, monkeypatch):
+        rng = np.random.default_rng(42)
+        d = shift_rescale(random_mixed_decomposition(rng, 3, 4, 1))
+        P = build_rectangle_polynomial(0.25, 0.25, 1 / 12)
+        trace = ChebyshevMoments(d, None)
+        want = exact_sandwich(None, d, None, polynomial=P)
+        psi = random_state_vector(rng, 8)
+        with pytest.raises(ValidationError, match="moment sequence"):
+            exact_sandwich(psi, trace, psi, polynomial=P)
+        with pytest.raises(ValidationError, match="moment sequence"):
+            exact_sandwich(None, trace, psi, polynomial=P)
+        built = []
+        monkeypatch.setattr(oracle, "_as_dense_vector",
+                            lambda *args: built.append(args))
+        assert exact_sandwich(None, trace, None, polynomial=P) == want
+        assert built == []
 
 
 def test_shift_rescale_spectrum_relation():
