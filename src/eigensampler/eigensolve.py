@@ -8,16 +8,22 @@ ground-space overlap chi separates the two cases, so the first accepted
 interval pins the ground energy of A to within epsilon*kappa.
 
 How a test filters the spectrum depends on the policy. Under `tight` it
-estimates one power <psi|((c - y)/(1 + c))^r|psi> of a shifted operator,
-where y = 2A' - I = A/kappa and c is a shift in [0, 1]. That operator's
-monomial coefficient mass is 1, so its sampled cost is
+estimates <psi|f(y)|psi> for y = 2A' - I = A/kappa and one of two filters of
+degree r, each a product of shifted factors (c - y)/(1 + |c|) of monomial
+coefficient mass 1, so its sampled cost is
 reps * ceil(64/err^2) * max(r, 1) * s^r (the one-stratum case of the
-stratified estimator in transform). Each test picks its own (c, r) to
-minimize that cost, with r bounded by the filter degree cap; c = 1 is the
-low-pass operator I - A' (see ShiftedTest). Under `strict` and
-`oracle-exact` it applies a rectangle polynomial that passes [0, tau] and
-blocks above tau + epsilon/4: the filtered expectation is at least
-11 chi^2/12 in the first case and at most chi^2/12 in the second.
+stratified estimator in transform):
+
+* a power ((c - y)/(1 + c))^r with its (c, r), c in [0, 1], picked to
+  minimize that cost; c = 1 is the low-pass operator I - A' (ShiftedTest);
+* the square of m factors at the Chebyshev roots of the blocked band, r = 2m
+  (ChebyshevTest), far cheaper than any power when chi < 1.
+
+Each test takes the cheaper of the two (tight_test), with r bounded by the
+filter degree cap. Under `strict` and `oracle-exact` it applies a rectangle
+polynomial that passes [0, tau] and blocks above tau + epsilon/4: the
+filtered expectation is at least 11 chi^2/12 in the first case and at most
+chi^2/12 in the second.
 
 The guided solver builds the decomposition from local terms. The unguided
 solver guides H (x) I with the maximally entangled state Phi (ground-space
@@ -107,8 +113,9 @@ class TestRecord:
     """One threshold test: its estimate, its answer, and the filter it ran.
 
     filter is "shifted" (degree = the power r of (c - y)/(1 + c), shift = c;
-    see ShiftedTest) or "rectangle" (degree = the polynomial's degree,
-    shift = None).
+    see ShiftedTest), "chebyshev" (degree = 2m for m Chebyshev-root factors,
+    shift = None; see ChebyshevTest) or "rectangle" (degree = the
+    polynomial's degree, shift = None).
     """
 
     t: int
@@ -208,8 +215,20 @@ SHIFT_GRID = 400
 _MIN_ERR = 1e-150
 
 
+class _Bounds:
+    """err and midpoint of a test with yes_bound and no_bound fields."""
+
+    @property
+    def err(self):
+        return (self.yes_bound - self.no_bound) / 4.0
+
+    @property
+    def midpoint(self):
+        return (self.yes_bound + self.no_bound) / 2.0
+
+
 @dataclass(frozen=True)
-class ShiftedTest:
+class ShiftedTest(_Bounds):
     """Test t as one power r of the shifted operator (c - y)/(1 + c).
 
     Write y = 2A' - I = A/kappa, with spectrum in [-1, 1], and
@@ -246,14 +265,62 @@ class ShiftedTest:
     r: int
     yes_bound: float
     no_bound: float
+    filter = "shifted"
+
+    def base(self, decomp_prime):
+        """The operator estimate_power takes to the power r."""
+        return shifted_operator(decomp_prime, self.shift)
+
+
+@dataclass(frozen=True)
+class ChebyshevTest(_Bounds):
+    """Test t as the square of a product of shifted factors.
+
+    With y, y_tau and y_h as in ShiftedTest, let
+    q(y) = prod_{i<=m} (c_i - y)/(1 + |c_i|) at the roots
+    c_i = (1 + y_h)/2 + ((1 - y_h)/2) cos((2i - 1) pi/(2m)) of the Chebyshev
+    polynomial T_m moved onto the blocked band [y_h, 1]. The filter is
+    f = q^2, of degree r = 2m. Each factor (c_i - y)/(1 + |c_i|) is
+    shifted_operator at c_i in [-1, 1], whose bounds sum to 1, so f's chain
+    cycles twice through the m factors and its coefficient mass is 1, the
+    same cost reps * ceil(64/err^2) * r * s^r as a shifted power.
+
+    * Yes bound: every c_i is at least y_h > y_tau, so below y_tau each
+      factor is positive and decreasing. If lambda_0' <= tau, the ground
+      space has y_0 <= y_tau and f(y_0) >= q(y_tau)^2, and psi has weight at
+      least chi^2 there; f is a square, so no other term is negative:
+      yes_bound = chi^2 q(y_tau)^2. Negative roots change nothing here.
+    * No bound: prod_i (y - c_i) is the monic 2((1 - y_h)/4)^m T_m of the
+      band, so its largest size on [y_h, 1] is 2((1 - y_h)/4)^m. If every
+      y_j lies in the band, the sum is at most
+      no_bound = 4((1 - y_h)/4)^(2m) / prod_i (1 + |c_i|)^2.
+
+    The ratio yes_bound/no_bound is chi^2 T_m(x_tau)^2, where
+    x_tau = -1 - 4 theta/(1 - y_h) is y_tau in the band's coordinate. No
+    polynomial of degree m bounded by 1 on [-1, 1] is larger outside it than
+    T_m, and T_m(x_tau)^2 grows about like exp(2m sqrt(8 theta/(1 - y_h))),
+    so the degree at which the bounds separate grows like
+    log(1/chi)/sqrt(theta), against log(1/chi)/theta for a shifted power.
+    """
+
+    roots: tuple
+    yes_bound: float
+    no_bound: float
+    filter = "chebyshev"
+    shift = None
 
     @property
-    def err(self):
-        return (self.yes_bound - self.no_bound) / 4.0
+    def r(self):
+        return 2 * len(self.roots)
 
-    @property
-    def midpoint(self):
-        return (self.yes_bound + self.no_bound) / 2.0
+    def base(self, decomp_prime):
+        """The factors whose chain estimate_power cycles through, r/m = 2 times."""
+        return [shifted_operator(decomp_prime, c) for c in self.roots]
+
+
+def _edges(tau, theta):
+    """(y_tau, y_h): the band edges tau and tau + theta on the scale y."""
+    return 2.0 * tau - 1.0, 2.0 * (tau + theta) - 1.0
 
 
 def _shift_factors(shifts, tau, theta):
@@ -262,8 +329,7 @@ def _shift_factors(shifts, tau, theta):
     proved in. The band edges y_tau = 2 tau - 1 and y_h = 2 (tau + theta) - 1
     come first, so the numerators are one difference each of c and an edge.
     Works on floats and on numpy arrays."""
-    y_tau = 2.0 * tau - 1.0
-    y_h = 2.0 * (tau + theta) - 1.0
+    y_tau, y_h = _edges(tau, theta)
     scale = 1.0 + shifts
     return (shifts - y_tau) / scale, np.maximum(shifts - y_h, 1.0 - shifts) / scale
 
@@ -352,35 +418,121 @@ def shifted_test(t, epsilon, chi, s=1):
     return test
 
 
+# Largest root count of a ChebyshevTest, so that its degree 2m stays within
+# the filter degree cap.
+MAX_ROOTS = DEGREE_CAP // 2
+# Log costs closer than this tie (see tight_test).
+_COST_TIE = 1e-9
+
+
+def _root_table(y_h):
+    """(roots, used): row m - 1 of roots holds the m roots
+    c_i = (1 + y_h)/2 + ((1 - y_h)/2) cos((2i - 1) pi/(2m)), largest first,
+    in the columns where used is True, for every m <= MAX_ROOTS."""
+    m = np.arange(1, MAX_ROOTS + 1)[:, None]
+    i = np.arange(1, MAX_ROOTS + 1)[None, :]
+    angles = (2 * i - 1) * np.pi / (2 * m)
+    return (1.0 + y_h) / 2.0 + ((1.0 - y_h) / 2.0) * np.cos(angles), i <= m
+
+
+def _chebyshev_log_costs(tau, theta, chi, s):
+    """Log predicted cost ceil(64/err^2) * 2m * s^(2m) of the ChebyshevTest of
+    each m in [1, MAX_ROOTS], inf where its bounds do not separate or err is
+    at most _MIN_ERR, computed as _log_costs does, in logarithms."""
+    y_tau, y_h = _edges(tau, theta)
+    roots, used = _root_table(y_h)
+    m = np.arange(1, MAX_ROOTS + 1)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        log_scale = np.where(used, np.log1p(np.abs(roots)), 0.0).sum(axis=1)
+        log_q = np.where(used, np.log(roots - y_tau), 0.0).sum(axis=1) - log_scale
+        log_yes = 2.0 * math.log(chi) + 2.0 * log_q
+        log_no = (math.log(4.0) + 2.0 * m * math.log((1.0 - y_h) / 4.0)
+                  - 2.0 * log_scale)
+        log_ratio = log_no - log_yes
+        log_err = log_yes + np.log1p(-np.exp(log_ratio)) - math.log(4.0)
+        usable = (log_ratio < 0.0) & (log_err > math.log(_MIN_ERR))
+        cost = (np.log(np.ceil(64.0 * np.exp(-2.0 * log_err)))
+                + np.log(2.0 * m) + 2.0 * m * math.log(max(s, 1)))
+    cost[~usable] = np.inf
+    return cost
+
+
+def chebyshev_test(t, epsilon, chi, m):
+    """The ChebyshevTest of interval t with m in [1, MAX_ROOTS] roots, for a
+    band edge y_h below 1."""
+    y_tau, y_h = _edges(*_bands(t, epsilon)[:2])
+    roots, used = _root_table(y_h)
+    roots = roots[m - 1][used[m - 1]]
+    scale = 1.0 + np.abs(roots)
+    q_tau = float(np.prod((roots - y_tau) / scale))
+    no = 4.0 * ((1.0 - y_h) / 4.0) ** (2 * m) / float(np.prod(scale)) ** 2
+    return ChebyshevTest(tuple(roots.tolist()), chi * chi * q_tau * q_tau, no)
+
+
+def _uncounted_log_cost(test, s):
+    """log(64/err^2 * max(r, 1) * s^r) from a test's recorded bounds: its
+    predicted cost over reps, before the chain count is rounded up."""
+    return (math.log(64.0) - 2.0 * math.log(test.err) + math.log(max(test.r, 1))
+            + test.r * math.log(max(s, 1)))
+
+
+def tight_test(t, epsilon, chi, s=1):
+    """The filter of test t under tight: shifted_test's power or the cheapest
+    chebyshev_test over m <= MAX_ROOTS, whichever has the lower predicted cost
+    reps * ceil(64/err^2) * r * s^r (reps is shared, so it drops out).
+
+    The product must be cheaper by more than _COST_TIE in the logarithm of
+    that cost without the rounding up, so ties go to the shifted power: the
+    one-root product at c = (1 + y_h)/2 is the shifted square at that c,
+    and rounding alone can move ceil(64/err^2) by one. shifted_test's
+    refusals stand: a test it refuses is refused here too, so the product
+    only ever replaces a runnable test by a cheaper one.
+    """
+    shifted = shifted_test(t, epsilon, chi, s)
+    tau, theta, _ = _bands(t, epsilon)
+    if shifted.r == 0 or _edges(tau, theta)[1] >= 1.0:
+        return shifted
+    costs = _chebyshev_log_costs(tau, theta, chi, s)
+    m = int(np.argmin(costs)) + 1
+    if costs[m - 1] == np.inf:
+        return shifted
+    product = chebyshev_test(t, epsilon, chi, m)
+    # the choice of m compared logarithms; the recorded bounds are products
+    if (product.err > _MIN_ERR and _uncounted_log_cost(product, s)
+            < _uncounted_log_cost(shifted, s) - _COST_TIE):
+        return product
+    return shifted
+
+
 def _threshold_detail(t, decomp_prime, psi, cfg, rng, T):
     """One test's TestRecord.
 
-    Under tight the test is one estimate_power call on the shifted operator
-    of its ShiftedTest, refused before any sampling when its predicted cost
+    Under tight the test is one estimate_power call on the base of its
+    tight_test (the shifted operator, or the Chebyshev factors its chain
+    cycles through), refused before any sampling when its predicted cost
     exceeds the cost cap. A cost-cap breakdown names the test's filter:
-    "shifted" with its shift under tight, "rectangle" with shift None under
-    strict. Under oracle-exact, decomp_prime may be the scan's
-    ChebyshevMoments sequence of psi on the normalized operator, so the test
-    takes only the moments that earlier tests of the scan have not taken
-    already.
+    "shifted" with its shift or "chebyshev" with shift None under tight,
+    "rectangle" with shift None under strict. Under oracle-exact,
+    decomp_prime may be the scan's ChebyshevMoments sequence of psi on the
+    normalized operator, so the test takes only the moments that earlier
+    tests of the scan have not taken already.
     """
     per_test_delta = cfg.delta / T
     if cfg.policy == "tight":
-        test = shifted_test(t, cfg.epsilon, cfg.chi, decomp_prime.s)
-        base = shifted_operator(decomp_prime, test.shift)
+        test = tight_test(t, cfg.epsilon, cfg.chi, decomp_prime.s)
         if cfg.cost_cap is not None:
             predicted, breakdown = predict_power_cost(
-                base, test.r, test.err, per_test_delta
+                decomp_prime, test.r, test.err, per_test_delta
             )
             if predicted > cfg.cost_cap:
-                breakdown.update(policy=cfg.policy, filter="shifted",
+                breakdown.update(policy=cfg.policy, filter=test.filter,
                                  shift=test.shift)
                 raise CostCapExceeded(predicted, cfg.cost_cap, breakdown)
         estimate = estimate_power(
-            psi, psi, base, test.r, test.err, per_test_delta, rng,
+            psi, psi, test.base(decomp_prime), test.r, test.err, per_test_delta, rng,
         )
         yes = estimate.real >= test.midpoint
-        return TestRecord(t, estimate, yes, "shifted", test.r, test.shift)
+        return TestRecord(t, estimate, yes, test.filter, test.r, test.shift)
     P = _test_polynomial(t, cfg.epsilon, cfg.chi)
     precision = cfg.chi * cfg.chi / 4.0
     if cfg.policy == "oracle-exact":

@@ -414,14 +414,15 @@ def shift_rescale(decomp):
 
 
 def shifted_operator(decomp_prime, c):
-    """Decomposition of (c I - y)/(1 + c) = c/(1 + c) I - (2/(1 + c))(A' - I/2).
+    """Decomposition of (c I - y)/(1 + |c|) = c/(1 + |c|) I - (2/(1 + |c|))(A' - I/2).
 
     Built from shift_rescale's decomposition of A' (y = 2A' - I = A/kappa):
-    the head identity gets scale and bound c/(1 + c), and every other term
-    is scaled by -2/(1 + c), its bound b_i becoming 2 b_i/(1 + c); those b_i
-    sum to 1/2, so the new bounds sum to 1. c must lie in [0, 1]. At c = 0
-    and c = 1 the factor is -2 or -1, so the terms are those of A' times it
-    bit for bit. Any other shape is refused.
+    the head identity gets scale c/(1 + |c|) and bound |c|/(1 + |c|), and
+    every other term is scaled by -2/(1 + |c|), its bound b_i becoming
+    2 b_i/(1 + |c|); those b_i sum to 1/2, so the new bounds sum to 1. c must
+    lie in [-1, 1]; for c in [0, 1] |c| is c, and at c = 0 and c = 1 the
+    factor is -2 or -1, so the terms are those of A' times it bit for bit.
+    Any other shape is refused.
     """
     terms, bounds = decomp_prime.terms, decomp_prime.kappa_i
     head = terms[0] if terms else None
@@ -432,12 +433,12 @@ def shifted_operator(decomp_prime, c):
             "identity with scale and bound 1/2 first, and bounds summing to 1"
         )
     c = float(c)
-    if not 0.0 <= c <= 1.0:
-        raise ValidationError(f"shift c must be in [0, 1], got {c}")
-    scale = 1.0 + c
+    if not -1.0 <= c <= 1.0:
+        raise ValidationError(f"shift c must be in [-1, 1], got {c}")
+    scale = 1.0 + abs(c)
     head = IdentityHandle(decomp_prime.dimension, c / scale)
     flipped = [h.scaled(-2.0 / scale) for h in terms[1:]]
-    scaled = [c / scale] + [2.0 * b / scale for b in bounds[1:]]
+    scaled = [abs(c) / scale] + [2.0 * b / scale for b in bounds[1:]]
     return Decomposition([head] + flipped, scaled)
 
 

@@ -1,8 +1,11 @@
 """Batched frontier evaluation of sparse matrix chain products.
 
 A chain has two forms. On the sampled path it is a row of term indices into
-a fixed list of handles, column 0 applied first; chain_entry takes a plain
-list of handles, applied first to last, and evaluates it as one such row.
+a fixed list of handles, column 0 applied first; when the columns cycle
+through several factors, that list is the concatenation of the factors'
+handle lists and each column's indices point into its own factor's block
+(transform.ChainSampler). chain_entry takes a plain list of handles, applied
+first to last, and evaluates it as one such row.
 ChainKernel computes entries of B_r ... B_1 |phi> for many (chain, row)
 samples at once. It expands a frontier of (sample, row, weight) arrays one
 factor at a time, top factor first: signed permutations through their masks,

@@ -13,6 +13,10 @@ product, evaluated by imm.ChainKernel from at most s^r leaf queries of phi.
 
 Every chain on this path is a row of term indices: ChainSampler draws them
 as a (t, r) array and gives their masses, and ChainKernel evaluates them.
+The columns may also cycle through several normalized factors F_1, ..., F_k,
+each column drawing from its own factor's bounds; the same argument, factor
+by factor, makes the sample unbiased for <psi| F_k ... F_1 |phi> (for
+r = k) with second moment at most 1.
 
 A polynomial P(A) = sum_r a_r A^r is estimated by one stratified estimator:
 every batch gives power r a fixed number of chains, proportional to |a_r|,
@@ -30,7 +34,7 @@ import numpy as np
 
 from . import instrument
 from .errors import CostCapExceeded, ValidationError
-from .hamiltonian import KAPPA_TOL
+from .hamiltonian import KAPPA_TOL, Decomposition
 # chain_entry stays a module attribute, so instrumentation can patch it.
 from .imm import ChainKernel, chain_entry  # noqa: F401
 from .polyfilter import coefficient_l1
@@ -46,44 +50,57 @@ POLICIES = ("strict", "tight", "oracle-exact")
 
 
 class ChainSampler:
-    """Product distribution over index chains of a normalized decomposition.
+    """Product distribution over index chains of normalized factors.
 
     A chain is a row of r term indices (0-based), column 0 applied first, as
-    imm.ChainKernel reads it. Each coordinate is drawn independently with
-    P(i) = kappa_i, so a chain x has mass q(x) = prod_j kappa_{x_j} and the
-    masses sum to 1. sample_many draws chains as the rows of a (t, r) array,
-    and masses gives their q(x).
+    imm.ChainKernel reads it, into the concatenated terms of the factors
+    (self.terms). factors is one normalized Decomposition, or a list
+    F_1, ..., F_k of them that the columns cycle through: column j draws from
+    F_(j mod k)+1, with P(i) = kappa_i of that factor, offset by the term
+    counts of the factors before it. A chain x has mass
+    q(x) = prod_j kappa_{x_j}, and the masses sum to 1. One factor is the
+    power A^r. sample_many draws chains as the rows of a (t, r) array, and
+    masses gives their q(x).
     """
 
-    def __init__(self, decomp, r):
-        if abs(decomp.kappa - 1.0) > KAPPA_TOL:
-            raise ValidationError(
-                f"chain sampling needs a normalized decomposition "
-                f"(kappa = {decomp.kappa!r})"
-            )
+    def __init__(self, factors, r):
+        factors = [factors] if isinstance(factors, Decomposition) else list(factors)
+        if not factors:
+            raise ValidationError("chain sampling needs at least one factor")
+        for decomp in factors:
+            if abs(decomp.kappa - 1.0) > KAPPA_TOL:
+                raise ValidationError(
+                    f"chain sampling needs normalized decompositions "
+                    f"(kappa = {decomp.kappa!r})"
+                )
         r = int(r)
         if r < 0:
             raise ValidationError(f"power must be nonnegative, got {r}")
-        self.decomp = decomp
+        self.factors = factors
         self.r = r
-        self._kappa = np.asarray(decomp.kappa_i, dtype=float)
-        self._probs = self._kappa / self._kappa.sum()
-
-    @property
-    def m(self):
-        return self.decomp.m
+        self.dimension = factors[0].dimension
+        self.terms = [h for decomp in factors for h in decomp.terms]
+        kappas = [np.asarray(decomp.kappa_i, dtype=float) for decomp in factors]
+        self._kappa = np.concatenate(kappas)
+        self._probs = [k / k.sum() for k in kappas]
+        self._offsets = np.cumsum([0] + [k.size for k in kappas[:-1]])
 
     def masses(self, chains):
         """Masses q(x) of a (t, r) array of chains: 1 each when r = 0."""
         return np.prod(self._kappa[chains], axis=1)
 
     def sample_many(self, rng, count):
-        """Draw `count` chains as a (count, r) index array."""
+        """Draw `count` chains as a (count, r) index array. The columns of one
+        factor are drawn together, in one rng.choice call per factor."""
         instrument.add(chain_samples=count)
-        if self.r == 0:
-            return np.empty((count, 0), dtype=np.int64)
-        draws = rng.choice(self.m, size=(count, self.r), p=self._probs)
-        return draws.astype(np.int64, copy=False)
+        k = len(self.factors)
+        chains = np.empty((count, self.r), dtype=np.int64)
+        for f, (probs, offset) in enumerate(zip(self._probs, self._offsets)):
+            columns = chains[:, f::k]
+            if columns.shape[1]:
+                draws = rng.choice(probs.size, size=columns.shape, p=probs)
+                np.add(draws, offset, out=columns)
+        return chains
 
 
 def _check_budget(name, value):
@@ -94,10 +111,12 @@ def _check_budget(name, value):
 def estimate_power(psi, phi, decomp, r, err, delta, rng):
     """Estimate <psi| A^r |phi> within err with probability >= 1 - delta.
 
-    Requires the normalized decomposition (kappa = 1). This is the
-    one-stratum case of the stratified estimator: each batch draws
-    t = ceil(64 / err^2) chains of length r, then t guiding-state indices,
-    and the batches are median-combined.
+    decomp is a normalized decomposition (kappa = 1) of A, or a list of
+    normalized factors F_1, ..., F_k whose r chain columns cycle through them
+    (see ChainSampler), so that r = p k estimates <psi|(F_k ... F_1)^p|phi>.
+    This is the one-stratum case of the stratified estimator: each batch
+    draws t = ceil(64 / err^2) chains of length r, then t guiding-state
+    indices, and the batches are median-combined.
     """
     _check_budget("err", err)
     _check_budget("delta", delta)
@@ -108,11 +127,12 @@ def _estimate_strata(psi, phi, decomp, coeffs, err, delta, rng):
     """Median of batches of sum_r a_r * mean(Y_r over c_r chains).
 
     coeffs maps each power r to its nonzero coefficient a_r, and c_r comes
-    from chain_counts. A batch draws every stratum's chains in order of r,
-    then one guiding-state index per chain (uniform for psi = None, see
-    eigensolve). Raises ValidationError, before
-    drawing anything, when a stratum's index array is past numpy's size
-    limit.
+    from chain_counts. decomp is one decomposition or a list of factors, as
+    ChainSampler takes it; every stratum indexes the same concatenated
+    terms. A batch draws every stratum's chains in order of r, then one
+    guiding-state index per chain (uniform for psi = None, see eigensolve).
+    Raises ValidationError, before drawing anything, when a stratum's index
+    array is past numpy's size limit.
     """
     _, t = batch_shape(err, delta)
     counts = chain_counts(coeffs, t)
@@ -130,12 +150,13 @@ def _estimate_strata(psi, phi, decomp, coeffs, err, delta, rng):
     bounds = list(itertools.accumulate(counts.values(), initial=0))
     spans = list(zip(bounds, bounds[1:]))
     total = bounds[-1]
-    kernel = ChainKernel(decomp.terms)
+    kernel = ChainKernel(strata[0][0].terms)
+    dimension = strata[0][0].dimension
 
     def one_batch(stream):
         chains = [sampler.sample_many(stream, c) for sampler, _, c in strata]
         if psi is None:  # the normalized trace: a uniform start row, weight 1
-            j = stream.integers(0, decomp.dimension, size=total)
+            j = stream.integers(0, dimension, size=total)
             amps = np.ones(total, dtype=complex)
         else:
             j = psi.sample_many(stream, total)

@@ -30,7 +30,13 @@ from eigensampler import (
 )
 from eigensampler import eigensolve, oracle, polyfilter, transform
 from eigensampler import test_threshold as threshold_test
-from eigensampler.eigensolve import _test_polynomial, doubled_terms, shifted_test
+from eigensampler.eigensolve import (
+    _test_polynomial,
+    chebyshev_test,
+    doubled_terms,
+    shifted_test,
+    tight_test,
+)
 from eigensampler.hamiltonian import shifted_operator
 from eigensampler.rng import make_generator, spawn_streams
 from eigensampler.oracle import dense_term, ground_vector
@@ -522,6 +528,16 @@ def guide_with_overlap(op, chi, rng):
     return DenseState(v / np.linalg.norm(v))
 
 
+def dense_chain(factors, r):
+    """The dense product of r chain columns that cycle through the factors,
+    column 0 applied first."""
+    mats = [reconstruct(f).matrix for f in factors]
+    out = np.eye(mats[0].shape[0], dtype=complex)
+    for j in range(r):
+        out = mats[j % len(mats)] @ out
+    return out
+
+
 def band_edges(t, epsilon):
     """(y_tau, y_h): the test's band edges on the scale y = 2A' - I."""
     tau, theta = t * epsilon / 4, epsilon / 4
@@ -687,7 +703,7 @@ class TestLowPass:
                                          prime.kappa_i[:1] + d.kappa_i)):
             with pytest.raises(ValidationError):
                 shifted_operator(bad, 1.0)
-        for c in (-0.1, 1.5, math.nan):
+        for c in (-1.5, 1.5, math.nan):
             with pytest.raises(ValidationError):
                 shifted_operator(prime, c)
 
@@ -698,12 +714,15 @@ class TestLowPass:
 
         def exact_power(psi, phi, op, r, err, delta, rng, **kw):
             exact_calls.append(r)
+            if isinstance(op, list):  # a ChebyshevTest's factors
+                return oracle.exact_sandwich(psi, dense_chain(op, r), phi)
             return oracle.exact_sandwich(psi, op, phi, power=r)
 
         monkeypatch.setattr(eigensolve, "estimate_power", exact_power)
         rng = np.random.default_rng(62)
         checked = 0
         shifts = []
+        filters = []
         for k in range(16):
             n = 3 + k % 4
             terms = random_pauli_terms(rng, n, 3) + [random_block_term(rng, n, 2)]
@@ -733,9 +752,11 @@ class TestLowPass:
                 cfg = SolverConfig(epsilon=epsilon, chi=chi, policy="tight",
                                    cost_cap=None)
                 assert threshold_test(t, prime, psi, cfg, None) is yes
+                filters.append(tight_test(t, epsilon, chi, prime.s).filter)
                 checked += 1
         assert checked == 32 and len(exact_calls) == 32
         assert sum(c < 1.0 for c in shifts) >= 8
+        assert 0 < filters.count("chebyshev") < 32
 
     def test_bounds_hold_for_every_shift(self):
         # The proof does not depend on the chosen (c, r): at any shift in
@@ -767,13 +788,19 @@ class TestLowPass:
     def test_every_test_predicts_under_a_unit_cap(self):
         d = shift_rescale(build_decomposition(2, HEISENBERG))
         cfg = SolverConfig(epsilon=0.3, chi=0.5, policy="tight", cost_cap=1.0)
+        filters = []
         for t in range(cfg.interval_count):
             with pytest.raises(CostCapExceeded) as info:
                 threshold_test(t, d, BasisState(0, 4), cfg, np.random.default_rng(0))
             b = info.value.breakdown
-            test = shifted_test(t, cfg.epsilon, cfg.chi, d.s)
-            assert b["filter"] == "shifted" and b["policy"] == "tight"
+            test = tight_test(t, cfg.epsilon, cfg.chi, d.s)
+            filters.append(test.filter)
+            assert b["filter"] == test.filter and b["policy"] == "tight"
             assert b["shift"] == test.shift
+            if test.filter == "shifted":
+                assert test == shifted_test(t, cfg.epsilon, cfg.chi, d.s)
+            else:
+                assert test.shift is None and test.r == 2 * len(test.roots)
             assert b["degree"] == test.r
             assert b["err_per_power"] == test.err
             assert b["per_power"] == {test.r: info.value.predicted}
@@ -781,6 +808,7 @@ class TestLowPass:
                 b["reps_per_power"] * b["chains_per_batch"]
                 * max(test.r, 1) * d.s ** test.r
             )
+        assert filters.count("chebyshev") == 7
 
     def test_leaf_queries_within_prediction_in_a_tight_scan(self):
         rng = np.random.default_rng(63)
@@ -822,6 +850,197 @@ class TestLowPass:
             assert rec.degree == _test_polynomial(rec.t, 0.5, 1.0).degree
             assert rec.to_dict()["degree"] == rec.degree
             assert rec.shift is None and rec.to_dict()["shift"] is None
+
+
+def reference_chebyshev_log_cost(t, epsilon, chi, s, m):
+    """log of ceil(64/err^2) * 2m * s^(2m) for the m-root Chebyshev test,
+    from its bounds recomputed root by root, or inf where they do not
+    separate above err 1e-150."""
+    y_tau, y_h = band_edges(t, epsilon)
+    roots = [(1 + y_h) / 2 + (1 - y_h) / 2 * math.cos((2 * i - 1) * math.pi / (2 * m))
+             for i in range(1, m + 1)]
+    log_scale = sum(math.log1p(abs(c)) for c in roots)
+    log_yes = 2 * math.log(chi) + 2 * sum(math.log(c - y_tau) for c in roots) - 2 * log_scale
+    log_no = math.log(4) + 2 * m * math.log((1 - y_h) / 4) - 2 * log_scale
+    if log_no >= log_yes:
+        return math.inf
+    log_err = log_yes + math.log1p(-math.exp(log_no - log_yes)) - math.log(4)
+    if log_err <= math.log(1e-150):
+        return math.inf
+    return log_cost(math.exp(log_err), 2 * m, s)
+
+
+class TestChebyshev:
+    """tight's second filter: q(y)^2 for m factors (c_i - y)/(1 + |c_i|) at
+    the Chebyshev roots c_i of the blocked band [y_h, 1]."""
+
+    def test_shifted_operator_at_negative_shifts(self):
+        # (c I - y)/(1 + |c|) for c in [-1, 0); for c in [0, 1] the terms and
+        # bounds are bit for bit those of the scale 1 + c
+        rng = np.random.default_rng(74)
+        for n in (2, 3):
+            terms = random_pauli_terms(rng, n, 3) + [random_block_term(rng, n, 2)]
+            prime = shift_rescale(build_decomposition(n, terms))
+            y = 2 * reconstruct(prime).matrix - np.eye(2**n)
+            for c in (-1.0, -0.5, -0.05, -float(rng.uniform())):
+                op = shifted_operator(prime, c)
+                assert op.kappa == pytest.approx(1.0, abs=1e-12)
+                assert op.kappa_i[0] == -c / (1 - c)
+                assert op.terms[0].perm_phase == c / (1 - c)
+                want = (c * np.eye(2**n) - y) / (1 - c)
+                assert np.max(np.abs(reconstruct(op).matrix - want)) <= 1e-12
+            for c in (0.0, 0.25, 0.5, 1.0, float(rng.uniform())):
+                op = shifted_operator(prime, c)
+                assert op.kappa_i == [c / (1 + c)] + [2.0 * b / (1 + c)
+                                                      for b in prime.kappa_i[1:]]
+                assert op.terms[0].perm_phase == c / (1 + c)
+                for mine, theirs in zip(op.terms[1:], prime.terms[1:]):
+                    assert np.array_equal(dense_term(mine),
+                                          dense_term(theirs.scaled(-2.0 / (1 + c))))
+
+    def test_bounds_hold_at_both_band_edges(self):
+        # chi < 1, and roots below 0 wherever y_h < 0; checked against the
+        # exact sandwich of the dense product of the factors
+        rng = np.random.default_rng(71)
+        negative = 0
+        for k in range(12):
+            n = 3 + k % 2
+            terms = random_pauli_terms(rng, n, 3) + [random_block_term(rng, n, 2)]
+            chi = (0.5, 0.3, 0.1)[k % 3]
+            epsilon = (1.0, 0.5, 0.3, 0.2)[k % 4]
+            t = int(rng.integers(1, max(2, math.ceil(2 / epsilon))))
+            m = int(rng.integers(1, 7))
+            tau, theta = t * epsilon / 4, epsilon / 4
+            test = chebyshev_test(t, epsilon, chi, m)
+            assert test.r == 2 * m and len(test.roots) == m
+            negative += min(test.roots) < 0
+            for edge, yes in ((tau, True), (tau + theta, False)):
+                prime = shift_rescale(build_decomposition(n, shifted_to(n, terms, edge)))
+                op = reconstruct(prime)
+                assert op.eigenvalues[0] == pytest.approx(edge, abs=1e-12)
+                f = dense_chain(test.base(prime), test.r)
+                y = 2 * op.matrix - np.eye(2**n)
+                q = np.eye(2**n)
+                for c in test.roots:
+                    q = q @ (c * np.eye(2**n) - y) / (1 + abs(c))
+                assert np.max(np.abs(f - q @ q)) <= 1e-12
+                psi = guide_with_overlap(op, chi, rng)
+                value = oracle.exact_sandwich(psi, f, psi)
+                assert abs(value.imag) <= 1e-12
+                if yes:
+                    assert value.real >= test.yes_bound * (1 - 1e-9)
+                else:
+                    assert value.real <= test.no_bound * (1 + 1e-9) + 1e-300
+        assert negative >= 3
+
+    def test_tight_takes_the_cheaper_filter(self):
+        # The choice is the cheapest of the shifted power and every m-root
+        # product, recomputed here root by root; ties go to the power
+        chebyshev = 0
+        for epsilon in (1.0, 0.5, 0.35, 0.25):
+            for chi in (0.5, 2.0 ** -2, 2.0 ** -2.5):
+                for s in (1, 4):
+                    T = math.ceil(4 / epsilon)
+                    for t in range(T):
+                        if band_edges(t, epsilon)[1] >= 1:
+                            assert tight_test(t, epsilon, chi, s) == shifted_test(
+                                t, epsilon, chi, s)
+                            continue
+                        shifted = shifted_test(t, epsilon, chi, s)
+                        product = [reference_chebyshev_log_cost(t, epsilon, chi, s, m)
+                                   for m in range(1, eigensolve.MAX_ROOTS + 1)]
+                        shifted_cost = log_cost(shifted.err, shifted.r, s)
+                        test = tight_test(t, epsilon, chi, s)
+                        if test.filter == "chebyshev":
+                            chebyshev += 1
+                            m = len(test.roots)
+                            assert product[m - 1] <= min(product) + 1e-9
+                            assert product[m - 1] < shifted_cost + 1e-9
+                            assert test == chebyshev_test(t, epsilon, chi, m)
+                        else:
+                            assert test == shifted
+                            assert shifted_cost <= min(product) + 1e-9
+        assert chebyshev > 50
+
+    def test_chi_one_keeps_the_shifted_power(self):
+        # At chi = 1 the product wins no test, so chi = 1 scans keep their
+        # transcripts
+        for epsilon in (1.0, 0.3, 0.25, 0.1):
+            for s in (1, 4):
+                for t in range(math.ceil(4 / epsilon)):
+                    assert tight_test(t, epsilon, 1.0, s) == shifted_test(t, epsilon, 1.0, s)
+
+    def test_first_unguided_test_keeps_the_shifted_power(self):
+        # At t = 0 the yes edge is y = -1, where the product is far smaller
+        # than the shifted power: 6.2e9 against about 1.9e16 leaf operations
+        # at epsilon 0.25 and n = 5
+        chi = 2.0 ** -2.5
+        test = tight_test(0, 0.25, chi)
+        assert (test.filter, test.shift, test.r) == ("shifted", 0.0625, 48)
+        rows = SimpleNamespace(s=1)
+        T = math.ceil(4 / 0.25)
+        best_m = min(range(1, eigensolve.MAX_ROOTS + 1),
+                     key=lambda m: reference_chebyshev_log_cost(0, 0.25, chi, 1, m))
+        product = chebyshev_test(0, 0.25, chi, best_m)
+        cost, _ = transform.predict_power_cost(rows, product.r, product.err, 0.05 / T)
+        assert cost == pytest.approx(1.9e16, rel=0.05)
+
+    def test_refusals_of_the_shifted_power_stand(self):
+        # The product separates test 0 at chi 0.5 and epsilon 0.002 (m = 30,
+        # 2.4e69 leaf operations predicted), but the test is refused as before
+        with pytest.raises(DegreeOverflowError):
+            tight_test(0, 0.002, 0.5)
+        with pytest.raises(ValidationError, match="float resolution"):
+            tight_test(3, 1.0, 1e-80)
+
+    def test_sampled_factor_chain_lands_within_err(self):
+        # A direct estimate of the m = 2 product at t = 0 (roots 0.78 and
+        # -0.28), guided and as a normalized trace, at a loose err
+        rng = np.random.default_rng(72)
+        terms = random_pauli_terms(rng, 3, 3) + [random_block_term(rng, 3, 2)]
+        prime = shift_rescale(build_decomposition(3, terms))
+        op = reconstruct(prime)
+        test = chebyshev_test(0, 1.0, 0.5, 2)
+        assert min(test.roots) < 0 < max(test.roots)
+        factors = test.base(prime)
+        f = dense_chain(factors, test.r)
+        psi = guide_with_overlap(op, 0.5, rng)
+        for guide, seed in ((psi, 1), (None, 2)):
+            want = oracle.exact_sandwich(guide, f, guide)
+            got = transform.estimate_power(guide, guide, factors, test.r, 0.25, 0.1,
+                                           np.random.default_rng(seed))
+            assert abs(got - want) <= 0.25
+
+    @pytest.mark.slow
+    def test_sampled_tight_test_picks_the_product(self):
+        # The cheapest seeded case in which tight runs the product: epsilon
+        # 1, chi 0.5, delta 0.5, test 1 (m = 2, about 1.0e8 leaf operations)
+        rng = np.random.default_rng(73)
+        terms = random_pauli_terms(rng, 3, 4)
+        t, epsilon, chi = 1, 1.0, 0.5
+        tau = t * epsilon / 4
+        prime = shift_rescale(build_decomposition(3, shifted_to(3, terms, tau)))
+        assert prime.s == 1
+        op = reconstruct(prime)
+        psi = guide_with_overlap(op, chi, rng)
+        cfg = SolverConfig(epsilon=epsilon, chi=chi, delta=0.5, policy="tight",
+                           cost_cap=1.0)
+        with pytest.raises(CostCapExceeded) as info:
+            threshold_test(t, prime, psi, cfg, np.random.default_rng(0))
+        b = info.value.breakdown
+        test = tight_test(t, epsilon, chi, prime.s)
+        assert (b["filter"], b["degree"], b["shift"]) == ("chebyshev", 4, None)
+        assert info.value.predicted == pytest.approx(1.0e8, rel=0.05)
+        with recording() as counters:
+            record = eigensolve._threshold_detail(
+                t, prime, psi, replace(cfg, cost_cap=None), np.random.default_rng(0),
+                cfg.interval_count)
+        assert (record.filter, record.degree, record.shift) == ("chebyshev", 4, None)
+        want = oracle.exact_sandwich(psi, dense_chain(test.base(prime), test.r), psi)
+        assert abs(record.estimate - want) <= test.err
+        assert want.real >= test.yes_bound * (1 - 1e-9) and record.yes
+        assert 0 < counters.leaf_queries <= info.value.predicted
+        assert record.to_dict()["filter"] == "chebyshev"
 
 
 def smallest_separating_power(t, epsilon, chi):
@@ -884,3 +1103,36 @@ def test_shifted_bounds_properties(epsilon, place, chi, s, delta):
     ys = np.linspace(y_h, 1.0, 2001)
     assert np.all(np.abs((c - ys) / (1 + c)) ** r <= test.no_bound * (1 + 1e-12))
     assert test.err > 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    epsilon=st.floats(0.02, 1.0),
+    place=st.floats(0.0, 1.0, exclude_max=True),
+    m=st.integers(1, eigensolve.MAX_ROOTS),
+    chi=st.floats(1e-3, 1.0),
+)
+def test_chebyshev_band_maximum(epsilon, place, m, chi):
+    # |prod (c_i - y)| peaks on [y_h, 1] at 2((1 - y_h)/4)^m, reached at the
+    # m + 1 extrema of T_m; compared in logarithms, on a dense grid plus the
+    # extrema, for the roots as rounded to floats
+    T = math.ceil(4 / epsilon)
+    t = min(int(place * T), T - 1)
+    y_tau, y_h = band_edges(t, epsilon)
+    assume(y_h < 1)
+    test = chebyshev_test(t, epsilon, chi, m)
+    c = np.array(test.roots)
+    assert np.all((y_h <= c) & (c <= 1))
+    extrema = (1 + y_h) / 2 + (1 - y_h) / 2 * np.cos(np.arange(m + 1) * np.pi / m)
+    ys = np.concatenate((np.linspace(y_h, 1.0, 4001), extrema))
+    with np.errstate(divide="ignore"):
+        logs = np.log(np.abs(c[None, :] - ys[:, None])).sum(axis=1)
+    closed = math.log(2) + m * math.log((1 - y_h) / 4)
+    assert logs.max() <= closed + 1e-9
+    assert logs[-(m + 1):].min() >= closed - 1e-9
+    # the recorded bounds are the closed forms
+    scale = np.prod(1 + np.abs(c))
+    assert test.no_bound == pytest.approx(
+        4 * ((1 - y_h) / 4) ** (2 * m) / scale ** 2, rel=1e-12, abs=1e-300)
+    assert test.yes_bound == pytest.approx(
+        chi * chi * np.prod((c - y_tau) / (1 + np.abs(c))) ** 2, rel=1e-12, abs=1e-300)

@@ -27,6 +27,7 @@ from eigensampler import (
     shift_rescale,
 )
 from eigensampler.hamiltonian import shifted_operator
+from eigensampler.imm import ChainKernel
 from eigensampler.transform import POLICIES, power_error_budget, predict_power_cost
 
 from helpers import (
@@ -101,6 +102,79 @@ class TestChainSampler:
         with recording() as c:
             ChainSampler(d, 2).sample_many(np.random.default_rng(0), 10)
         assert c.chain_samples == 10
+
+
+class TestFactorChains:
+    """Chains whose columns cycle through several factors, each column
+    drawing from its own factor's bounds."""
+
+    def factors(self, seed):
+        rng = np.random.default_rng(seed)
+        terms = random_pauli_terms(rng, 2, 3) + [random_block_term(rng, 2, 1)]
+        prime = shift_rescale(build_decomposition(2, terms))
+        return [shifted_operator(prime, c) for c in (0.7, -0.4, 0.1)]
+
+    def test_power_chains_draw_one_choice_call(self):
+        # One factor: every column in one rng.choice call, as before factors
+        rng = np.random.default_rng(8)
+        d = random_normalized_decomposition(rng, 2, 3)
+        probs = np.asarray(d.kappa_i) / np.sum(d.kappa_i)
+        for r in (1, 4):
+            got = ChainSampler(d, r).sample_many(np.random.default_rng(9), 50)
+            want = np.random.default_rng(9).choice(d.m, size=(50, r), p=probs)
+            assert np.array_equal(got, want)
+            assert np.array_equal(ChainSampler([d], r).sample_many(
+                np.random.default_rng(9), 50), want)
+
+    def test_columns_draw_from_their_own_factor(self):
+        factors = self.factors(10)
+        sizes = [f.m for f in factors]
+        offsets = np.cumsum([0] + sizes[:-1])
+        sampler = ChainSampler(factors, 7)
+        assert sampler.terms == [h for f in factors for h in f.terms]
+        chains = sampler.sample_many(np.random.default_rng(11), 4000)
+        stream = np.random.default_rng(11)
+        for f, factor in enumerate(factors):
+            columns = chains[:, f::3] - offsets[f]
+            assert np.all((0 <= columns) & (columns < sizes[f]))
+            # the columns of one factor come from one rng.choice call, in
+            # factor order
+            probs = np.asarray(factor.kappa_i) / np.sum(factor.kappa_i)
+            want = stream.choice(sizes[f], size=columns.shape, p=probs)
+            assert np.array_equal(columns, want)
+        kappa = [np.asarray(f.kappa_i) for f in factors]
+        want = np.ones(len(chains))
+        for j in range(7):
+            want *= kappa[j % 3][chains[:, j] - offsets[j % 3]]
+        assert np.array_equal(sampler.masses(chains), want)
+
+    def test_chains_sum_to_the_dense_product(self):
+        # Over every chain: the masses sum to 1, and the chain products sum
+        # to F_2 F_1 F_3 F_2 F_1 (r = 5 columns over 3 factors)
+        factors = self.factors(12)
+        r = 5
+        sampler = ChainSampler(factors, r)
+        offsets = np.cumsum([0] + [f.m for f in factors[:-1]])
+        chains = np.array(list(itertools.product(
+            *[range(offsets[j % 3], offsets[j % 3] + factors[j % 3].m)
+              for j in range(r)])), dtype=np.int64)
+        masses = sampler.masses(chains)
+        assert masses.sum() == pytest.approx(1.0, abs=1e-12)
+        mats = [dense_of(f) for f in factors]
+        want = np.eye(4)
+        for j in range(r):
+            want = mats[j % 3] @ want
+        phi_v = random_state_vector(np.random.default_rng(13), 4)
+        kernel = ChainKernel(sampler.terms)
+        for row in range(4):
+            values = kernel.values(chains, np.full(len(chains), row), DenseState(phi_v))
+            # E_x[value / mass] over the sampler's own distribution
+            assert np.sum(masses * (values / masses)) == pytest.approx(
+                (want @ phi_v)[row], abs=1e-12)
+
+    def test_needs_a_factor(self):
+        with pytest.raises(ValidationError):
+            ChainSampler([], 2)
 
 
 def single_sample_values(decomp, psi_v, r, count, seed):
