@@ -36,7 +36,7 @@ from .oracle import (
     reconstruct,
 )
 from .polyfilter import band_report, build_rectangle_polynomial, coefficient_l1
-from .state_access import DenseState, make_state
+from .state_access import DenseState, is_maxent, make_state
 from .transform import POLICIES
 
 
@@ -207,6 +207,12 @@ def _load_input(args):
     return n, terms, digest
 
 
+def _exact_guide(spec, n):
+    """The guide an exact overlap reads: None, the normalized trace, for the
+    unguided spec (the maxent state of H (x) I, read on H's own n qubits)."""
+    return None if is_maxent(spec) else make_state(spec, n)
+
+
 def _oracle_block(args, n, terms, estimate):
     """Exact check of a run, on its n-qubit operator, at the run's epsilon and chi."""
     tolerance = estimate.epsilon * estimate.kappa
@@ -218,8 +224,7 @@ def _oracle_block(args, n, terms, estimate):
         return {"skipped": f"dimension {2**n} exceeds the dense oracle limit"}
     op = reconstruct(build_decomposition(n, terms))
     lam = exact_ground_energy(op)
-    unguided = args.state.strip().lower() == "maxent"
-    overlap = exact_overlap(op, None if unguided else make_state(args.state, n), sigma)
+    overlap = exact_overlap(op, _exact_guide(args.state, n), sigma)
     abs_error = abs(estimate.e_star - lam)
     return {
         "lambda_min": lam,
@@ -239,7 +244,7 @@ def run_estimate(args):
     """Execute the guided or unguided solver per flags; returns a RunReport."""
     n, terms, digest = _load_input(args)
     cfg = _make_config(args)
-    unguided = args.state.strip().lower() == "maxent"
+    unguided = is_maxent(args.state)
     start = time.perf_counter()
     if unguided:
         estimate = solve_unguided((n, terms), cfg)
@@ -297,7 +302,7 @@ def run_oracle(args):
         result["spectrum"] = [float(v) for v in op.eigenvalues]
     if args.state is not None:
         sigma = args.sigma if args.sigma is not None else 0.0
-        result["overlap"] = exact_overlap(op, make_state(args.state, n), sigma)
+        result["overlap"] = exact_overlap(op, _exact_guide(args.state, n), sigma)
         result["sigma"] = sigma
     config = {"hamiltonian": args.hamiltonian, "state": args.state,
               "sigma": args.sigma, "spectrum": args.spectrum}
@@ -374,8 +379,6 @@ def run_bench(args):
             op = reconstruct(decomp)
             lam = exact_ground_energy(op)
             guide = DenseState(ground_vector(op))
-        else:
-            guide = "maxent"
         start = time.perf_counter()
         try:
             if oracle_ok:

@@ -8,22 +8,15 @@ ground-space overlap chi separates the two cases, so the first accepted
 interval pins the ground energy of A to within epsilon*kappa.
 
 How a test filters the spectrum depends on the policy. Under `tight` it
-estimates <psi|f(y)|psi> for y = 2A' - I = A/kappa and one of two filters of
-degree r, each a product of shifted factors (c - y)/(1 + |c|) of monomial
-coefficient mass 1, so its sampled cost is
-reps * ceil(64/err^2) * max(r, 1) * s^r (the one-stratum case of the
-stratified estimator in transform):
-
-* a power ((c - y)/(1 + c))^r with its (c, r), c in [0, 1], picked to
-  minimize that cost; c = 1 is the low-pass operator I - A' (ShiftedTest);
-* the square of m factors at the Chebyshev roots of the blocked band, r = 2m
-  (ChebyshevTest), far cheaper than any power when chi < 1.
-
-Each test takes the cheaper of the two (tight_test), with r bounded by the
-filter degree cap. Under `strict` and `oracle-exact` it applies a rectangle
-polynomial that passes [0, tau] and blocks above tau + epsilon/4: the
-filtered expectation is at least 11 chi^2/12 in the first case and at most
-chi^2/12 in the second.
+estimates <psi|f(y)|psi> for y = 2A' - I = A/kappa and a TightTest f: a
+product of r shifted factors (c - y)/(1 + |c|) of monomial coefficient mass
+1, either a power ((c - y)/(1 + c))^r (c = 1 is the low-pass I - A') or the
+square of m factors at the Chebyshev roots of the blocked band, r = 2m, far
+cheaper than any power when chi < 1. tight_test runs whichever has the lower
+predicted cost, with r bounded by the filter degree cap. Under `strict` and
+`oracle-exact` it applies a rectangle polynomial that passes [0, tau] and
+blocks above tau + epsilon/4: the filtered expectation is at least
+11 chi^2/12 in the first case and at most chi^2/12 in the second.
 
 The guided solver builds the decomposition from local terms. The unguided
 solver guides H (x) I with the maximally entangled state Phi (ground-space
@@ -44,6 +37,7 @@ from .errors import (
     CostCapExceeded,
     DegreeOverflowError,
     GapError,
+    StateSpecError,
     ValidationError,
 )
 from .hamiltonian import (
@@ -60,11 +54,13 @@ from .polyfilter import (
     constant_one_polynomial,
 )
 from .rng import make_generator, spawn_streams
-from .state_access import MaxEntState, make_state
+from .state_access import is_maxent, make_state
 from .transform import (
+    MIN_ERR,
     POLICIES,
     estimate_polynomial_transform,
     estimate_power,
+    log_test_cost,
     predict_power_cost,
 )
 
@@ -112,10 +108,9 @@ class SolverConfig:
 class TestRecord:
     """One threshold test: its estimate, its answer, and the filter it ran.
 
-    filter is "shifted" (degree = the power r of (c - y)/(1 + c), shift = c;
-    see ShiftedTest), "chebyshev" (degree = 2m for m Chebyshev-root factors,
-    shift = None; see ChebyshevTest) or "rectangle" (degree = the
-    polynomial's degree, shift = None).
+    filter is a TightTest's ("shifted" or "chebyshev", with its r as degree
+    and its shift) or "rectangle" (degree = the polynomial's degree, shift =
+    None).
     """
 
     t: int
@@ -211,34 +206,34 @@ def _test_polynomial(t, epsilon, chi):
 # k < SHIFT_GRID. c = 1 is its own entry, exact rather than a rounded
 # lo + (1 - lo).
 SHIFT_GRID = 400
-# Below this the batch size ceil(64/err^2) is no longer a finite float.
-_MIN_ERR = 1e-150
-
-
-class _Bounds:
-    """err and midpoint of a test with yes_bound and no_bound fields."""
-
-    @property
-    def err(self):
-        return (self.yes_bound - self.no_bound) / 4.0
-
-    @property
-    def midpoint(self):
-        return (self.yes_bound + self.no_bound) / 2.0
+# Largest root count of a Chebyshev product, so that its degree 2m stays
+# within the filter degree cap.
+MAX_ROOTS = DEGREE_CAP // 2
+# Log costs closer than this tie (see tight_test).
+_COST_TIE = 1e-9
+# Largest move of the log band maximum that rounding a product's roots may
+# cause (see chebyshev_test).
+_ROOT_ROUNDING = 1e-9
 
 
 @dataclass(frozen=True)
-class ShiftedTest(_Bounds):
-    """Test t as one power r of the shifted operator (c - y)/(1 + c).
+class TightTest:
+    """Test t under tight: a product of r factors (c - y)/(1 + |c|), each the
+    shifted_operator at a c in [-1, 1] with bounds summing to 1, whose chain
+    cycles through shifts. Its mass is 1, so it costs
+    reps * ceil(64/err^2) * max(r, 1) * s^r (transform.log_test_cost) at
+    err = gap/4, gap = yes_bound - no_bound > 0, and an estimate within err
+    lies at or above the midpoint in the yes case and below it in the no.
 
     Write y = 2A' - I = A/kappa, with spectrum in [-1, 1], and
     y_tau = 2 tau - 1, y_h = 2 (tau + theta) - 1 for tau = t*epsilon/4 and
-    theta = epsilon/4. The shift c lies in [max(y_h, 0), 1]. Expand
-    psi = sum_j a_j |v_j> over eigenvectors of y with eigenvalues y_j. Then
+    theta = epsilon/4. Expand psi = sum_j a_j |v_j> over eigenvectors of y
+    with eigenvalues y_j, whose weights |a_j|^2 sum to 1.
 
-        <psi|((c - y)/(1 + c))^r|psi> = sum_j |a_j|^2 ((c - y_j)/(1 + c))^r,
+    filter "shifted" is one power of one shift c in [max(y_h, 0), 1]
+    (shifts = (c,)):
 
-    whose weights |a_j|^2 sum to 1.
+        <psi|((c - y)/(1 + c))^r|psi> = sum_j |a_j|^2 ((c - y_j)/(1 + c))^r.
 
     * Yes bound: if lambda_0' <= tau, then y_0 <= y_tau < y_h <= c, so every
       ground-space factor is at least (c - y_tau)/(1 + c) > 0, and psi has
@@ -252,38 +247,15 @@ class ShiftedTest(_Bounds):
       most no_bound = (max(c - y_h, 1 - c)/(1 + c))^r.
 
     A shift c < 0 would make the no ratio 1 - c over 1 + c at least 1, so
-    it never helps. An estimate within err = gap/4 of the expectation, with
-    gap = yes_bound - no_bound > 0, lies at or above the midpoint in the yes
-    case and below it in the no case. When the blocked band is empty the no
-    case cannot occur: r = 0, c = 1, no_bound = 0, and the test is the
-    constant-1 test (err chi^2/4, threshold chi^2/2). At c = 1 the operator
-    is the low-pass I - A' and the bounds are chi^2 (1 - tau)^r and
-    (1 - tau - theta)^r.
-    """
+    it never helps. When the blocked band is empty the no case cannot
+    occur: r = 0, c = 1, no_bound = 0, and the test is the constant-1 test
+    (err chi^2/4, threshold chi^2/2). At c = 1 the operator is the low-pass
+    I - A' and the bounds are chi^2 (1 - tau)^r and (1 - tau - theta)^r.
 
-    shift: float
-    r: int
-    yes_bound: float
-    no_bound: float
-    filter = "shifted"
-
-    def base(self, decomp_prime):
-        """The operator estimate_power takes to the power r."""
-        return shifted_operator(decomp_prime, self.shift)
-
-
-@dataclass(frozen=True)
-class ChebyshevTest(_Bounds):
-    """Test t as the square of a product of shifted factors.
-
-    With y, y_tau and y_h as in ShiftedTest, let
-    q(y) = prod_{i<=m} (c_i - y)/(1 + |c_i|) at the roots
-    c_i = (1 + y_h)/2 + ((1 - y_h)/2) cos((2i - 1) pi/(2m)) of the Chebyshev
-    polynomial T_m moved onto the blocked band [y_h, 1]. The filter is
-    f = q^2, of degree r = 2m. Each factor (c_i - y)/(1 + |c_i|) is
-    shifted_operator at c_i in [-1, 1], whose bounds sum to 1, so f's chain
-    cycles twice through the m factors and its coefficient mass is 1, the
-    same cost reps * ceil(64/err^2) * r * s^r as a shifted power.
+    filter "chebyshev" is f = q^2 for q(y) = prod_{i<=m} (c_i - y)/(1 + |c_i|)
+    at the roots c_i = (1 + y_h)/2 + ((1 - y_h)/2) cos((2i - 1) pi/(2m)) of
+    the Chebyshev polynomial T_m moved onto the blocked band [y_h, 1]
+    (shifts = the m roots, r = 2m: the chain cycles twice through them).
 
     * Yes bound: every c_i is at least y_h > y_tau, so below y_tau each
       factor is positive and decreasing. If lambda_0' <= tau, the ground
@@ -303,74 +275,63 @@ class ChebyshevTest(_Bounds):
     log(1/chi)/sqrt(theta), against log(1/chi)/theta for a shifted power.
     """
 
-    roots: tuple
+    filter: str
+    shifts: tuple
+    r: int
     yes_bound: float
     no_bound: float
-    filter = "chebyshev"
-    shift = None
 
     @property
-    def r(self):
-        return 2 * len(self.roots)
+    def shift(self):
+        """The transcript's shift: c of a shifted power, None for a product."""
+        return self.shifts[0] if self.filter == "shifted" else None
+
+    @property
+    def err(self):
+        return (self.yes_bound - self.no_bound) / 4.0
+
+    @property
+    def midpoint(self):
+        return (self.yes_bound + self.no_bound) / 2.0
 
     def base(self, decomp_prime):
-        """The factors whose chain estimate_power cycles through, r/m = 2 times."""
-        return [shifted_operator(decomp_prime, c) for c in self.roots]
+        """The factors whose chain estimate_power cycles through."""
+        return [shifted_operator(decomp_prime, c) for c in self.shifts]
 
 
-def _edges(tau, theta):
-    """(y_tau, y_h): the band edges tau and tau + theta on the scale y."""
-    return 2.0 * tau - 1.0, 2.0 * (tau + theta) - 1.0
+def _edges(t, epsilon):
+    """(y_tau, y_h, empty): test t's band edges on the scale y, _bands's empty."""
+    tau, theta, empty = _bands(t, epsilon)
+    return 2.0 * tau - 1.0, 2.0 * (tau + theta) - 1.0, empty
 
 
-def _shift_factors(shifts, tau, theta):
+def _shift_factors(shifts, y_tau, y_h):
     """(yes ratio, no ratio) of each shift c: (c - y_tau)/(1 + c) and
-    max(c - y_h, 1 - c)/(1 + c), in the form ShiftedTest's bounds are
-    proved in. The band edges y_tau = 2 tau - 1 and y_h = 2 (tau + theta) - 1
-    come first, so the numerators are one difference each of c and an edge.
-    Works on floats and on numpy arrays."""
-    y_tau, y_h = _edges(tau, theta)
+    max(c - y_h, 1 - c)/(1 + c), each numerator one difference of c and a
+    band edge, as TightTest proves the bounds. Takes floats or arrays."""
     scale = 1.0 + shifts
     return (shifts - y_tau) / scale, np.maximum(shifts - y_h, 1.0 - shifts) / scale
 
 
-def _log_costs(shifts, powers, tau, theta, chi, s):
-    """Log predicted cost ceil(64/err^2) * r * s^r of each (shift c, power r).
-
-    Returns a (shifts, powers) array, inf where the bounds do not separate
-    or err is at most _MIN_ERR, and whether any pair separates. The bounds
-    are compared as logarithms, so s^r and the powers never overflow.
-    """
-    yes_ratio, no_ratio = _shift_factors(shifts[:, None], tau, theta)
+def _shifted_log_costs(shifts, powers, y_tau, y_h, chi, s):
+    """log_test_cost of each (shift c, power r), as a (shifts, powers) array,
+    and whether any pair separates."""
+    yes_ratio, no_ratio = _shift_factors(shifts[:, None], y_tau, y_h)
     log_chi2 = 2.0 * math.log(chi)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        # log(no_bound / yes_bound): the bounds separate where it is below 0
+    with np.errstate(divide="ignore"):
+        log_yes = log_chi2 + powers * np.log(yes_ratio)
         log_ratio = powers * np.log(no_ratio / yes_ratio) - log_chi2
-        separated = log_ratio < 0.0
-        log_err = log_chi2 + powers * np.log(yes_ratio)
-        log_err += np.log1p(-np.exp(log_ratio))
-        log_err -= math.log(4.0)
-        usable = separated & (log_err > math.log(_MIN_ERR))
-        # from here on the buffer holds ceil(64/err^2), then the log cost
-        cost = np.exp(-2.0 * log_err, out=log_err)
-        cost *= 64.0
-        np.log(np.ceil(cost, out=cost), out=cost)
-        cost += np.log(powers) + powers * math.log(max(s, 1))
-    cost[~usable] = np.inf
-    return cost, bool(separated.any())
+    return log_test_cost(log_yes, log_ratio, powers, s), bool((log_ratio < 0).any())
 
 
 def shifted_test(t, epsilon, chi, s=1):
-    """The ShiftedTest of interval t at accuracy epsilon and overlap chi.
+    """The shifted TightTest of interval t at accuracy epsilon and overlap chi.
 
-    Picks (c, r) to minimize the test's predicted cost
-    reps * ceil(64/err^2) * max(r, 1) * s^r for row sparsity s, over r in
-    [1, DEGREE_CAP] (even unless c = 1) and over the shifts of SHIFT_GRID.
-    reps is the same for every candidate, so it drops out. The costs are
-    compared as logarithms, so s^r never overflows, and ties go to c = 1,
-    then to the smaller r. The candidate c = 1 at the smallest r with
-    chi^2 (1 - tau)^r >= 2 (1 - tau - theta)^r is always searched, so no
-    choice costs more than that low-pass test.
+    Picks (c, r) to minimize log_test_cost for row sparsity s, over r in
+    [1, DEGREE_CAP] (even unless c = 1) and over the shifts of SHIFT_GRID;
+    ties go to c = 1, then to the smaller r. The candidate c = 1 at the
+    smallest r with chi^2 (1 - tau)^r >= 2 (1 - tau - theta)^r is always
+    searched, so no choice costs more than that low-pass test.
 
     Raises DegreeOverflowError when no candidate separates the bounds (the
     test would need a power above the cap: the chain masses are products of
@@ -378,17 +339,19 @@ def shifted_test(t, epsilon, chi, s=1):
     and ValidationError when every separating candidate's err is below float
     resolution.
     """
-    tau, theta, empty = _bands(t, epsilon)
+    y_tau, y_h, empty = _edges(t, epsilon)
     chi2 = chi * chi
     if empty:
-        return ShiftedTest(1.0, 0, chi2, 0.0)
-    lo = min(max(2.0 * (tau + theta) - 1.0, 0.0), 1.0)
+        return TightTest("shifted", (1.0,), 0, chi2, 0.0)
+    lo = min(max(y_h, 0.0), 1.0)
     grid = lo + (1.0 - lo) * np.arange(SHIFT_GRID) / SHIFT_GRID
     powers = np.arange(1, DEGREE_CAP + 1)
     # In tie-break order: c = 1 at every r, then each grid shift at every
     # even r.
-    low_pass, low_pass_separated = _log_costs(np.ones(1), powers, tau, theta, chi, s)
-    shifted, shifted_separated = _log_costs(grid, powers[1::2], tau, theta, chi, s)
+    low_pass, low_pass_separated = _shifted_log_costs(
+        np.ones(1), powers, y_tau, y_h, chi, s)
+    shifted, shifted_separated = _shifted_log_costs(
+        grid, powers[1::2], y_tau, y_h, chi, s)
     costs = np.concatenate((low_pass.ravel(), shifted.ravel()))
     best = int(np.argmin(costs))
     if costs[best] == np.inf:
@@ -407,22 +370,16 @@ def shifted_test(t, epsilon, chi, s=1):
     else:
         row, column = divmod(best - DEGREE_CAP, shifted.shape[1])
         shift, r = float(grid[row]), 2 * (column + 1)
-    yes_ratio, no_ratio = _shift_factors(shift, tau, theta)
-    test = ShiftedTest(shift, r, chi2 * float(yes_ratio) ** r, float(no_ratio) ** r)
+    yes_ratio, no_ratio = _shift_factors(shift, y_tau, y_h)
+    test = TightTest("shifted", (shift,), r, chi2 * float(yes_ratio) ** r,
+                     float(no_ratio) ** r)
     # the choice compared logarithms; the recorded bounds are powers
-    if not test.err > _MIN_ERR:
+    if not test.err > MIN_ERR:
         raise ValidationError(
             f"test {t}: the shifted gap at c = {shift}, r = {r} is below float "
             f"resolution (epsilon {epsilon}, chi {chi})"
         )
     return test
-
-
-# Largest root count of a ChebyshevTest, so that its degree 2m stays within
-# the filter degree cap.
-MAX_ROOTS = DEGREE_CAP // 2
-# Log costs closer than this tie (see tight_test).
-_COST_TIE = 1e-9
 
 
 def _root_table(y_h):
@@ -435,71 +392,101 @@ def _root_table(y_h):
     return (1.0 + y_h) / 2.0 + ((1.0 - y_h) / 2.0) * np.cos(angles), i <= m
 
 
-def _chebyshev_log_costs(tau, theta, chi, s):
-    """Log predicted cost ceil(64/err^2) * 2m * s^(2m) of the ChebyshevTest of
-    each m in [1, MAX_ROOTS], inf where its bounds do not separate or err is
-    at most _MIN_ERR, computed as _log_costs does, in logarithms."""
-    y_tau, y_h = _edges(tau, theta)
+def _rounding_moves(y_h):
+    """For every m <= MAX_ROOTS, the bound -log(1 - e) (inf for e >= 1) that
+    chebyshev_test derives on how far float roots move the log band maximum."""
+    eta = (2.0 ** -51 / (1.0 - y_h) if y_h < 1.0 else math.inf) + 14 * 2.0 ** -53
+    m = np.arange(1, MAX_ROOTS + 1)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        spread = np.expm1(m * np.log1p(m * m * eta))
+        return np.where(spread < 1.0, -np.log1p(-spread), np.inf)
+
+
+def _chebyshev_log_costs(y_tau, y_h, chi, s):
+    """log_test_cost of the Chebyshev product of each m in [1, MAX_ROOTS],
+    inf where chebyshev_test refuses m."""
     roots, used = _root_table(y_h)
     m = np.arange(1, MAX_ROOTS + 1)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
         log_scale = np.where(used, np.log1p(np.abs(roots)), 0.0).sum(axis=1)
         log_q = np.where(used, np.log(roots - y_tau), 0.0).sum(axis=1) - log_scale
-        log_yes = 2.0 * math.log(chi) + 2.0 * log_q
-        log_no = (math.log(4.0) + 2.0 * m * math.log((1.0 - y_h) / 4.0)
-                  - 2.0 * log_scale)
-        log_ratio = log_no - log_yes
-        log_err = log_yes + np.log1p(-np.exp(log_ratio)) - math.log(4.0)
-        usable = (log_ratio < 0.0) & (log_err > math.log(_MIN_ERR))
-        cost = (np.log(np.ceil(64.0 * np.exp(-2.0 * log_err)))
-                + np.log(2.0 * m) + 2.0 * m * math.log(max(s, 1)))
-    cost[~usable] = np.inf
+    log_yes = 2.0 * math.log(chi) + 2.0 * log_q
+    log_no = math.log(4.0) + 2.0 * m * math.log((1.0 - y_h) / 4.0) - 2.0 * log_scale
+    cost = log_test_cost(log_yes, log_no - log_yes, 2 * m, s)
+    cost[_rounding_moves(y_h) > _ROOT_ROUNDING] = np.inf
     return cost
 
 
 def chebyshev_test(t, epsilon, chi, m):
-    """The ChebyshevTest of interval t with m in [1, MAX_ROOTS] roots, for a
-    band edge y_h below 1."""
-    y_tau, y_h = _edges(*_bands(t, epsilon)[:2])
+    """The Chebyshev TightTest of interval t with m in [1, MAX_ROOTS] roots.
+
+    The no bound holds for the exact roots; the factors run at float ones.
+    With u = 2^-53, a = (1 + y_h)/2 and b = (1 - y_h)/2, the float root
+    a + b cos(angle) takes eight roundings of at most u (cos within 2u): the
+    angle (2i - 1) pi/(2m) lands within 3.01 u pi < 9.5u, its cosine within
+    11.5u, b times that within 13.6u b, the centre and the sum within u
+    each. So in the band's coordinate x = (y - a)/b each float root is
+    within eta = 4u/(1 - y_h) + 14u of its node x_i, where
+    p(x) = prod_i (x - x_i) = 2^(1-m) T_m(x) has ||p|| = 2^(1-m) on [-1, 1].
+    Round the roots one at a time, p_0 = p, ..., p_m: p_k - p_(k-1) is the
+    root's move times p_(k-1)(x)/(x - x_k) = p_(k-1)'(xi) for a xi in
+    [-1, 1], x_k being a root of p_(k-1), so Markov's inequality
+    |p'| <= m^2 ||p|| gives ||p_k|| <= (1 + m^2 eta) ||p_(k-1)||. Then
+    ||p_m - p|| <= e ||p|| for e = (1 + m^2 eta)^m - 1: the float product
+    stays below (1 + e) ||p|| on the band and above (1 - e) ||p|| at the
+    m + 1 extrema of T_m, so its log band maximum moves by at most
+    -log(1 - e). Where that exceeds _ROOT_ROUNDING, ValidationError refuses
+    m, as shifted_test refuses a gap below float resolution: every m past
+    82, and more as the band narrows (past 51 at 1 - y_h = 0.075, past 3 at
+    2e-5, all at width 0). An accepted no bound is within a factor e^(2e-9)
+    of the float product's largest value on the band.
+    """
+    y_tau, y_h, _ = _edges(t, epsilon)
+    if _rounding_moves(y_h)[m - 1] > _ROOT_ROUNDING:
+        raise ValidationError(
+            f"test {t}: rounding the {m} Chebyshev roots of the band "
+            f"[{y_h}, 1] to floats can move the log of its largest product by "
+            f"more than {_ROOT_ROUNDING} (epsilon {epsilon})"
+        )
     roots, used = _root_table(y_h)
     roots = roots[m - 1][used[m - 1]]
     scale = 1.0 + np.abs(roots)
     q_tau = float(np.prod((roots - y_tau) / scale))
     no = 4.0 * ((1.0 - y_h) / 4.0) ** (2 * m) / float(np.prod(scale)) ** 2
-    return ChebyshevTest(tuple(roots.tolist()), chi * chi * q_tau * q_tau, no)
+    return TightTest("chebyshev", tuple(roots.tolist()), 2 * m,
+                     chi * chi * q_tau * q_tau, no)
 
 
-def _uncounted_log_cost(test, s):
-    """log(64/err^2 * max(r, 1) * s^r) from a test's recorded bounds: its
-    predicted cost over reps, before the chain count is rounded up."""
-    return (math.log(64.0) - 2.0 * math.log(test.err) + math.log(max(test.r, 1))
-            + test.r * math.log(max(s, 1)))
+def _unrounded_log_cost(test, s):
+    """log_test_cost of a test's recorded bounds, without the rounding up."""
+    with np.errstate(divide="ignore"):
+        log_yes, log_no = np.log([[test.yes_bound], [test.no_bound]])
+    return float(log_test_cost(log_yes, log_no - log_yes, test.r, s, round_up=False)[0])
 
 
 def tight_test(t, epsilon, chi, s=1):
-    """The filter of test t under tight: shifted_test's power or the cheapest
-    chebyshev_test over m <= MAX_ROOTS, whichever has the lower predicted cost
-    reps * ceil(64/err^2) * r * s^r (reps is shared, so it drops out).
+    """The TightTest of interval t: shifted_test's power or the cheapest
+    chebyshev_test over the m <= MAX_ROOTS it accepts, whichever has the
+    lower log_test_cost (reps is shared, so it drops out).
 
     The product must be cheaper by more than _COST_TIE in the logarithm of
     that cost without the rounding up, so ties go to the shifted power: the
     one-root product at c = (1 + y_h)/2 is the shifted square at that c,
     and rounding alone can move ceil(64/err^2) by one. shifted_test's
-    refusals stand: a test it refuses is refused here too, so the product
-    only ever replaces a runnable test by a cheaper one.
+    refusals stand, so the product only ever replaces a runnable test by a
+    cheaper one.
     """
     shifted = shifted_test(t, epsilon, chi, s)
-    tau, theta, _ = _bands(t, epsilon)
-    if shifted.r == 0 or _edges(tau, theta)[1] >= 1.0:
+    y_tau, y_h, _ = _edges(t, epsilon)
+    if shifted.r == 0 or y_h >= 1.0:
         return shifted
-    costs = _chebyshev_log_costs(tau, theta, chi, s)
+    costs = _chebyshev_log_costs(y_tau, y_h, chi, s)
     m = int(np.argmin(costs)) + 1
     if costs[m - 1] == np.inf:
         return shifted
     product = chebyshev_test(t, epsilon, chi, m)
     # the choice of m compared logarithms; the recorded bounds are products
-    if (product.err > _MIN_ERR and _uncounted_log_cost(product, s)
-            < _uncounted_log_cost(shifted, s) - _COST_TIE):
+    if _unrounded_log_cost(product, s) < _unrounded_log_cost(shifted, s) - _COST_TIE:
         return product
     return shifted
 
@@ -507,30 +494,26 @@ def tight_test(t, epsilon, chi, s=1):
 def _threshold_detail(t, decomp_prime, psi, cfg, rng, T):
     """One test's TestRecord.
 
-    Under tight the test is one estimate_power call on the base of its
-    tight_test (the shifted operator, or the Chebyshev factors its chain
-    cycles through), refused before any sampling when its predicted cost
-    exceeds the cost cap. A cost-cap breakdown names the test's filter:
-    "shifted" with its shift or "chebyshev" with shift None under tight,
-    "rectangle" with shift None under strict. Under oracle-exact,
-    decomp_prime may be the scan's ChebyshevMoments sequence of psi on the
-    normalized operator, so the test takes only the moments that earlier
-    tests of the scan have not taken already.
+    Under tight the test is one estimate_power call on the factors of its
+    tight_test, refused before any sampling when its predicted cost exceeds
+    the cost cap. A cost-cap breakdown names the test's filter and shift:
+    the TightTest's under tight, "rectangle" and None under strict. Under
+    oracle-exact, decomp_prime may be the scan's ChebyshevMoments sequence
+    of psi on the normalized operator, so the test takes only the moments
+    that earlier tests of the scan have not taken already.
     """
     per_test_delta = cfg.delta / T
     if cfg.policy == "tight":
         test = tight_test(t, cfg.epsilon, cfg.chi, decomp_prime.s)
         if cfg.cost_cap is not None:
-            predicted, breakdown = predict_power_cost(
-                decomp_prime, test.r, test.err, per_test_delta
-            )
+            predicted, breakdown = predict_power_cost(decomp_prime, test.r, test.err,
+                                                      per_test_delta)
             if predicted > cfg.cost_cap:
                 breakdown.update(policy=cfg.policy, filter=test.filter,
                                  shift=test.shift)
                 raise CostCapExceeded(predicted, cfg.cost_cap, breakdown)
-        estimate = estimate_power(
-            psi, psi, test.base(decomp_prime), test.r, test.err, per_test_delta, rng,
-        )
+        estimate = estimate_power(psi, psi, test.base(decomp_prime), test.r,
+                                  test.err, per_test_delta, rng)
         yes = estimate.real >= test.midpoint
         return TestRecord(t, estimate, yes, test.filter, test.r, test.shift)
     P = _test_polynomial(t, cfg.epsilon, cfg.chi)
@@ -560,8 +543,7 @@ def test_threshold(t, decomp_prime, psi, cfg, rng):
     t = int(t)
     if not 0 <= t < T:
         raise ValidationError(f"interval index {t} outside [0, {T})")
-    record = _threshold_detail(t, decomp_prime, psi, cfg, rng, T)
-    return record.yes
+    return _threshold_detail(t, decomp_prime, psi, cfg, rng, T).yes
 
 
 def estimate_smallest_eigenvalue(decomp, psi, cfg, rng):
@@ -579,6 +561,9 @@ def estimate_smallest_eigenvalue(decomp, psi, cfg, rng):
             f"operator dimension {decomp.dimension}"
         )
     kappa = decomp.kappa
+    if kappa == 0.0:  # the zero operator: every eigenvalue, and so E*, is 0
+        return _estimate_at(cfg, 0.0, 0, samples_used=0, no_yes_found=False,
+                            counters=Counters().as_dict())
     prime = shift_rescale(decomp)
     if cfg.policy == "oracle-exact":
         # One reconstruction and one moment sequence per scan: every test
@@ -588,33 +573,33 @@ def estimate_smallest_eigenvalue(decomp, psi, cfg, rng):
         prime = oracle.ChebyshevMoments(oracle.reconstruct(prime), psi)
     T = cfg.interval_count
     transcript = []
-    t_star = None
     with recording() as counters:
         for t in range(T):
             # Spawned as the scan reaches test t: the child streams of spawning
             # all T up front, without their O(T) cost (T = 4e9 at epsilon 1e-9).
             (stream,) = spawn_streams(rng, 1)
-            record = _threshold_detail(t, prime, psi, cfg, stream, T)
-            transcript.append(record)
-            if record.yes:
-                t_star = t
+            transcript.append(_threshold_detail(t, prime, psi, cfg, stream, T))
+            if transcript[-1].yes:
                 break
-    no_yes_found = t_star is None
-    if no_yes_found:
-        t_star = T - 1
+    # a scan without a yes ends at t = T - 1, the top interval
+    return _estimate_at(cfg, kappa, t, samples_used=counters.psi_samples,
+                        no_yes_found=not transcript[-1].yes,
+                        transcript=tuple(transcript), counters=counters.as_dict())
+
+
+def _estimate_at(cfg, kappa, t_star, **fields):
+    """The EnergyEstimate of a scan that stopped at t_star, with
+    E* = t_star*(epsilon/2)*kappa - kappa and the fields it echoes from cfg."""
     return EnergyEstimate(
         e_star=t_star * (cfg.epsilon / 2.0) * kappa - kappa,
         t_star=t_star,
-        T=T,
+        T=cfg.interval_count,
         kappa=kappa,
         epsilon=cfg.epsilon,
         chi=cfg.chi,
         policy=cfg.policy,
         seed=cfg.seed,
-        samples_used=counters.psi_samples,
-        no_yes_found=no_yes_found,
-        transcript=tuple(transcript),
-        counters=counters.as_dict(),
+        **fields,
     )
 
 
@@ -622,47 +607,24 @@ def _coerce_hamiltonian(H):
     if isinstance(H, tuple) and len(H) == 2:
         n, terms = H
         return int(n), list(terms)
-    raise ValidationError(
-        "expected a (qubit count, local terms) pair; "
-        "load_hamiltonian produces one"
-    )
-
-
-def _zero_hamiltonian_estimate(cfg):
-    # kappa = 0 pins every eigenvalue to 0; the reconstruction identity
-    # e_star = t_star*(epsilon/2)*kappa - kappa holds with e_star = 0.
-    return EnergyEstimate(
-        e_star=0.0,
-        t_star=0,
-        T=cfg.interval_count,
-        kappa=0.0,
-        epsilon=cfg.epsilon,
-        chi=cfg.chi,
-        policy=cfg.policy,
-        seed=cfg.seed,
-        samples_used=0,
-        no_yes_found=False,
-        transcript=(),
-        counters=Counters().as_dict(),
-    )
+    raise ValidationError("expected a (qubit count, local terms) pair; "
+                          "load_hamiltonian produces one")
 
 
 def solve_guided(H, psi, cfg):
     """Ground-energy estimate of a local Hamiltonian with a guiding state.
 
     H is a (qubit count, local terms) pair; psi is a StateAccessor or any
-    spec make_state accepts. Accuracy is epsilon times the sum of term
-    norms, at confidence 1 - delta.
+    spec make_state accepts but the unguided "maxent". Accuracy is epsilon
+    times the sum of term norms, at confidence 1 - delta.
     """
+    if is_maxent(psi):
+        raise StateSpecError("the maxent guide asks for the unguided mode: "
+                             "call solve_unguided")
     n, terms = _coerce_hamiltonian(H)
-    if not terms:
-        return _zero_hamiltonian_estimate(cfg)
     decomp = build_decomposition(n, terms)
-    if decomp.kappa == 0.0:
-        return _zero_hamiltonian_estimate(cfg)
     psi = make_state(psi, n)
-    rng = make_generator(cfg.seed)
-    return estimate_smallest_eigenvalue(decomp, psi, cfg, rng)
+    return estimate_smallest_eigenvalue(decomp, psi, cfg, make_generator(cfg.seed))
 
 
 def doubled_terms(terms, n):
@@ -671,17 +633,9 @@ def doubled_terms(terms, n):
     The identity factor acts on the added high qubits, so Pauli strings are
     padded and block supports pass through unchanged.
     """
-    out = []
-    for term in terms:
-        if term.is_pauli:
-            out.append(
-                LocalTerm.from_pauli(
-                    term.coeff, term.pauli + "I" * n, kappa=term.kappa_override
-                )
-            )
-        else:
-            out.append(term)
-    return out
+    return [LocalTerm.from_pauli(term.coeff, term.pauli + "I" * n,
+                                 kappa=term.kappa_override)
+            if term.is_pauli else term for term in terms]
 
 
 def solve_unguided(H, cfg):
@@ -693,11 +647,7 @@ def solve_unguided(H, cfg):
     """
     n, terms = _coerce_hamiltonian(H)
     cfg = replace(cfg, chi=2.0 ** (-n / 2.0))
-    if not terms:
-        return _zero_hamiltonian_estimate(cfg)
     decomp = build_decomposition(n, terms)
-    if decomp.kappa == 0.0:
-        return _zero_hamiltonian_estimate(cfg)
     return estimate_smallest_eigenvalue(decomp, None, cfg, make_generator(cfg.seed))
 
 
@@ -708,8 +658,7 @@ def decide(H, psi, a, b, cfg):
     estimate at the midpoint (a+b)/2*kappa. psi may be "maxent" (or a
     MaxEntState) to request the unguided reduction.
     """
-    a = float(a)
-    b = float(b)
+    a, b = float(a), float(b)
     if not (math.isfinite(a) and math.isfinite(b)):
         raise GapError(f"thresholds must be finite, got a = {a!r}, b = {b!r}")
     if b - a <= cfg.epsilon:
@@ -720,19 +669,10 @@ def decide(H, psi, a, b, cfg):
     if eps_dec <= 0.0:
         raise GapError(f"gap b - a = {b - a!r} is too small to decide")
     cfg_dec = replace(cfg, epsilon=eps_dec)
-    unguided = isinstance(psi, MaxEntState) or (
-        isinstance(psi, str) and psi.strip().lower() == "maxent"
-    )
-    if unguided:
+    if is_maxent(psi):
         estimate = solve_unguided(H, cfg_dec)
     else:
         estimate = solve_guided(H, psi, cfg_dec)
     midpoint = (a + b) / 2.0 * estimate.kappa
     decision = "LOW" if estimate.e_star <= midpoint else "HIGH"
-    return DecisionOutcome(
-        decision=decision,
-        estimate=estimate,
-        a=a,
-        b=b,
-        midpoint_energy=midpoint,
-    )
+    return DecisionOutcome(decision, estimate, a, b, midpoint)

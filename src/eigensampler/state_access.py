@@ -203,6 +203,15 @@ class MaxEntState(StateAccessor):
         return i * (self.half + 1)
 
 
+def is_maxent(spec):
+    """Whether a guide spec asks for the unguided mode: the string "maxent"
+    (in any case, surrounding blanks ignored) or a MaxEntState. Such a run
+    solves on H's own qubits with psi = None; see eigensolve."""
+    if isinstance(spec, str):
+        return spec.strip().lower() == "maxent"
+    return isinstance(spec, MaxEntState)
+
+
 # ---------------------------------------------------------------------------
 # Spec grammar: basis:<idx> | product:<a0,b0;a1,b1;...> | dense:<path> | maxent
 
@@ -243,7 +252,7 @@ def _check_dimension(state, n_qubits):
 
 
 def _state_from_string(spec, n_qubits):
-    if spec == "maxent":
+    if is_maxent(spec):
         if n_qubits is None:
             raise StateSpecError("maxent needs the qubit count")
         return MaxEntState(n_qubits)

@@ -204,10 +204,15 @@ def power_error_budget(P, eta, policy):
     return min(1.0, eta / denom)
 
 
+# Chains per batch of a power: ceil(CHAIN_SCALE / err^2), no finite float below MIN_ERR.
+CHAIN_SCALE = 64.0
+MIN_ERR = 1e-150
+
+
 def batch_shape(err, delta):
     """(reps, t): the median repetitions, and the chains per batch of a
     single power. Raises ValidationError when t overflows a float."""
-    return median_reps(delta), samples_per_batch(64.0, err, "err")
+    return median_reps(delta), samples_per_batch(CHAIN_SCALE, err, "err")
 
 
 def chain_counts(coeffs, t):
@@ -226,6 +231,30 @@ def power_cost(decomp, r, reps, count):
     chains, each charged max(r, 1) * s^r (r index draws, and a frontier of
     at most s^r leaves). Saturates to inf."""
     return float(reps) * float(count) * max(r, 1) * _power_pow(max(decomp.s, 1), r)
+
+
+def log_test_cost(log_yes, log_ratio, r, s, round_up=True):
+    """log(ceil(64/err^2) * max(r, 1) * s^r), what power_cost charges a test
+    of power r and row sparsity s per repetition, at err = (yes - no)/4 for
+    float arrays log_yes = log(yes) and log_ratio = log(no/yes) of one shape,
+    in logarithms so nothing overflows; inf where the bounds do not separate
+    or err <= MIN_ERR. round_up=False leaves out the ceiling."""
+    usable = log_ratio < 0.0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # one buffer holds log(err), then ceil(64/err^2), then the log cost
+        cost = np.log1p(-np.exp(log_ratio))
+        cost += log_yes
+        cost -= math.log(4.0)
+        usable &= cost > math.log(MIN_ERR)
+        cost *= -2.0
+        np.exp(cost, out=cost)
+        cost *= CHAIN_SCALE
+        if round_up:
+            np.ceil(cost, out=cost)
+        np.log(cost, out=cost)
+        cost += np.log(np.maximum(r, 1)) + r * math.log(max(s, 1))
+    cost[~usable] = np.inf
+    return cost
 
 
 def _predict_strata(decomp, coeffs, err, delta):

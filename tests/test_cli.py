@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 
 import eigensampler
-from eigensampler import cli, transform
+from eigensampler import (
+    build_decomposition,
+    cli,
+    exact_overlap,
+    load_hamiltonian,
+    reconstruct,
+    transform,
+)
 from eigensampler.cli import main
 from eigensampler.eigensolve import shifted_test
 from eigensampler.state_access import write_dense_state_file
@@ -32,13 +39,13 @@ def pair_file(tmp_path):
     return str(p)
 
 
-# Runs the CLI in a fresh interpreter, then reports on stderr whether the run
-# loaded scipy.special, which only rectangle builds need.
+# Runs the CLI in a fresh interpreter, then reports on stderr every scipy
+# module the run loaded: only rectangle builds need scipy.special.
 FRESH_CLI = """
 import json, sys
 from eigensampler.cli import main
 code = main(sys.argv[1:])
-heavy = [m for m in ["scipy.special"] if m in sys.modules]
+heavy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 print(json.dumps({"code": code, "heavy": heavy}), file=sys.stderr)
 """
 
@@ -102,8 +109,9 @@ class TestEstimate:
         assert (record["degree"], record["shift"]) == (6, 0.125)
 
     def test_tight_run_is_byte_identical_across_processes(self, z_file):
-        # and does not load scipy.special: only rectangle builds (strict,
-        # oracle-exact, poly) need it
+        # and loads no scipy module: only rectangle builds (strict,
+        # oracle-exact, poly) need scipy.special, and interpreter start and
+        # the package import count in the benchmark's setup_s
         argv = ("estimate", "--hamiltonian", z_file, "--state", "basis:1",
                 "--epsilon", "0.5", "--seed", "9", "--transcript", "--json")
         out1, status1 = run_fresh(*argv)
@@ -111,6 +119,11 @@ class TestEstimate:
         assert status1 == status2 == {"code": 0, "heavy": []}
         assert out1 == out2
         assert json.loads(out1)["result"]["transcript"][0]["filter"] == "shifted"
+        # nor does a run whose test 1, a Chebyshev product, stops at the cap
+        _, status = run_fresh("estimate", "--hamiltonian", z_file, "--state",
+                              "basis:0", "--epsilon", "1.0", "--chi", "0.5",
+                              "--delta", "0.5", "--cost-cap", "6e6", "--json")
+        assert status == {"code": 2, "heavy": []}
         # the same run under oracle-exact builds rectangles, so it loads them
         _, exact = run_fresh(*argv, "--policy", "oracle-exact")
         assert exact["code"] == 0 and "scipy.special" in exact["heavy"]
@@ -617,6 +630,25 @@ class TestDecide:
 
 
 class TestOracleCommand:
+    @pytest.mark.parametrize("sigma", [None, "0.5"])
+    def test_maxent_reports_the_trace_overlap(self, capsys, pair_file, sigma):
+        # The unguided spec is read, as by --oracle-check, as the normalized
+        # trace on the file's own qubits, not as a 2n-qubit vector
+        window = () if sigma is None else ("--sigma", sigma)
+        code, doc, _ = run_json(capsys, "oracle", "--hamiltonian", pair_file,
+                                "--state", " MaxEnt ", *window, "--json")
+        assert code == 0
+        op = reconstruct(build_decomposition(*load_hamiltonian(pair_file)))
+        want = exact_overlap(op, None, float(sigma or 0.0))
+        assert doc["result"]["overlap"] == want and 0.0 < want < 1.0
+        code, check, _ = run_json(
+            capsys, "estimate", "--hamiltonian", pair_file, "--state", "maxent",
+            "--policy", "oracle-exact", "--epsilon", "1.0", "--sigma", "0.5",
+            "--oracle-check", "--json")
+        assert code == 0
+        if sigma is not None:
+            assert check["oracle"]["overlap"] == want
+
     def test_spectrum_report(self, capsys, z_file):
         code, doc, _ = run_json(
             capsys, "oracle", "--hamiltonian", z_file, "--state", "basis:1",

@@ -17,6 +17,7 @@ from eigensampler import (
     LocalTerm,
     MaxEntState,
     SolverConfig,
+    StateSpecError,
     ValidationError,
     build_decomposition,
     decide,
@@ -485,9 +486,18 @@ class TestDecide:
             decide((1, Z_TERMS), BasisState(1, 2), 0.5, -0.5, oracle_cfg(epsilon=0.25))
 
     def test_maxent_spec_routes_to_unguided(self):
-        out = decide((1, Z_TERMS), "maxent", -0.8, 0.2, oracle_cfg(epsilon=0.4))
-        assert out.decision == "LOW"
-        assert out.estimate.chi == pytest.approx(2**-0.5)
+        for spec in ("maxent", " MaxEnt ", MaxEntState(1)):
+            out = decide((1, Z_TERMS), spec, -0.8, 0.2, oracle_cfg(epsilon=0.4))
+            assert out.decision == "LOW"
+            assert out.estimate.chi == pytest.approx(2**-0.5)
+
+    def test_guided_solver_refuses_the_maxent_spec(self):
+        # The unguided spec is the maxent state of H (x) I, which
+        # solve_unguided scans on H's own qubits; solve_guided names it
+        # rather than compare dimensions 4^n and 2^n
+        for spec in ("maxent", " MAXENT", MaxEntState(1)):
+            with pytest.raises(StateSpecError, match="solve_unguided"):
+                solve_guided((1, Z_TERMS), spec, oracle_cfg(epsilon=0.5))
 
     def test_outcome_serializes(self):
         out = decide((1, Z_TERMS), BasisState(1, 2), -0.9, 0.1, oracle_cfg(epsilon=0.25))
@@ -713,10 +723,8 @@ class TestLowPass:
         exact_calls = []
 
         def exact_power(psi, phi, op, r, err, delta, rng, **kw):
-            exact_calls.append(r)
-            if isinstance(op, list):  # a ChebyshevTest's factors
-                return oracle.exact_sandwich(psi, dense_chain(op, r), phi)
-            return oracle.exact_sandwich(psi, op, phi, power=r)
+            exact_calls.append(r)  # op: the TightTest's factors
+            return oracle.exact_sandwich(psi, dense_chain(op, r), phi)
 
         monkeypatch.setattr(eigensolve, "estimate_power", exact_power)
         rng = np.random.default_rng(62)
@@ -800,7 +808,7 @@ class TestLowPass:
             if test.filter == "shifted":
                 assert test == shifted_test(t, cfg.epsilon, cfg.chi, d.s)
             else:
-                assert test.shift is None and test.r == 2 * len(test.roots)
+                assert test.shift is None and test.r == 2 * len(test.shifts)
             assert b["degree"] == test.r
             assert b["err_per_power"] == test.err
             assert b["per_power"] == {test.r: info.value.predicted}
@@ -912,8 +920,8 @@ class TestChebyshev:
             m = int(rng.integers(1, 7))
             tau, theta = t * epsilon / 4, epsilon / 4
             test = chebyshev_test(t, epsilon, chi, m)
-            assert test.r == 2 * m and len(test.roots) == m
-            negative += min(test.roots) < 0
+            assert test.r == 2 * m and len(test.shifts) == m
+            negative += min(test.shifts) < 0
             for edge, yes in ((tau, True), (tau + theta, False)):
                 prime = shift_rescale(build_decomposition(n, shifted_to(n, terms, edge)))
                 op = reconstruct(prime)
@@ -921,7 +929,7 @@ class TestChebyshev:
                 f = dense_chain(test.base(prime), test.r)
                 y = 2 * op.matrix - np.eye(2**n)
                 q = np.eye(2**n)
-                for c in test.roots:
+                for c in test.shifts:
                     q = q @ (c * np.eye(2**n) - y) / (1 + abs(c))
                 assert np.max(np.abs(f - q @ q)) <= 1e-12
                 psi = guide_with_overlap(op, chi, rng)
@@ -953,7 +961,7 @@ class TestChebyshev:
                         test = tight_test(t, epsilon, chi, s)
                         if test.filter == "chebyshev":
                             chebyshev += 1
-                            m = len(test.roots)
+                            m = len(test.shifts)
                             assert product[m - 1] <= min(product) + 1e-9
                             assert product[m - 1] < shifted_cost + 1e-9
                             assert test == chebyshev_test(t, epsilon, chi, m)
@@ -993,6 +1001,52 @@ class TestChebyshev:
         with pytest.raises(ValidationError, match="float resolution"):
             tight_test(3, 1.0, 1e-80)
 
+    def test_float_roots_are_refused_where_rounding_moves_the_maximum(self):
+        # Bands 2e-5 and 2.2e-16 wide (epsilon 0.99999 and 1 - 2^-53 at
+        # t = 3), where the float roots broke the closed-form band maximum
+        for epsilon, m in ((0.99999, 20), (0.99999, 4), (1 - 2.0 ** -53, 3),
+                           (1 - 2.0 ** -53, 1)):
+            with pytest.raises(ValidationError, match="rounding"):
+                chebyshev_test(3, epsilon, 0.5, m)
+        assert chebyshev_test(3, 0.99999, 0.5, 3).r == 6
+        # A band 1.5 wide (t = 0 at epsilon 1) keeps m up to 81, and none
+        # keeps MAX_ROOTS; the benchmark's narrowest, 1 - y_h = 0.075
+        # (epsilon 0.35, t = 10), keeps m up to 51
+        assert 1 - band_edges(10, 0.35)[1] == pytest.approx(0.075)
+        for t, epsilon, largest in ((0, 1.0, 81), (10, 0.35, 51)):
+            assert chebyshev_test(t, epsilon, 0.5, largest).r == 2 * largest
+            with pytest.raises(ValidationError, match="rounding"):
+                chebyshev_test(t, epsilon, 0.5, largest + 1)
+        with pytest.raises(ValidationError, match="rounding"):
+            chebyshev_test(0, 1.0, 0.5, eigensolve.MAX_ROOTS)
+
+    def test_tight_skips_a_refused_m(self, monkeypatch):
+        # With its cheapest m refused, tight_test takes the next cheapest
+        # accepted product, or the shifted power, and never raises
+        t, epsilon, chi, s = 5, 0.35, 2.0 ** -1.5, 1
+        first = tight_test(t, epsilon, chi, s)
+        assert first.filter == "chebyshev"
+        m = first.r // 2
+        moves = eigensolve._rounding_moves
+
+        def refuse_m(y_h):
+            out = moves(y_h).copy()
+            out[m - 1] = math.inf
+            return out
+
+        monkeypatch.setattr(eigensolve, "_rounding_moves", refuse_m)
+        with pytest.raises(ValidationError, match="rounding"):
+            chebyshev_test(t, epsilon, chi, m)
+        second = tight_test(t, epsilon, chi, s)
+        assert second != first
+        shifted = shifted_test(t, epsilon, chi, s)
+        costs = {k: reference_chebyshev_log_cost(t, epsilon, chi, s, k)
+                 for k in range(1, eigensolve.MAX_ROOTS + 1) if k != m}
+        if second.filter == "chebyshev":
+            assert second.r // 2 == min(costs, key=costs.get)
+        else:
+            assert second == shifted
+
     def test_sampled_factor_chain_lands_within_err(self):
         # A direct estimate of the m = 2 product at t = 0 (roots 0.78 and
         # -0.28), guided and as a normalized trace, at a loose err
@@ -1001,7 +1055,7 @@ class TestChebyshev:
         prime = shift_rescale(build_decomposition(3, terms))
         op = reconstruct(prime)
         test = chebyshev_test(0, 1.0, 0.5, 2)
-        assert min(test.roots) < 0 < max(test.roots)
+        assert min(test.shifts) < 0 < max(test.shifts)
         factors = test.base(prime)
         f = dense_chain(factors, test.r)
         psi = guide_with_overlap(op, 0.5, rng)
@@ -1105,6 +1159,17 @@ def test_shifted_bounds_properties(epsilon, place, chi, s, delta):
     assert test.err > 0
 
 
+def rounding_move(y_h, m):
+    """The bound chebyshev_test's docstring derives on how far rounding the m
+    roots to floats moves the log band maximum: -log(1 - e) for
+    e = (1 + m^2 eta)^m - 1, eta = 4u/(1 - y_h) + 14u, u = 2^-53."""
+    if y_h >= 1:
+        return math.inf
+    eta = 4 * 2.0 ** -53 / (1 - y_h) + 14 * 2.0 ** -53
+    e = math.expm1(m * math.log1p(m * m * eta))
+    return -math.log1p(-e) if e < 1 else math.inf
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     epsilon=st.floats(0.02, 1.0),
@@ -1112,16 +1177,27 @@ def test_shifted_bounds_properties(epsilon, place, chi, s, delta):
     m=st.integers(1, eigensolve.MAX_ROOTS),
     chi=st.floats(1e-3, 1.0),
 )
+# band width 2e-5: the float roots' product fell 1.54e-9 short of the closed
+# form at the extrema
+@example(epsilon=0.99999, place=0.75, m=20, chi=0.5)
+# band width 2.2e-16: the float roots rounded onto the band's ends, and the
+# product reached about twice the closed form
+@example(epsilon=1 - 2.0 ** -53, place=0.75, m=3, chi=0.5)
 def test_chebyshev_band_maximum(epsilon, place, m, chi):
     # |prod (c_i - y)| peaks on [y_h, 1] at 2((1 - y_h)/4)^m, reached at the
     # m + 1 extrema of T_m; compared in logarithms, on a dense grid plus the
-    # extrema, for the roots as rounded to floats
+    # extrema, for the roots as rounded to floats, wherever chebyshev_test
+    # accepts m. It refuses m where rounding may move the maximum by 1e-9.
     T = math.ceil(4 / epsilon)
     t = min(int(place * T), T - 1)
     y_tau, y_h = band_edges(t, epsilon)
     assume(y_h < 1)
+    if rounding_move(y_h, m) > 1e-9:
+        with pytest.raises(ValidationError, match="rounding"):
+            chebyshev_test(t, epsilon, chi, m)
+        return
     test = chebyshev_test(t, epsilon, chi, m)
-    c = np.array(test.roots)
+    c = np.array(test.shifts)
     assert np.all((y_h <= c) & (c <= 1))
     extrema = (1 + y_h) / 2 + (1 - y_h) / 2 * np.cos(np.arange(m + 1) * np.pi / m)
     ys = np.concatenate((np.linspace(y_h, 1.0, 4001), extrema))
@@ -1136,3 +1212,54 @@ def test_chebyshev_band_maximum(epsilon, place, m, chi):
         4 * ((1 - y_h) / 4) ** (2 * m) / scale ** 2, rel=1e-12, abs=1e-300)
     assert test.yes_bound == pytest.approx(
         chi * chi * np.prod((c - y_tau) / (1 + np.abs(c))) ** 2, rel=1e-12, abs=1e-300)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    epsilon=st.floats(0.02, 1.0),
+    place=st.floats(0.0, 1.0, exclude_max=True),
+    chi=st.floats(1e-3, 1.0),
+    s=st.integers(1, 16),
+)
+def test_tight_test_is_the_cheapest_under_the_preflight(epsilon, place, chi, s):
+    # predict_power_cost, the cost the cap checks, of tight_test's pick is at
+    # most that of every c = 1 power and every accepted Chebyshev m. The
+    # slack: the _COST_TIE margin, by which a product must win, and one
+    # chain on each side, since the choice compares counts before the
+    # preflight rounds them up (or after a rounding in logarithms)
+    T = math.ceil(4 / epsilon)
+    t = min(int(place * T), T - 1)
+    try:
+        pick = tight_test(t, epsilon, chi, s)
+    except (DegreeOverflowError, ValidationError):
+        return
+    rows = SimpleNamespace(s=s)
+    delta = 0.05 / T
+    reps = transform.batch_shape(0.5, delta)[0]
+
+    def preflight(r, err):
+        try:
+            return transform.predict_power_cost(rows, r, err, delta)[0]
+        except ValidationError:  # ceil(64/err^2) overflows a float
+            return math.inf
+
+    def chain(r):
+        return reps * max(r, 1) * float(s) ** r
+
+    tau, theta = t * epsilon / 4, epsilon / 4
+    rivals = []
+    for r in range(1, polyfilter.DEGREE_CAP + 1):
+        err = (chi * chi * (1 - tau) ** r - max(0.0, 1 - tau - theta) ** r) / 4
+        if err > 1e-150:
+            rivals.append((r, preflight(r, err)))
+    if band_edges(t, epsilon)[1] < 1:
+        for m in range(1, eigensolve.MAX_ROOTS + 1):
+            try:
+                product = chebyshev_test(t, epsilon, chi, m)
+            except ValidationError:
+                continue
+            if product.err > 1e-150:
+                rivals.append((product.r, preflight(product.r, product.err)))
+    chosen = preflight(pick.r, pick.err)
+    for r, cost in rivals:
+        assert chosen <= cost * math.exp(eigensolve._COST_TIE) + chain(pick.r) + chain(r)

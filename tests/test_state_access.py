@@ -147,12 +147,20 @@ class TestMakeState:
         assert isinstance(st, BasisState) and st.index == 3
         st = make_state("maxent", 2)
         assert isinstance(st, MaxEntState)
+        assert isinstance(make_state(" MaxEnt ", 2), MaxEntState)
         st = make_state("product:1,0;0.6,0.8")
         assert isinstance(st, ProductState)
         path = tmp_path / "state.txt"
         write_dense_state_file(str(path), random_state_vector(np.random.default_rng(1), 4))
         st = make_state(f"dense:{path}")
         assert st.dimension == 4
+
+    def test_maxent_predicate(self):
+        # the one test of the unguided spec, shared by the CLI and the solvers
+        for spec in ("maxent", " MaxEnt\n", "MAXENT", MaxEntState(2)):
+            assert state_access.is_maxent(spec)
+        for spec in ("basis:0", "maxent:2", "", None, 0, BasisState(0, 4)):
+            assert not state_access.is_maxent(spec)
 
     def test_raw_objects(self):
         st = make_state(2, 2)
