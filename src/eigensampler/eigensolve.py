@@ -12,11 +12,13 @@ estimates <psi|f(y)|psi> for y = 2A' - I = A/kappa and a TightTest f: a
 product of r shifted factors (c - y)/(1 + |c|) of monomial coefficient mass
 1, either a power ((c - y)/(1 + c))^r (c = 1 is the low-pass I - A') or the
 square of m factors at the Chebyshev roots of the blocked band, r = 2m, far
-cheaper than any power when chi < 1. tight_test runs whichever has the lower
-predicted cost, with r bounded by the filter degree cap. Under `strict` and
-`oracle-exact` it applies a rectangle polynomial that passes [0, tau] and
-blocks above tau + epsilon/4: the filtered expectation is at least
-11 chi^2/12 in the first case and at most chi^2/12 in the second.
+cheaper than any power when chi < 1. Each power runs at the shift that
+maximizes its gap, derived in closed form (TightTest), and tight_test runs
+whichever filter has the lower predicted cost, with r bounded by the filter
+degree cap. Under `strict` and `oracle-exact` it applies a rectangle
+polynomial that passes [0, tau] and blocks above tau + epsilon/4: the
+filtered expectation is at least 11 chi^2/12 in the first case and at most
+chi^2/12 in the second.
 
 The guided solver builds the decomposition from local terms. The unguided
 solver guides H (x) I with the maximally entangled state Phi (ground-space
@@ -77,6 +79,11 @@ class SolverConfig:
     cost_cap: float = 1e9
 
     def __post_init__(self):
+        for name in ("epsilon", "chi", "delta", "cost_cap"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not (isinstance(value, numbers.Real) or
+                                               name == "cost_cap" and value is None):
+                raise ValidationError(f"{name} must be a real number, got {value!r}")
         if not 0.0 < self.epsilon <= 1.0:
             raise ValidationError(f"epsilon must be in (0, 1], got {self.epsilon}")
         if 4.0 / self.epsilon == math.inf:
@@ -202,15 +209,9 @@ def _test_polynomial(t, epsilon, chi):
     return build_rectangle_polynomial(tau, theta, xi)
 
 
-# Shifts searched per test: c = 1, then c = lo + (1 - lo) k / SHIFT_GRID for
-# k < SHIFT_GRID. c = 1 is its own entry, exact rather than a rounded
-# lo + (1 - lo).
-SHIFT_GRID = 400
 # Largest root count of a Chebyshev product, so that its degree 2m stays
 # within the filter degree cap.
 MAX_ROOTS = DEGREE_CAP // 2
-# Log costs closer than this tie (see tight_test).
-_COST_TIE = 1e-9
 # Largest move of the log band maximum that rounding a product's roots may
 # cause (see chebyshev_test).
 _ROOT_ROUNDING = 1e-9
@@ -251,6 +252,19 @@ class TightTest:
     occur: r = 0, c = 1, no_bound = 0, and the test is the constant-1 test
     (err chi^2/4, threshold chi^2/2). At c = 1 the operator is the low-pass
     I - A' and the bounds are chi^2 (1 - tau)^r and (1 - tau - theta)^r.
+
+    For a fixed r the cost falls as the gap rises. An odd r runs at c = 1,
+    an even r at the maximum of g(c) = chi^2 Y^r - N^r, Y = (c - y_tau)/(1 + c),
+    N = (c - y_h)/(1 + c): with rho = (chi^2 tau/(tau + theta))^(1/(r - 1)),
+    c_r = min(max((y_h - rho y_tau)/(1 - rho), tau + theta), 1), 1 if rho = 1.
+
+    * Below tau + theta = (1 + y_h)/2 the no ratio (1 - c)/(1 + c) falls and
+      Y rises, so g rises there.
+    * On [tau + theta, 1], c - y_h >= 1 - c, so N is the no ratio, and
+      g' = r (1 + c)^-2 [chi^2 (1 + y_tau) Y^(r-1) - (1 + y_h) N^(r-1)] with
+      1 + y_tau = 2 tau, 1 + y_h = 2 (tau + theta): g' > 0 exactly where
+      N/Y < rho. N/Y = (c - y_h)/(c - y_tau) rises in c, so g' changes sign
+      once, where N/Y = rho, at (y_h - rho y_tau)/(1 - rho).
 
     filter "chebyshev" is f = q^2 for q(y) = prod_{i<=m} (c_i - y)/(1 + |c_i|)
     at the roots c_i = (1 + y_h)/2 + ((1 - y_h)/2) cos((2i - 1) pi/(2m)) of
@@ -298,6 +312,12 @@ class TightTest:
         """The factors whose chain estimate_power cycles through."""
         return [shifted_operator(decomp_prime, c) for c in self.shifts]
 
+    def log_cost(self, s):
+        """log_test_cost of the recorded bounds at row sparsity s."""
+        with np.errstate(divide="ignore"):
+            log_yes, log_no = np.log([[self.yes_bound], [self.no_bound]])
+        return float(log_test_cost(log_yes, log_no - log_yes, self.r, s)[0])
+
 
 def _edges(t, epsilon):
     """(y_tau, y_h, empty): test t's band edges on the scale y, _bands's empty."""
@@ -305,33 +325,27 @@ def _edges(t, epsilon):
     return 2.0 * tau - 1.0, 2.0 * (tau + theta) - 1.0, empty
 
 
-def _shift_factors(shifts, y_tau, y_h):
-    """(yes ratio, no ratio) of each shift c: (c - y_tau)/(1 + c) and
-    max(c - y_h, 1 - c)/(1 + c), each numerator one difference of c and a
-    band edge, as TightTest proves the bounds. Takes floats or arrays."""
-    scale = 1.0 + shifts
-    return (shifts - y_tau) / scale, np.maximum(shifts - y_h, 1.0 - shifts) / scale
-
-
-def _shifted_log_costs(shifts, powers, y_tau, y_h, chi, s):
-    """log_test_cost of each (shift c, power r), as a (shifts, powers) array,
-    and whether any pair separates."""
-    yes_ratio, no_ratio = _shift_factors(shifts[:, None], y_tau, y_h)
-    log_chi2 = 2.0 * math.log(chi)
-    with np.errstate(divide="ignore"):
-        log_yes = log_chi2 + powers * np.log(yes_ratio)
-        log_ratio = powers * np.log(no_ratio / yes_ratio) - log_chi2
-    return log_test_cost(log_yes, log_ratio, powers, s), bool((log_ratio < 0).any())
+def _best_shifts(t, epsilon, chi):
+    """The shift c_r of every power r in [1, DEGREE_CAP] of test t, as
+    TightTest derives it: 1 for odd r, the maximum of the gap for even r."""
+    tau, theta, _ = _bands(t, epsilon)
+    y_tau, y_h, _ = _edges(t, epsilon)
+    shifts = np.ones(DEGREE_CAP)
+    rho = (chi * chi * tau / (tau + theta)) ** (1.0 / np.arange(1, DEGREE_CAP, 2))
+    # g rises on all of [tau + theta, 1] when rho = 1
+    peak = np.divide(y_h - rho * y_tau, 1.0 - rho, out=np.ones_like(rho),
+                     where=rho < 1.0)
+    shifts[1::2] = np.minimum(np.maximum(peak, tau + theta), 1.0)
+    return shifts
 
 
 def shifted_test(t, epsilon, chi, s=1):
     """The shifted TightTest of interval t at accuracy epsilon and overlap chi.
 
-    Picks (c, r) to minimize log_test_cost for row sparsity s, over r in
-    [1, DEGREE_CAP] (even unless c = 1) and over the shifts of SHIFT_GRID;
-    ties go to c = 1, then to the smaller r. The candidate c = 1 at the
-    smallest r with chi^2 (1 - tau)^r >= 2 (1 - tau - theta)^r is always
-    searched, so no choice costs more than that low-pass test.
+    Each power r in [1, DEGREE_CAP] runs at its best shift c_r, the derived
+    one of TightTest for even r and c = 1 for odd r. Picks the r that
+    minimizes log_test_cost for row sparsity s, ties going to the smaller r,
+    so no choice costs more than the low-pass test at c = 1.
 
     Raises DegreeOverflowError when no candidate separates the bounds (the
     test would need a power above the cap: the chain masses are products of
@@ -343,19 +357,20 @@ def shifted_test(t, epsilon, chi, s=1):
     chi2 = chi * chi
     if empty:
         return TightTest("shifted", (1.0,), 0, chi2, 0.0)
-    lo = min(max(y_h, 0.0), 1.0)
-    grid = lo + (1.0 - lo) * np.arange(SHIFT_GRID) / SHIFT_GRID
     powers = np.arange(1, DEGREE_CAP + 1)
-    # In tie-break order: c = 1 at every r, then each grid shift at every
-    # even r.
-    low_pass, low_pass_separated = _shifted_log_costs(
-        np.ones(1), powers, y_tau, y_h, chi, s)
-    shifted, shifted_separated = _shifted_log_costs(
-        grid, powers[1::2], y_tau, y_h, chi, s)
-    costs = np.concatenate((low_pass.ravel(), shifted.ravel()))
+    shifts = _best_shifts(t, epsilon, chi)
+    # each numerator one difference of c and a band edge, as TightTest proves
+    # the bounds: c - y_h alone can round below 1 - c at c = tau + theta
+    yes_ratio = (shifts - y_tau) / (1.0 + shifts)
+    no_ratio = np.maximum(shifts - y_h, 1.0 - shifts) / (1.0 + shifts)
+    log_chi2 = 2.0 * math.log(chi)
+    with np.errstate(divide="ignore"):
+        log_yes = log_chi2 + powers * np.log(yes_ratio)
+        log_ratio = powers * np.log(no_ratio / yes_ratio) - log_chi2
+    costs = log_test_cost(log_yes, log_ratio, powers, s)
     best = int(np.argmin(costs))
     if costs[best] == np.inf:
-        if not (low_pass_separated or shifted_separated):
+        if not (log_ratio < 0).any():
             raise DegreeOverflowError(
                 f"test {t}: the shifted test needs a power above the degree "
                 f"cap {DEGREE_CAP} (epsilon {epsilon}, chi {chi})",
@@ -365,14 +380,9 @@ def shifted_test(t, epsilon, chi, s=1):
             f"test {t}: the shifted test's gap is below float resolution at "
             f"every power up to {DEGREE_CAP} (epsilon {epsilon}, chi {chi})"
         )
-    if best < DEGREE_CAP:
-        shift, r = 1.0, best + 1
-    else:
-        row, column = divmod(best - DEGREE_CAP, shifted.shape[1])
-        shift, r = float(grid[row]), 2 * (column + 1)
-    yes_ratio, no_ratio = _shift_factors(shift, y_tau, y_h)
-    test = TightTest("shifted", (shift,), r, chi2 * float(yes_ratio) ** r,
-                     float(no_ratio) ** r)
+    shift, r = float(shifts[best]), best + 1
+    test = TightTest("shifted", (shift,), r, chi2 * float(yes_ratio[best]) ** r,
+                     float(no_ratio[best]) ** r)
     # the choice compared logarithms; the recorded bounds are powers
     if not test.err > MIN_ERR:
         raise ValidationError(
@@ -457,37 +467,27 @@ def chebyshev_test(t, epsilon, chi, m):
                      chi * chi * q_tau * q_tau, no)
 
 
-def _unrounded_log_cost(test, s):
-    """log_test_cost of a test's recorded bounds, without the rounding up."""
-    with np.errstate(divide="ignore"):
-        log_yes, log_no = np.log([[test.yes_bound], [test.no_bound]])
-    return float(log_test_cost(log_yes, log_no - log_yes, test.r, s, round_up=False)[0])
-
-
 def tight_test(t, epsilon, chi, s=1):
     """The TightTest of interval t: shifted_test's power or the cheapest
-    chebyshev_test over the m <= MAX_ROOTS it accepts, whichever has the
-    lower log_test_cost (reps is shared, so it drops out).
+    chebyshev_test over the m in [2, MAX_ROOTS] it accepts, whichever has
+    the lower log_test_cost of its recorded bounds, what the preflight
+    charges (reps is shared, so it drops out); ties go to the power.
 
-    The product must be cheaper by more than _COST_TIE in the logarithm of
-    that cost without the rounding up, so ties go to the shifted power: the
-    one-root product at c = (1 + y_h)/2 is the shifted square at that c,
-    and rounding alone can move ceil(64/err^2) by one. shifted_test's
-    refusals stand, so the product only ever replaces a runnable test by a
-    cheaper one.
+    m = 1 is left out: its one root (1 + y_h)/2 = tau + theta makes it the
+    shifted square at c = tau + theta, which the derived shift of r = 2
+    never does worse than. shifted_test's refusals stand, so the product
+    only ever replaces a runnable test by a cheaper one.
     """
     shifted = shifted_test(t, epsilon, chi, s)
     y_tau, y_h, _ = _edges(t, epsilon)
     if shifted.r == 0 or y_h >= 1.0:
         return shifted
-    costs = _chebyshev_log_costs(y_tau, y_h, chi, s)
-    m = int(np.argmin(costs)) + 1
-    if costs[m - 1] == np.inf:
-        return shifted
-    product = chebyshev_test(t, epsilon, chi, m)
-    # the choice of m compared logarithms; the recorded bounds are products
-    if _unrounded_log_cost(product, s) < _unrounded_log_cost(shifted, s) - _COST_TIE:
-        return product
+    costs = _chebyshev_log_costs(y_tau, y_h, chi, s)[1:]
+    m = int(np.argmin(costs)) + 2
+    if costs[m - 2] < np.inf:
+        product = chebyshev_test(t, epsilon, chi, m)
+        if product.log_cost(s) < shifted.log_cost(s):
+            return product
     return shifted
 
 

@@ -233,12 +233,12 @@ def power_cost(decomp, r, reps, count):
     return float(reps) * float(count) * max(r, 1) * _power_pow(max(decomp.s, 1), r)
 
 
-def log_test_cost(log_yes, log_ratio, r, s, round_up=True):
+def log_test_cost(log_yes, log_ratio, r, s):
     """log(ceil(64/err^2) * max(r, 1) * s^r), what power_cost charges a test
     of power r and row sparsity s per repetition, at err = (yes - no)/4 for
     float arrays log_yes = log(yes) and log_ratio = log(no/yes) of one shape,
     in logarithms so nothing overflows; inf where the bounds do not separate
-    or err <= MIN_ERR. round_up=False leaves out the ceiling."""
+    or err <= MIN_ERR."""
     usable = log_ratio < 0.0
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         # one buffer holds log(err), then ceil(64/err^2), then the log cost
@@ -249,8 +249,7 @@ def log_test_cost(log_yes, log_ratio, r, s, round_up=True):
         cost *= -2.0
         np.exp(cost, out=cost)
         cost *= CHAIN_SCALE
-        if round_up:
-            np.ceil(cost, out=cost)
+        np.ceil(cost, out=cost)
         np.log(cost, out=cost)
         cost += np.log(np.maximum(r, 1)) + r * math.log(max(s, 1))
     cost[~usable] = np.inf

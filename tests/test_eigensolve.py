@@ -96,6 +96,13 @@ class TestSolverConfig:
             {"seed": None},
             {"seed": 1.5},
             {"seed": "3"},
+            {"epsilon": "0.5"},
+            {"delta": None},
+            {"cost_cap": "1e9"},
+            {"epsilon": [0.5]},
+            {"epsilon": True},
+            {"chi": True},
+            {"cost_cap": True},
         ],
     )
     def test_rejects_bad_fields(self, kw):
@@ -104,6 +111,12 @@ class TestSolverConfig:
 
     def test_accepts_numpy_integer_seed(self):
         assert SolverConfig(seed=np.int64(7)).seed == 7
+
+    def test_accepts_real_numbers_and_no_cap(self):
+        cfg = SolverConfig(epsilon=np.float64(0.5), chi=1, delta=np.float32(0.1),
+                           cost_cap=math.inf)
+        assert (cfg.epsilon, cfg.chi, cfg.cost_cap) == (0.5, 1, math.inf)
+        assert SolverConfig(cost_cap=None).cost_cap is None
 
     def test_frozen(self):
         cfg = SolverConfig()
@@ -554,11 +567,12 @@ def band_edges(t, epsilon):
     return 2 * tau - 1, 2 * (tau + theta) - 1
 
 
-def shift_grid(t, epsilon):
-    """The shifts shifted_test searches, c = 1 first."""
-    lo = min(max(band_edges(t, epsilon)[1], 0.0), 1.0)
-    k = eigensolve.SHIFT_GRID
-    return [1.0] + [lo + (1 - lo) * i / k for i in range(k)]
+def shifted_bounds(c, r, t, epsilon, chi):
+    """(yes, no) bounds of the shifted power r at shift c, as TightTest
+    proves them: chi^2 ((c - y_tau)/(1 + c))^r, (max(c - y_h, 1 - c)/(1 + c))^r."""
+    y_tau, y_h = band_edges(t, epsilon)
+    return (chi * chi * ((c - y_tau) / (1 + c)) ** r,
+            (np.maximum(c - y_h, 1 - c) / (1 + c)) ** r)
 
 
 def log_cost(err, r, s):
@@ -572,10 +586,12 @@ class TestLowPass:
     (c - y)/(1 + c), y = 2A' - I, whose c = 1 case is the low-pass I - A'."""
 
     def test_choice_of_r(self):
-        # (c, r) must minimize the predicted cost over the whole candidate
-        # grid, recomputed here term by term, or raise DegreeOverflowError
-        # when no candidate separates the bounds
+        # The pick must cost no more than the best (c, r) of a 4,000-point
+        # shift grid over [max(y_h, 0), 1] at every r (odd r at c = 1 only),
+        # recomputed here from the bounds, or raise DegreeOverflowError when
+        # no grid candidate separates them
         cap = polyfilter.DEGREE_CAP
+        r = np.arange(1, cap + 1)
         refused = shifted = 0
         for epsilon in (1.0, 0.3, 0.1):
             for chi in (1.0, 0.1, 0.003):
@@ -588,16 +604,14 @@ class TestLowPass:
                             assert (test.shift, test.r, test.yes_bound,
                                     test.no_bound) == (1.0, 0, chi * chi, 0.0)
                             continue
-                        y_tau, y_h = band_edges(t, epsilon)
-                        best = math.inf
-                        for c in shift_grid(t, epsilon):
-                            a = (c - y_tau) / (1 + c)
-                            b = max(c - y_h, 1 - c) / (1 + c)
-                            for r in range(1 if c == 1.0 else 2, cap + 1,
-                                           1 if c == 1.0 else 2):
-                                err = (chi * chi * a ** r - b ** r) / 4
-                                if err > 1e-150:
-                                    best = min(best, log_cost(err, r, s))
+                        y_h = band_edges(t, epsilon)[1]
+                        c = np.linspace(max(y_h, 0.0), 1.0, 4000)[:, None]
+                        yes, no = shifted_bounds(c, r, t, epsilon, chi)
+                        err = (yes - no) / 4
+                        err[:-1, ::2] = 0.0  # odd r runs at c = 1 alone
+                        # for a fixed r the cost falls as err rises
+                        best = min((log_cost(e, k, s) for e, k in zip(err.max(axis=0), r)
+                                    if e > 1e-150), default=math.inf)
                         if best == math.inf:
                             with pytest.raises(DegreeOverflowError):
                                 shifted_test(t, epsilon, chi, s)
@@ -609,6 +623,18 @@ class TestLowPass:
                         assert 1 <= test.r <= cap
                         shifted += test.shift < 1.0
         assert refused > 0 and shifted > 0
+
+    def test_derived_shift_at_the_float_edges(self):
+        # Each runs without a RuntimeWarning (tier-1 makes them errors).
+        # t = 0: rho = 0, so every even power runs at c = tau + theta = theta
+        assert np.all(eigensolve._best_shifts(0, 0.3, 0.5)[1::2] == 0.075)
+        # tau + theta = 1.0000000000000002 leaves c = 1, whose no bound is 0
+        test = shifted_test(3124, 0.00128, 1.0)
+        assert (test.shift, test.r, test.no_bound) == (1.0, 1, 0.0)
+        # the band edges are equal as floats and rho = 1: no shift separates
+        assert band_edges(2 * 10**16, 1e-16)[0] == band_edges(2 * 10**16, 1e-16)[1]
+        with pytest.raises(DegreeOverflowError):
+            shifted_test(2 * 10**16, 1e-16, 1.0)
 
     def test_gap_below_float_resolution_is_refused(self):
         # tau + theta = 1 leaves only c = 1, whose no bound is 0; the yes
@@ -1214,6 +1240,31 @@ def test_chebyshev_band_maximum(epsilon, place, m, chi):
         chi * chi * np.prod((c - y_tau) / (1 + np.abs(c))) ** 2, rel=1e-12, abs=1e-300)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    epsilon=st.floats(1e-3, 1.0),
+    place=st.floats(0.0, 1.0, exclude_max=True),
+    chi=st.floats(1e-4, 1.0),
+    half=st.integers(1, polyfilter.DEGREE_CAP // 2),
+)
+@example(epsilon=0.3, place=0.0, chi=0.5, half=3)  # t = 0: rho = 0
+@example(epsilon=0.00128, place=0.9999, chi=1.0, half=1)  # tau + theta > 1 by an ulp
+def test_derived_shift_maximizes_the_gap(epsilon, place, chi, half):
+    # g(c) = yes - no of the shifted power r = 2 half peaks at the derived
+    # c_r over a 2,001-point grid of [max(y_h, 0), 1], up to a relative 1e-12
+    # of the bounds
+    T = math.ceil(4 / epsilon)
+    t = min(int(place * T), T - 1)
+    r = 2 * half
+    y_h = band_edges(t, epsilon)[1]
+    c_r = eigensolve._best_shifts(t, epsilon, chi)[r - 1]
+    lo = min(max(y_h, 0.0), 1.0)
+    assert lo <= c_r <= 1.0
+    yes, no = shifted_bounds(np.linspace(lo, 1.0, 2001), r, t, epsilon, chi)
+    best_yes, best_no = shifted_bounds(c_r, r, t, epsilon, chi)
+    assert np.all(best_yes - best_no >= yes - no - 1e-12 * (yes + no + best_yes + best_no))
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     epsilon=st.floats(0.02, 1.0),
@@ -1223,10 +1274,9 @@ def test_chebyshev_band_maximum(epsilon, place, m, chi):
 )
 def test_tight_test_is_the_cheapest_under_the_preflight(epsilon, place, chi, s):
     # predict_power_cost, the cost the cap checks, of tight_test's pick is at
-    # most that of every c = 1 power and every accepted Chebyshev m. The
-    # slack: the _COST_TIE margin, by which a product must win, and one
-    # chain on each side, since the choice compares counts before the
-    # preflight rounds them up (or after a rounding in logarithms)
+    # most that of every c = 1 power, every even power at its derived shift
+    # and every accepted Chebyshev m >= 2. The slack: one chain on each
+    # side, since the choice rounds the counts up in logarithms
     T = math.ceil(4 / epsilon)
     t = min(int(place * T), T - 1)
     try:
@@ -1252,8 +1302,13 @@ def test_tight_test_is_the_cheapest_under_the_preflight(epsilon, place, chi, s):
         err = (chi * chi * (1 - tau) ** r - max(0.0, 1 - tau - theta) ** r) / 4
         if err > 1e-150:
             rivals.append((r, preflight(r, err)))
+    shifts = eigensolve._best_shifts(t, epsilon, chi)
+    for r in range(2, polyfilter.DEGREE_CAP + 1, 2):
+        yes, no = shifted_bounds(shifts[r - 1], r, t, epsilon, chi)
+        if (yes - no) / 4 > 1e-150:
+            rivals.append((r, preflight(r, (yes - no) / 4)))
     if band_edges(t, epsilon)[1] < 1:
-        for m in range(1, eigensolve.MAX_ROOTS + 1):
+        for m in range(2, eigensolve.MAX_ROOTS + 1):
             try:
                 product = chebyshev_test(t, epsilon, chi, m)
             except ValidationError:
@@ -1262,4 +1317,4 @@ def test_tight_test_is_the_cheapest_under_the_preflight(epsilon, place, chi, s):
                 rivals.append((product.r, preflight(product.r, product.err)))
     chosen = preflight(pick.r, pick.err)
     for r, cost in rivals:
-        assert chosen <= cost * math.exp(eigensolve._COST_TIE) + chain(pick.r) + chain(r)
+        assert chosen <= cost + chain(pick.r) + chain(r)
