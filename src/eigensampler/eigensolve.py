@@ -61,9 +61,7 @@ from .transform import (
     MIN_ERR,
     POLICIES,
     estimate_polynomial_transform,
-    estimate_power,
     log_test_cost,
-    predict_power_cost,
 )
 
 
@@ -101,10 +99,13 @@ class SolverConfig:
             )
         if self.cost_cap is not None and not self.cost_cap > 0.0:
             raise ValidationError(f"cost cap must be positive, got {self.cost_cap}")
-        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+        if (isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral)
+                or self.seed < 0):
             raise ValidationError(
                 f"seed must be a nonnegative integer, got {self.seed!r}"
             )
+        # a Python int, which json can write (numpy integers it cannot)
+        object.__setattr__(self, "seed", int(self.seed))
 
     @property
     def interval_count(self):
@@ -301,6 +302,15 @@ class TightTest:
         return self.shifts[0] if self.filter == "shifted" else None
 
     @property
+    def degree(self):
+        return self.r
+
+    @property
+    def coeffs(self):
+        """e_r: f is the single monomial of degree r in its factor chain."""
+        return np.eye(1, self.r + 1, self.r)[0]
+
+    @property
     def err(self):
         return (self.yes_bound - self.no_bound) / 4.0
 
@@ -309,7 +319,8 @@ class TightTest:
         return (self.yes_bound + self.no_bound) / 2.0
 
     def base(self, decomp_prime):
-        """The factors whose chain estimate_power cycles through."""
+        """The factors whose chain the test's estimate cycles through, as
+        estimate_polynomial_transform's decomp with this test as P."""
         return [shifted_operator(decomp_prime, c) for c in self.shifts]
 
     def log_cost(self, s):
@@ -491,46 +502,39 @@ def tight_test(t, epsilon, chi, s=1):
     return shifted
 
 
-def _threshold_detail(t, decomp_prime, psi, cfg, rng, T):
+def _threshold_detail(t, decomp_prime, psi, cfg, rng):
     """One test's TestRecord.
 
-    Under tight the test is one estimate_power call on the factors of its
-    tight_test, refused before any sampling when its predicted cost exceeds
-    the cost cap. A cost-cap breakdown names the test's filter and shift:
-    the TightTest's under tight, "rectangle" and None under strict. Under
-    oracle-exact, decomp_prime may be the scan's ChebyshevMoments sequence
-    of psi on the normalized operator, so the test takes only the moments
+    Every sampled test is one estimate_polynomial_transform call, which
+    refuses it before any sampling when its plan exceeds the cost cap; the
+    breakdown then also names the filter and shift. Under tight the filter
+    is tight_test's TightTest, the one-monomial polynomial e_r of its factor
+    chain (mass 1, so the budget err is the test's err); otherwise it is the
+    rectangle polynomial. Under oracle-exact, decomp_prime may be the scan's
+    ChebyshevMoments sequence of psi, so the test takes only the moments
     that earlier tests of the scan have not taken already.
     """
-    per_test_delta = cfg.delta / T
+    name, shift = "rectangle", None
     if cfg.policy == "tight":
-        test = tight_test(t, cfg.epsilon, cfg.chi, decomp_prime.s)
-        if cfg.cost_cap is not None:
-            predicted, breakdown = predict_power_cost(decomp_prime, test.r, test.err,
-                                                      per_test_delta)
-            if predicted > cfg.cost_cap:
-                breakdown.update(policy=cfg.policy, filter=test.filter,
-                                 shift=test.shift)
-                raise CostCapExceeded(predicted, cfg.cost_cap, breakdown)
-        estimate = estimate_power(psi, psi, test.base(decomp_prime), test.r,
-                                  test.err, per_test_delta, rng)
-        yes = estimate.real >= test.midpoint
-        return TestRecord(t, estimate, yes, test.filter, test.r, test.shift)
-    P = _test_polynomial(t, cfg.epsilon, cfg.chi)
-    precision = cfg.chi * cfg.chi / 4.0
+        P = tight_test(t, cfg.epsilon, cfg.chi, decomp_prime.s)
+        factors, eta, name, shift = P.base(decomp_prime), P.err, P.filter, P.shift
+    else:
+        P = _test_polynomial(t, cfg.epsilon, cfg.chi)
+        factors, eta = decomp_prime, cfg.chi * cfg.chi / 4.0
     if cfg.policy == "oracle-exact":
         estimate = exact_sandwich(psi, decomp_prime, psi, polynomial=P)
     else:
         try:
             estimate = estimate_polynomial_transform(
-                psi, psi, decomp_prime, P, precision, per_test_delta, rng,
+                psi, psi, factors, P, eta, cfg.delta / cfg.interval_count, rng,
                 policy=cfg.policy, cost_cap=cfg.cost_cap,
             )
         except CostCapExceeded as exc:
-            exc.breakdown.update(filter="rectangle", shift=None)
+            exc.breakdown.update(filter=name, shift=shift)
             raise
-    yes = abs(estimate) >= cfg.chi * cfg.chi / 2.0
-    return TestRecord(t, estimate, yes, "rectangle", P.degree)
+    yes = (estimate.real >= P.midpoint if cfg.policy == "tight"
+           else abs(estimate) >= cfg.chi * cfg.chi / 2.0)
+    return TestRecord(t, estimate, yes, name, P.degree, shift)
 
 
 def test_threshold(t, decomp_prime, psi, cfg, rng):
@@ -543,7 +547,7 @@ def test_threshold(t, decomp_prime, psi, cfg, rng):
     t = int(t)
     if not 0 <= t < T:
         raise ValidationError(f"interval index {t} outside [0, {T})")
-    return _threshold_detail(t, decomp_prime, psi, cfg, rng, T).yes
+    return _threshold_detail(t, decomp_prime, psi, cfg, rng).yes
 
 
 def estimate_smallest_eigenvalue(decomp, psi, cfg, rng):
@@ -571,14 +575,13 @@ def estimate_smallest_eigenvalue(decomp, psi, cfg, rng):
         # ceil(max_t d_t / 2) products. reconstruct is looked up on the module
         # at call time, so the benchmark's tracer (bench/measure.py) counts it.
         prime = oracle.ChebyshevMoments(oracle.reconstruct(prime), psi)
-    T = cfg.interval_count
     transcript = []
     with recording() as counters:
-        for t in range(T):
+        for t in range(cfg.interval_count):
             # Spawned as the scan reaches test t: the child streams of spawning
             # all T up front, without their O(T) cost (T = 4e9 at epsilon 1e-9).
             (stream,) = spawn_streams(rng, 1)
-            transcript.append(_threshold_detail(t, prime, psi, cfg, stream, T))
+            transcript.append(_threshold_detail(t, prime, psi, cfg, stream))
             if transcript[-1].yes:
                 break
     # a scan without a yes ends at t = T - 1, the top interval

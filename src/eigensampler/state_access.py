@@ -228,7 +228,7 @@ def make_state(spec, n_qubits=None):
         return spec
     if isinstance(spec, str):
         return _state_from_string(spec, n_qubits)
-    if isinstance(spec, (int, np.integer)):
+    if isinstance(spec, (int, np.integer)) and not isinstance(spec, bool):
         if n_qubits is None:
             raise StateSpecError("basis state needs the qubit count")
         return BasisState(int(spec), 2**n_qubits)

@@ -22,8 +22,9 @@ A polynomial P(A) = sum_r a_r A^r is estimated by one stratified estimator:
 every batch gives power r a fixed number of chains, proportional to |a_r|,
 and returns sum_r a_r times the mean of that stratum. One median
 amplification covers the whole polynomial; estimate_polynomial_transform
-proves the bound. A single power is the one-stratum case (estimate_power),
-and predict_cost charges the same strata before any sampling starts.
+proves the bound. A single power is the one-stratum case (estimate_power,
+and a tight threshold test). One plan sizes the strata before any sampling:
+predict_cost charges it, and the sampler draws exactly its chain counts.
 """
 
 import itertools
@@ -120,22 +121,23 @@ def estimate_power(psi, phi, decomp, r, err, delta, rng):
     """
     _check_budget("err", err)
     _check_budget("delta", delta)
-    return _estimate_strata(psi, phi, decomp, {int(r): 1.0}, err, delta, rng)
+    coeffs = {int(r): 1.0}
+    _, plan = _predict_strata(decomp, coeffs, err, delta)
+    return _estimate_strata(psi, phi, decomp, coeffs, plan["chains_per_power"],
+                            delta, rng)
 
 
-def _estimate_strata(psi, phi, decomp, coeffs, err, delta, rng):
+def _estimate_strata(psi, phi, decomp, coeffs, counts, delta, rng):
     """Median of batches of sum_r a_r * mean(Y_r over c_r chains).
 
-    coeffs maps each power r to its nonzero coefficient a_r, and c_r comes
-    from chain_counts. decomp is one decomposition or a list of factors, as
-    ChainSampler takes it; every stratum indexes the same concatenated
-    terms. A batch draws every stratum's chains in order of r, then one
-    guiding-state index per chain (uniform for psi = None, see eigensolve).
-    Raises ValidationError, before drawing anything, when a stratum's index
-    array is past numpy's size limit.
+    coeffs maps each power r to its nonzero coefficient a_r, and counts maps
+    it to the c_r of the plan (_predict_strata). decomp is one decomposition
+    or a list of factors, as ChainSampler takes it; every stratum indexes
+    the same concatenated terms. A batch draws every stratum's chains in
+    order of r, then one guiding-state index per chain (uniform for
+    psi = None, see eigensolve). Raises ValidationError, before drawing
+    anything, when a stratum's index array is past numpy's size limit.
     """
-    _, t = batch_shape(err, delta)
-    counts = chain_counts(coeffs, t)
     if not counts:
         return 0j
     for r, c in counts.items():
@@ -228,9 +230,10 @@ def chain_counts(coeffs, t):
 
 def power_cost(decomp, r, reps, count):
     """Planned leaf operations of the power-r stratum: reps batches of count
-    chains, each charged max(r, 1) * s^r (r index draws, and a frontier of
-    at most s^r leaves). Saturates to inf."""
-    return float(reps) * float(count) * max(r, 1) * _power_pow(max(decomp.s, 1), r)
+    chains, each charged max(r, 1) * s^r (r index draws, at most s^r leaves,
+    s the row sparsity, the largest of a factor list's). Saturates to inf."""
+    s = max(f.s for f in decomp) if isinstance(decomp, (list, tuple)) else decomp.s
+    return float(reps) * float(count) * max(r, 1) * _power_pow(max(s, 1), r)
 
 
 def log_test_cost(log_yes, log_ratio, r, s):
@@ -257,6 +260,8 @@ def log_test_cost(log_yes, log_ratio, r, s):
 
 
 def _predict_strata(decomp, coeffs, err, delta):
+    """The plan of a stratified estimate: (predicted leaf ops, breakdown),
+    whose chains_per_power are the counts the sampler draws."""
     reps, t = batch_shape(err, delta)
     counts = chain_counts(coeffs, t)
     per_power = {r: power_cost(decomp, r, reps, c) for r, c in counts.items()}
@@ -268,18 +273,6 @@ def _predict_strata(decomp, coeffs, err, delta):
         "per_power": per_power,
     }
     return sum(per_power.values(), 0.0), breakdown
-
-
-def predict_power_cost(decomp, r, err, delta):
-    """Planned leaf operations of one estimate_power call.
-
-    Returns (total, breakdown), with the breakdown in predict_cost's shape
-    for a polynomial whose only power is r. Because each chain is charged
-    its r index draws, the cap also bounds the (t, r) chain arrays a batch
-    holds.
-    """
-    total, breakdown = _predict_strata(decomp, {int(r): 1.0}, err, delta)
-    return total, {"degree": r, **breakdown}
 
 
 def predict_cost(decomp, P, eta, delta_total, policy="tight"):
@@ -330,18 +323,18 @@ def estimate_polynomial_transform(psi, phi, decomp, P, eta, delta_total, rng,
     reps * sum_r c_r * max(r, 1) * s^r that predict_cost charges is known
     before sampling and does not depend on luck.
 
-    When cost_cap is given, the predicted leaf-operation count is checked
-    first and CostCapExceeded carries the full breakdown. When counters is
-    given, the run records into it (instrument.recording); otherwise it
-    records into the active recorder, if any.
+    The plan is made once: cost_cap, when given, is checked against its
+    total (CostCapExceeded carries its breakdown), and the sampler draws
+    exactly its counts. decomp may be a factor list, as ChainSampler takes
+    it: a tight threshold test is P = e_r over its factor chain, err = eta.
+    When counters is given, the run records into it (instrument.recording);
+    otherwise it records into the active recorder, if any.
     """
     _check_budget("eta", eta)
     _check_budget("delta_total", delta_total)
-    if cost_cap is not None:
-        predicted, breakdown = predict_cost(decomp, P, eta, delta_total, policy=policy)
-        if predicted > cost_cap:
-            raise CostCapExceeded(predicted, cost_cap, breakdown)
-    err = power_error_budget(P, eta, policy)
+    predicted, plan = predict_cost(decomp, P, eta, delta_total, policy=policy)
+    if cost_cap is not None and predicted > cost_cap:
+        raise CostCapExceeded(predicted, cost_cap, plan)
     with nullcontext() if counters is None else instrument.recording(counters):
-        return _estimate_strata(psi, phi, decomp, _coefficients(P), err,
-                                delta_total, rng)
+        return _estimate_strata(psi, phi, decomp, _coefficients(P),
+                                plan["chains_per_power"], delta_total, rng)

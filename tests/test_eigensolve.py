@@ -103,6 +103,8 @@ class TestSolverConfig:
             {"epsilon": True},
             {"chi": True},
             {"cost_cap": True},
+            {"seed": True},
+            {"seed": False},
         ],
     )
     def test_rejects_bad_fields(self, kw):
@@ -111,6 +113,10 @@ class TestSolverConfig:
 
     def test_accepts_numpy_integer_seed(self):
         assert SolverConfig(seed=np.int64(7)).seed == 7
+        # kept as a Python int: a numpy one made json.dumps of a report raise
+        cfg = SolverConfig(seed=np.int64(3), policy="oracle-exact")
+        est = solve_guided((1, Z_TERMS), BasisState(1, 2), cfg)
+        assert type(cfg.seed) is type(est.to_dict()["seed"]) is int
 
     def test_accepts_real_numbers_and_no_cap(self):
         cfg = SolverConfig(epsilon=np.float64(0.5), chi=1, delta=np.float32(0.1),
@@ -683,7 +689,7 @@ class TestLowPass:
         prime = shift_rescale(d)
         for rec in est.transcript:
             again = eigensolve._threshold_detail(
-                rec.t, prime, psi, cfg, streams[rec.t], cfg.interval_count
+                rec.t, prime, psi, cfg, streams[rec.t]
             )
             assert again == rec
 
@@ -748,11 +754,12 @@ class TestLowPass:
         # test's decision is checked along with the bounds it rests on
         exact_calls = []
 
-        def exact_power(psi, phi, op, r, err, delta, rng, **kw):
-            exact_calls.append(r)  # op: the TightTest's factors
-            return oracle.exact_sandwich(psi, dense_chain(op, r), phi)
+        def exact_transform(psi, phi, op, P, eta, delta, rng, **kw):
+            exact_calls.append(P.degree)  # op: the TightTest's factors
+            return oracle.exact_sandwich(psi, dense_chain(op, P.degree), phi)
 
-        monkeypatch.setattr(eigensolve, "estimate_power", exact_power)
+        monkeypatch.setattr(eigensolve, "estimate_polynomial_transform",
+                            exact_transform)
         rng = np.random.default_rng(62)
         checked = 0
         shifts = []
@@ -1016,7 +1023,8 @@ class TestChebyshev:
         best_m = min(range(1, eigensolve.MAX_ROOTS + 1),
                      key=lambda m: reference_chebyshev_log_cost(0, 0.25, chi, 1, m))
         product = chebyshev_test(0, 0.25, chi, best_m)
-        cost, _ = transform.predict_power_cost(rows, product.r, product.err, 0.05 / T)
+        cost = transform.power_cost(rows, product.r,
+                                    *transform.batch_shape(product.err, 0.05 / T))
         assert cost == pytest.approx(1.9e16, rel=0.05)
 
     def test_refusals_of_the_shifted_power_stand(self):
@@ -1091,6 +1099,24 @@ class TestChebyshev:
                                            np.random.default_rng(seed))
             assert abs(got - want) <= 0.25
 
+    def test_tight_test_is_a_one_monomial_transform(self):
+        # A tight test runs as the polynomial e_r of its factor chain, whose
+        # mass 1 keeps its err, so it draws what estimate_power draws
+        rng = np.random.default_rng(74)
+        terms = random_pauli_terms(rng, 2, 3) + [random_block_term(rng, 2, 2)]
+        prime = shift_rescale(build_decomposition(2, terms))
+        psi = guide_with_overlap(reconstruct(prime), 0.8, rng)
+        tests = (shifted_test(0, 1.0, 1.0), chebyshev_test(0, 1.0, 1.0, 2))
+        assert [test.filter for test in tests] == ["shifted", "chebyshev"]
+        for test in tests:
+            factors = test.base(prime)
+            got = transform.estimate_polynomial_transform(
+                psi, psi, factors, test, test.err, 0.5, np.random.default_rng(5),
+                policy="tight")
+            want = transform.estimate_power(psi, psi, factors, test.r, test.err, 0.5,
+                                            np.random.default_rng(5))
+            assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+
     @pytest.mark.slow
     def test_sampled_tight_test_picks_the_product(self):
         # The cheapest seeded case in which tight runs the product: epsilon
@@ -1113,8 +1139,7 @@ class TestChebyshev:
         assert info.value.predicted == pytest.approx(1.0e8, rel=0.05)
         with recording() as counters:
             record = eigensolve._threshold_detail(
-                t, prime, psi, replace(cfg, cost_cap=None), np.random.default_rng(0),
-                cfg.interval_count)
+                t, prime, psi, replace(cfg, cost_cap=None), np.random.default_rng(0))
         assert (record.filter, record.degree, record.shift) == ("chebyshev", 4, None)
         want = oracle.exact_sandwich(psi, dense_chain(test.base(prime), test.r), psi)
         assert abs(record.estimate - want) <= test.err
@@ -1166,11 +1191,11 @@ def test_shifted_bounds_properties(epsilon, place, chi, s, delta):
     assert r % 2 == 0 or c == 1.0
     # no more expensive than the c = 1 test under the preflight's own formula
     if reference is not None:
-        rows = SimpleNamespace(s=s)  # all predict_power_cost reads of an operator
-        chosen, _ = transform.predict_power_cost(rows, r, test.err, delta / T)
+        rows = SimpleNamespace(s=s)  # all power_cost reads of an operator
+        chosen = transform.power_cost(rows, r, *transform.batch_shape(test.err, delta / T))
         try:
-            reference_cost, _ = transform.predict_power_cost(
-                rows, reference[0], reference[1], delta / T)
+            reference_cost = transform.power_cost(
+                rows, reference[0], *transform.batch_shape(reference[1], delta / T))
         except ValidationError:
             # ceil(64 / err^2) of the c = 1 power alone overflows a float,
             # so it costs more than the chosen test's float cost
@@ -1273,7 +1298,7 @@ def test_derived_shift_maximizes_the_gap(epsilon, place, chi, half):
     s=st.integers(1, 16),
 )
 def test_tight_test_is_the_cheapest_under_the_preflight(epsilon, place, chi, s):
-    # predict_power_cost, the cost the cap checks, of tight_test's pick is at
+    # power_cost, the cost the cap checks, of tight_test's pick is at
     # most that of every c = 1 power, every even power at its derived shift
     # and every accepted Chebyshev m >= 2. The slack: one chain on each
     # side, since the choice rounds the counts up in logarithms
@@ -1289,7 +1314,7 @@ def test_tight_test_is_the_cheapest_under_the_preflight(epsilon, place, chi, s):
 
     def preflight(r, err):
         try:
-            return transform.predict_power_cost(rows, r, err, delta)[0]
+            return transform.power_cost(rows, r, *transform.batch_shape(err, delta))
         except ValidationError:  # ceil(64/err^2) overflows a float
             return math.inf
 

@@ -493,6 +493,25 @@ def test_oracle_imports_nothing_from_the_sampled_layers():
     assert found == []
 
 
+def test_only_the_transform_raises_the_cost_cap():
+    # One preflight per sampled test: estimate_polynomial_transform checks
+    # the cap against the plan it samples, and every other module only
+    # passes its CostCapExceeded on.
+    package = os.path.dirname(oracle.__file__)
+    raisers = set()
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if getattr(exc, "id", getattr(exc, "attr", None)) == "CostCapExceeded":
+                    raisers.add(name)
+    assert raisers == {"transform.py"}
+
+
 def test_only_the_solver_names_the_doubling():
     # Only eigensolve builds H (x) I and its maximally entangled guide; every
     # other module, the CLI's oracle check included, works on n qubits.

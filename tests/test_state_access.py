@@ -169,6 +169,12 @@ class TestMakeState:
         st = make_state(v)
         assert st.dimension == 8
 
+    def test_rejects_bool_spec(self):
+        # bool is an int subclass; True is no basis index
+        for spec in (True, False):
+            with pytest.raises(StateSpecError):
+                make_state(spec, 2)
+
     def test_rejects_unknown_spec(self):
         with pytest.raises(StateSpecError):
             make_state("wibble:3", 2)

@@ -28,7 +28,7 @@ from eigensampler import (
 )
 from eigensampler.hamiltonian import shifted_operator
 from eigensampler.imm import ChainKernel
-from eigensampler.transform import POLICIES, power_error_budget, predict_power_cost
+from eigensampler.transform import POLICIES, batch_shape, power_error_budget
 
 from helpers import (
     forced_pool,
@@ -365,7 +365,7 @@ class TestUncountableBatches:
         with pytest.raises(ValidationError):
             estimate_power(psi, psi, d, 1, 1e-200, 0.1, np.random.default_rng(0))
         with pytest.raises(ValidationError):
-            predict_power_cost(d, 1, 1e-200, 0.1)
+            batch_shape(1e-200, 0.1)
 
     # strict divides eta by 4^degree: at degree 12, 64 / err^2 overflows to
     # inf; at degree 20, err^2 underflows to 0
