@@ -8,7 +8,8 @@ ground-space overlap chi separates the two cases, so the first accepted
 interval pins the ground energy of A to within epsilon*kappa.
 
 How a test filters the spectrum depends on the policy. Under `tight` it
-estimates <psi|f(y)|psi> for y = 2A' - I = A/kappa and a TightTest f: a
+decides whether <psi|f(y)|psi> lies above the midpoint of the TightTest's
+bounds, for y = 2A' - I = A/kappa and a TightTest f: a
 product of r shifted factors (c - y)/(1 + |c|) of monomial coefficient mass
 1, either a power ((c - y)/(1 + c))^r (c = 1 is the low-pass I - A') or the
 square of m factors at the Chebyshev roots of the blocked band, r = 2m, far
@@ -61,6 +62,7 @@ from .transform import (
     MIN_ERR,
     POLICIES,
     estimate_polynomial_transform,
+    estimate_threshold_test,
     log_test_cost,
 )
 
@@ -93,6 +95,12 @@ class SolverConfig:
             raise ValidationError(f"chi must be in (0, 1], got {self.chi}")
         if not 0.0 < self.delta < 1.0:
             raise ValidationError(f"delta must be in (0, 1), got {self.delta}")
+        if self.delta / self.interval_count == 0.0:
+            raise ValidationError(
+                f"delta = {self.delta!r} is too small: its share "
+                f"delta / {self.interval_count} of each threshold test "
+                f"underflows to 0"
+            )
         if self.policy not in POLICIES:
             raise ValidationError(
                 f"policy must be one of {', '.join(POLICIES)}, got {self.policy!r}"
@@ -222,10 +230,22 @@ _ROOT_ROUNDING = 1e-9
 class TightTest:
     """Test t under tight: a product of r factors (c - y)/(1 + |c|), each the
     shifted_operator at a c in [-1, 1] with bounds summing to 1, whose chain
-    cycles through shifts. Its mass is 1, so it costs
-    reps * ceil(64/err^2) * max(r, 1) * s^r (transform.log_test_cost) at
-    err = gap/4, gap = yes_bound - no_bound > 0, and an estimate within err
-    lies at or above the midpoint in the yes case and below it in the no.
+    cycles through shifts, so its mass is 1. The test answers yes when the
+    real part of its estimate lies at or above the midpoint of the bounds,
+    which sits margin = gap/2 from both, gap = yes_bound - no_bound > 0.
+
+    That decision is what it pays for (transform.estimate_threshold_test):
+    K batches of t = ceil(8/margin^2) chains, K * t * max(r, 1) * s^r leaf
+    operations at row sparsity s (transform.log_test_cost). Each chain's
+    sample Y has E Y = <psi|f|psi> and Var(Re Y) <= E|Y|^2 <= 1, so by
+    Cantelli a batch mean's real part lands margin or more from the truth,
+    on the midpoint's wrong side, with probability at most
+    1/(1 + t margin^2) <= 1/9: below the midpoint when the truth is at
+    least yes_bound, at or above it when the truth is at most no_bound.
+    np.median of the K batches is on the wrong side only if at least K/2
+    batches are, which by the Chernoff bound on that binomial tail has
+    probability at most exp(-K D(1/2 || 1/9)), at most delta for
+    K = ceil(ln(1/delta) / D(1/2 || 1/9)), D(1/2 || 1/9) = ln(81/32)/2.
 
     Write y = 2A' - I = A/kappa, with spectrum in [-1, 1], and
     y_tau = 2 tau - 1, y_h = 2 (tau + theta) - 1 for tau = t*epsilon/4 and
@@ -311,16 +331,16 @@ class TightTest:
         return np.eye(1, self.r + 1, self.r)[0]
 
     @property
-    def err(self):
-        return (self.yes_bound - self.no_bound) / 4.0
+    def margin(self):
+        """Distance gap/2 from the midpoint to either bound."""
+        return (self.yes_bound - self.no_bound) / 2.0
 
     @property
     def midpoint(self):
         return (self.yes_bound + self.no_bound) / 2.0
 
     def base(self, decomp_prime):
-        """The factors whose chain the test's estimate cycles through, as
-        estimate_polynomial_transform's decomp with this test as P."""
+        """The factors whose chain the test's estimate cycles through."""
         return [shifted_operator(decomp_prime, c) for c in self.shifts]
 
     def log_cost(self, s):
@@ -361,8 +381,8 @@ def shifted_test(t, epsilon, chi, s=1):
     Raises DegreeOverflowError when no candidate separates the bounds (the
     test would need a power above the cap: the chain masses are products of
     r bounds of at most 1/2, so past the cap they head for float underflow),
-    and ValidationError when every separating candidate's err is below float
-    resolution.
+    and ValidationError when every separating candidate's margin is below
+    float resolution.
     """
     y_tau, y_h, empty = _edges(t, epsilon)
     chi2 = chi * chi
@@ -395,7 +415,7 @@ def shifted_test(t, epsilon, chi, s=1):
     test = TightTest("shifted", (shift,), r, chi2 * float(yes_ratio[best]) ** r,
                      float(no_ratio[best]) ** r)
     # the choice compared logarithms; the recorded bounds are powers
-    if not test.err > MIN_ERR:
+    if not test.margin > MIN_ERR:
         raise ValidationError(
             f"test {t}: the shifted gap at c = {shift}, r = {r} is below float "
             f"resolution (epsilon {epsilon}, chi {chi})"
@@ -482,7 +502,7 @@ def tight_test(t, epsilon, chi, s=1):
     """The TightTest of interval t: shifted_test's power or the cheapest
     chebyshev_test over the m in [2, MAX_ROOTS] it accepts, whichever has
     the lower log_test_cost of its recorded bounds, what the preflight
-    charges (reps is shared, so it drops out); ties go to the power.
+    charges (K is shared, so it drops out); ties go to the power.
 
     m = 1 is left out: its one root (1 + y_h)/2 = tau + theta makes it the
     shifted square at c = tau + theta, which the derived shift of r = 2
@@ -505,33 +525,36 @@ def tight_test(t, epsilon, chi, s=1):
 def _threshold_detail(t, decomp_prime, psi, cfg, rng):
     """One test's TestRecord.
 
-    Every sampled test is one estimate_polynomial_transform call, which
-    refuses it before any sampling when its plan exceeds the cost cap; the
-    breakdown then also names the filter and shift. Under tight the filter
-    is tight_test's TightTest, the one-monomial polynomial e_r of its factor
-    chain (mass 1, so the budget err is the test's err); otherwise it is the
-    rectangle polynomial. Under oracle-exact, decomp_prime may be the scan's
-    ChebyshevMoments sequence of psi, so the test takes only the moments
-    that earlier tests of the scan have not taken already.
+    Every sampled test is one transform call, which refuses it before any
+    sampling when its plan exceeds the cost cap; the breakdown then also
+    names the filter and shift. Under tight the filter is tight_test's
+    TightTest, sampled for its decision (estimate_threshold_test); under
+    strict it is the rectangle polynomial (estimate_polynomial_transform).
+    Under oracle-exact, decomp_prime may be the scan's ChebyshevMoments
+    sequence of psi, so the test takes only the moments that earlier tests
+    of the scan have not taken already.
     """
+    delta = cfg.delta / cfg.interval_count
     name, shift = "rectangle", None
     if cfg.policy == "tight":
         P = tight_test(t, cfg.epsilon, cfg.chi, decomp_prime.s)
-        factors, eta, name, shift = P.base(decomp_prime), P.err, P.filter, P.shift
+        name, shift = P.filter, P.shift
     else:
         P = _test_polynomial(t, cfg.epsilon, cfg.chi)
-        factors, eta = decomp_prime, cfg.chi * cfg.chi / 4.0
-    if cfg.policy == "oracle-exact":
-        estimate = exact_sandwich(psi, decomp_prime, psi, polynomial=P)
-    else:
-        try:
+    try:
+        if cfg.policy == "oracle-exact":
+            estimate = exact_sandwich(psi, decomp_prime, psi, polynomial=P)
+        elif cfg.policy == "tight":
+            estimate = estimate_threshold_test(psi, decomp_prime, P, delta, rng,
+                                               cost_cap=cfg.cost_cap)
+        else:
             estimate = estimate_polynomial_transform(
-                psi, psi, factors, P, eta, cfg.delta / cfg.interval_count, rng,
+                psi, psi, decomp_prime, P, cfg.chi * cfg.chi / 4.0, delta, rng,
                 policy=cfg.policy, cost_cap=cfg.cost_cap,
             )
-        except CostCapExceeded as exc:
-            exc.breakdown.update(filter=name, shift=shift)
-            raise
+    except CostCapExceeded as exc:
+        exc.breakdown.update(filter=name, shift=shift)
+        raise
     yes = (estimate.real >= P.midpoint if cfg.policy == "tight"
            else abs(estimate) >= cfg.chi * cfg.chi / 2.0)
     return TestRecord(t, estimate, yes, name, P.degree, shift)

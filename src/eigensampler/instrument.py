@@ -11,9 +11,9 @@ which yields a fresh Counters (or the one passed in) and restores the
 previous recorder on exit. Recorders nest, and the innermost one wins: an
 outer recorder sees nothing that runs inside an inner one. The active
 recorder is held in a contextvars variable, so each thread and each copied
-context sees its own; median_amplify runs pooled repetitions in copies of the
-caller's context, so they report to the caller's recorder. Counters.add holds
-a lock, so those threads share one object without losing counts.
+context sees its own; state_access.median_of runs pooled repetitions in copies
+of the caller's context, so they report to the caller's recorder. Counters.add
+holds a lock, so those threads share one object without losing counts.
 """
 
 import contextlib

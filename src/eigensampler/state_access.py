@@ -373,8 +373,9 @@ def samples_per_batch(scale, eps, name):
     return math.ceil(count)
 
 
-def median_reps(delta):
-    """Repetitions ceil(18 ln(1/delta)) that median_amplify runs at delta.
+def repetitions(delta, per_log, formula):
+    """ceil(per_log * ln(1/delta)) repetitions, at least 1, for the count
+    that formula names.
 
     Raises ValidationError when 1/delta overflows to inf, as it does for a
     delta below about 5.6e-309 and for one that underflowed to 0.
@@ -383,9 +384,17 @@ def median_reps(delta):
     if inverse == math.inf:
         raise ValidationError(
             f"delta = {delta!r} is too small: 1/delta overflows a float, so "
-            f"ceil(18 ln(1/delta)) repetitions cannot be counted"
+            f"{formula} repetitions cannot be counted"
         )
-    return max(1, math.ceil(18.0 * math.log(inverse)))
+    return max(1, math.ceil(per_log * math.log(inverse)))
+
+
+def median_reps(delta):
+    """Repetitions ceil(18 ln(1/delta)) that median_amplify runs at delta.
+
+    Raises ValidationError when 1/delta overflows (see repetitions).
+    """
+    return repetitions(delta, 18.0, "ceil(18 ln(1/delta))")
 
 
 # Samples per repetition from which median_amplify runs the repetitions on
@@ -406,21 +415,27 @@ def _usable_cpus():
 def median_amplify(run, delta, rng, samples):
     """Boost a 3/4-confidence estimator to confidence 1 - delta.
 
-    Runs ceil(18 ln(1/delta)) independent repetitions on spawned child streams
-    and returns the coordinate-wise median of the real and imaginary parts,
+    Runs ceil(18 ln(1/delta)) independent repetitions (median_of) and
+    returns the coordinate-wise median of the real and imaginary parts,
     which costs a factor sqrt(2) in precision.
+    """
+    if not 0 < delta <= 1:
+        raise ValidationError(f"delta must be in (0, 1], got {delta}")
+    return median_of(run, median_reps(delta), rng, samples)
+
+
+def median_of(run, reps, rng, samples):
+    """Coordinate-wise median of reps repetitions run(stream), each on its
+    own child stream spawned from rng.
 
     samples is the number of samples one repetition draws. When it is at
-    least POOL_MIN_SAMPLES and min(usable CPUs, repetitions) is at least 2,
-    the repetitions run on a pool of that many threads; otherwise they run
-    one after another. Each repetition draws only from its own child stream,
+    least POOL_MIN_SAMPLES and min(usable CPUs, reps) is at least 2, the
+    repetitions run on a pool of that many threads; otherwise they run one
+    after another. Each repetition draws only from its own child stream,
     so the result does not depend on which path ran it. Each pooled
     repetition runs in a copy of the caller's context, so it reports to the
     caller's recorder (instrument.recording).
     """
-    if not 0 < delta <= 1:
-        raise ValidationError(f"delta must be in (0, 1], got {delta}")
-    reps = median_reps(delta)
     streams = spawn_streams(rng, reps)
     threads = min(_usable_cpus(), reps)
     if samples >= POOL_MIN_SAMPLES and threads > 1:

@@ -22,9 +22,30 @@ A polynomial P(A) = sum_r a_r A^r is estimated by one stratified estimator:
 every batch gives power r a fixed number of chains, proportional to |a_r|,
 and returns sum_r a_r times the mean of that stratum. One median
 amplification covers the whole polynomial; estimate_polynomial_transform
-proves the bound. A single power is the one-stratum case (estimate_power,
-and a tight threshold test). One plan sizes the strata before any sampling:
-predict_cost charges it, and the sampler draws exactly its chain counts.
+proves the bound. A single power is the one-stratum case (estimate_power).
+One plan sizes the strata before any sampling: predict_cost charges it, and
+the sampler draws exactly its chain counts.
+
+A tight threshold test is one power too, but it only makes a decision: is
+Re <psi|f|psi> at or above the midpoint of bounds yes > no, when the truth
+is at least yes or at most no? The midpoint sits e = (yes - no)/2 from
+both bounds, so estimate_threshold_test sizes the test for that one-sided
+margin (decision_shape), the median-of-means argument of Jerrum, Valiant and
+Vazirani (1986), with the constants of Lugosi and Mendelson (2019):
+
+* One batch. Var(Re Y) <= E|Y|^2 <= 1, so the real part of a mean of
+  t = ceil(8/e^2) chains has variance at most 1/t, and by Cantelli's
+  inequality it lands at least e from the truth on the wrong side with
+  probability at most (1/t)/(1/t + e^2) = 1/(1 + t e^2) <= 1/9.
+* The median. np.median of K batches is on the wrong side only if at least
+  K/2 batches are (for even K it averages the two middle ones, so one of
+  them is). The batches are independent, so by the Chernoff bound on the
+  binomial tail that has probability at most exp(-K D(1/2 || 1/9)), at most
+  delta for K = ceil(ln(1/delta) / D(1/2 || 1/9)), D(1/2 || 1/9) =
+  ln(81/32)/2, about 2.154 ln(1/delta) batches.
+
+That is about 260 times fewer chains than a complex estimate within
+(yes - no)/4, whose batches median_reps and ceil(64/err^2) size.
 """
 
 import itertools
@@ -41,8 +62,9 @@ from .imm import ChainKernel, chain_entry  # noqa: F401
 from .polyfilter import coefficient_l1
 from .state_access import (
     clear_dead_amplitudes,
-    median_amplify,
+    median_of,
     median_reps,
+    repetitions,
     samples_per_batch,
 )
 
@@ -122,16 +144,17 @@ def estimate_power(psi, phi, decomp, r, err, delta, rng):
     _check_budget("err", err)
     _check_budget("delta", delta)
     coeffs = {int(r): 1.0}
-    _, plan = _predict_strata(decomp, coeffs, err, delta)
+    _, plan = _predict_strata(decomp, coeffs, batch_shape(err, delta))
     return _estimate_strata(psi, phi, decomp, coeffs, plan["chains_per_power"],
-                            delta, rng)
+                            plan["reps_per_power"], rng)
 
 
-def _estimate_strata(psi, phi, decomp, coeffs, counts, delta, rng):
-    """Median of batches of sum_r a_r * mean(Y_r over c_r chains).
+def _estimate_strata(psi, phi, decomp, coeffs, counts, reps, rng):
+    """Median of reps batches of sum_r a_r * mean(Y_r over c_r chains).
 
     coeffs maps each power r to its nonzero coefficient a_r, and counts maps
-    it to the c_r of the plan (_predict_strata). decomp is one decomposition
+    it to the c_r of the plan (_predict_strata), whose reps are the batches
+    (state_access.median_of). decomp is one decomposition
     or a list of factors, as ChainSampler takes it; every stratum indexes
     the same concatenated terms. A batch draws every stratum's chains in
     order of r, then one guiding-state index per chain (uniform for
@@ -178,7 +201,7 @@ def _estimate_strata(psi, phi, decomp, coeffs, counts, delta, rng):
             value = term if value is None else value + term
         return value
 
-    return median_amplify(one_batch, delta, rng, total)
+    return median_of(one_batch, reps, rng, total)
 
 
 def _power_pow(base, exponent):
@@ -206,15 +229,34 @@ def power_error_budget(P, eta, policy):
     return min(1.0, eta / denom)
 
 
-# Chains per batch of a power: ceil(CHAIN_SCALE / err^2), no finite float below MIN_ERR.
+# Chains per batch of a power: ceil(CHAIN_SCALE / err^2) for an estimate,
+# ceil(DECISION_SCALE / e^2) for a decision at margin e; no finite float
+# below MIN_ERR for either. DECISION_SCALE is 8 (1 + 2^-50): the float
+# quotient is within two roundings of the exact one, so its ceiling t keeps
+# t e^2 >= 8 exactly, at most one chain above ceil(8/e^2).
 CHAIN_SCALE = 64.0
+DECISION_SCALE = 8.0 + 2.0 ** -47
 MIN_ERR = 1e-150
+# D(1/2 || 1/9) = ln(81/32)/2, the Chernoff exponent of the median of
+# decision batches that each fail with probability at most 1/9.
+DECISION_DIVERGENCE = 0.5 * math.log(81.0 / 32.0)
 
 
 def batch_shape(err, delta):
     """(reps, t): the median repetitions, and the chains per batch of a
     single power. Raises ValidationError when t overflows a float."""
     return median_reps(delta), samples_per_batch(CHAIN_SCALE, err, "err")
+
+
+def decision_shape(gap, delta):
+    """(reps, t) of a threshold test whose bounds are gap apart, wrong with
+    probability at most delta (see the module docstring):
+    K = ceil(ln(1/delta) / D(1/2 || 1/9)) batches of t = ceil(8/e^2) chains
+    at margin e = gap/2. Raises ValidationError when 1/delta or t overflows
+    a float."""
+    reps = repetitions(delta, 1.0 / DECISION_DIVERGENCE,
+                       "ceil(ln(1/delta) / D(1/2 || 1/9))")
+    return reps, samples_per_batch(DECISION_SCALE, gap / 2.0, "margin")
 
 
 def chain_counts(coeffs, t):
@@ -237,21 +279,31 @@ def power_cost(decomp, r, reps, count):
 
 
 def log_test_cost(log_yes, log_ratio, r, s):
-    """log(ceil(64/err^2) * max(r, 1) * s^r), what power_cost charges a test
-    of power r and row sparsity s per repetition, at err = (yes - no)/4 for
-    float arrays log_yes = log(yes) and log_ratio = log(no/yes) of one shape,
-    in logarithms so nothing overflows; inf where the bounds do not separate
-    or err <= MIN_ERR."""
+    """log(ceil(8/e^2) * max(r, 1) * s^r), what power_cost charges a
+    threshold test of power r and row sparsity s per repetition under
+    decision_shape, at margin e = (yes - no)/2 for float arrays
+    log_yes = log(yes) and log_ratio = log(no/yes) of one shape, in
+    logarithms so nothing overflows; inf where the bounds do not separate
+    or e <= MIN_ERR. The repetitions K are the same for every test of a
+    scan, so they drop out of any comparison.
+
+    The count is the decision's, not an estimate's: the test only asks
+    whether Re <psi|f|psi> lies at or above the midpoint, e from both
+    bounds. The real part of a batch mean has variance at most 1/t, so by
+    Cantelli it lands on the wrong side with probability at most
+    1/(1 + t e^2) <= 1/9; by the Chernoff bound the median of K batches
+    does so with probability at most exp(-K D(1/2 || 1/9)) <= delta.
+    """
     usable = log_ratio < 0.0
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        # one buffer holds log(err), then ceil(64/err^2), then the log cost
+        # one buffer holds log(e), then ceil(8/e^2), then the log cost
         cost = np.log1p(-np.exp(log_ratio))
         cost += log_yes
-        cost -= math.log(4.0)
+        cost -= math.log(2.0)
         usable &= cost > math.log(MIN_ERR)
         cost *= -2.0
         np.exp(cost, out=cost)
-        cost *= CHAIN_SCALE
+        cost *= DECISION_SCALE
         np.ceil(cost, out=cost)
         np.log(cost, out=cost)
         cost += np.log(np.maximum(r, 1)) + r * math.log(max(s, 1))
@@ -259,14 +311,14 @@ def log_test_cost(log_yes, log_ratio, r, s):
     return cost
 
 
-def _predict_strata(decomp, coeffs, err, delta):
-    """The plan of a stratified estimate: (predicted leaf ops, breakdown),
-    whose chains_per_power are the counts the sampler draws."""
-    reps, t = batch_shape(err, delta)
+def _predict_strata(decomp, coeffs, shape):
+    """The plan of a stratified estimate of batch shape (reps, t):
+    (predicted leaf ops, breakdown), whose reps_per_power and
+    chains_per_power are what the sampler draws."""
+    reps, t = shape
     counts = chain_counts(coeffs, t)
     per_power = {r: power_cost(decomp, r, reps, c) for r, c in counts.items()}
     breakdown = {
-        "err_per_power": err,
         "reps_per_power": reps,
         "chains_per_batch": float(sum(counts.values())),
         "chains_per_power": counts,
@@ -286,8 +338,10 @@ def predict_cost(decomp, P, eta, delta_total, policy="tight"):
     overflow.
     """
     err = power_error_budget(P, eta, policy)
-    total, breakdown = _predict_strata(decomp, _coefficients(P), err, delta_total)
-    return total, {"policy": policy, "degree": P.degree, **breakdown}
+    total, breakdown = _predict_strata(decomp, _coefficients(P),
+                                       batch_shape(err, delta_total))
+    return total, {"policy": policy, "degree": P.degree, "err_per_power": err,
+                   **breakdown}
 
 
 def _coefficients(P):
@@ -302,9 +356,9 @@ def estimate_polynomial_transform(psi, phi, decomp, P, eta, delta_total, rng,
     estimator. With err = power_error_budget(P, eta, policy),
     t = ceil(64 / err^2) and L1 = sum_r |a_r|, every batch draws
     c_r = ceil(t |a_r| / L1) single-chain samples Y_r of each power with
-    a_r != 0 and returns Z = sum_r a_r * mean(stratum r). The batches are
-    median-combined by median_amplify at delta_total, once for the whole
-    polynomial.
+    a_r != 0 and returns Z = sum_r a_r * mean(stratum r). The
+    median_reps(delta_total) batches are median-combined coordinate-wise
+    (state_access.median_of), once for the whole polynomial.
 
     Why this keeps the guarantee. Each Y_r is unbiased for <psi|A^r|phi>,
     so Z is unbiased for <psi|P(A)|phi>. The strata are independent and
@@ -326,8 +380,7 @@ def estimate_polynomial_transform(psi, phi, decomp, P, eta, delta_total, rng,
     The plan is made once: cost_cap, when given, is checked against its
     total (CostCapExceeded carries its breakdown), and the sampler draws
     exactly its counts. decomp may be a factor list, as ChainSampler takes
-    it: a tight threshold test is P = e_r over its factor chain, err = eta.
-    When counters is given, the run records into it (instrument.recording);
+    it. When counters is given, the run records into it (instrument.recording);
     otherwise it records into the active recorder, if any.
     """
     _check_budget("eta", eta)
@@ -337,4 +390,30 @@ def estimate_polynomial_transform(psi, phi, decomp, P, eta, delta_total, rng,
         raise CostCapExceeded(predicted, cost_cap, plan)
     with nullcontext() if counters is None else instrument.recording(counters):
         return _estimate_strata(psi, phi, decomp, _coefficients(P),
-                                plan["chains_per_power"], delta_total, rng)
+                                plan["chains_per_power"], plan["reps_per_power"],
+                                rng)
+
+
+def estimate_threshold_test(psi, decomp_prime, test, delta, rng, cost_cap=None):
+    """Estimate <psi| f |psi> for a tight threshold test f, so that its real
+    part lies on the right side of test.midpoint with probability at least
+    1 - delta (the decision of the module docstring).
+
+    test is an eigensolve.TightTest: the one-monomial polynomial e_r of its
+    factor chain test.base(decomp_prime), with bounds yes_bound > no_bound.
+    It is planned once at decision_shape(yes_bound - no_bound, delta):
+    cost_cap, when given, is checked against the plan's total
+    (CostCapExceeded carries its breakdown, whose err_per_power is the
+    margin e), and the sampler draws exactly its counts.
+    """
+    _check_budget("delta", delta)
+    factors = test.base(decomp_prime)
+    coeffs = _coefficients(test)
+    shape = decision_shape(test.yes_bound - test.no_bound, delta)
+    predicted, plan = _predict_strata(factors, coeffs, shape)
+    plan = {"policy": "tight", "degree": test.degree, "err_per_power": test.margin,
+            **plan}
+    if cost_cap is not None and predicted > cost_cap:
+        raise CostCapExceeded(predicted, cost_cap, plan)
+    return _estimate_strata(psi, psi, factors, coeffs, plan["chains_per_power"],
+                            plan["reps_per_power"], rng)

@@ -244,7 +244,6 @@ def test_gate_06_oracle_exact_claim_suite(capsys):
     assert elapsed < 60.0
 
 
-@pytest.mark.slow
 def test_gate_07_stochastic_guided_tight(capsys):
     t0 = time.perf_counter()
     rng = np.random.default_rng(707)

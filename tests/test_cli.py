@@ -122,7 +122,7 @@ class TestEstimate:
         # nor does a run whose test 1, a Chebyshev product, stops at the cap
         _, status = run_fresh("estimate", "--hamiltonian", z_file, "--state",
                               "basis:0", "--epsilon", "1.0", "--chi", "0.5",
-                              "--delta", "0.5", "--cost-cap", "6e6", "--json")
+                              "--delta", "0.5", "--cost-cap", "1e5", "--json")
         assert status == {"code": 2, "heavy": []}
         # the same run under oracle-exact builds rectangles, so it loads them
         _, exact = run_fresh(*argv, "--policy", "oracle-exact")
@@ -340,27 +340,34 @@ class TestEstimate:
     def test_unguided_five_qubits_stops_at_cost_cap(self, capsys, tmp_path):
         # The README's worked example: under tight the first unguided test of
         # a 5-qubit Pauli Hamiltonian at epsilon 0.25 is the power r = 48 of
-        # the operator shifted by c = 0.0625, predicted at 6.2e9 leaf
-        # operations, above the default cap.
+        # the operator shifted by c = 0.0625, predicted at 2.4e7 leaf
+        # operations, below the default cap; the second, r = 32 at
+        # c = 0.125, is predicted at 8.3e10, above it.
         path = tmp_path / "five.txt"
         path.write_text("n=5\n1.0 ZZIII\n0.5 XIIII\n-0.7 IXYZI\n0.3 IIIZZ\n")
-        code, doc, edoc = run_json(
-            capsys, "estimate", "--hamiltonian", str(path), "--state", "maxent",
-            "--epsilon", "0.25", "--policy", "tight", "--json",
-        )
+        argv = ("estimate", "--hamiltonian", str(path), "--state", "maxent",
+                "--epsilon", "0.25", "--policy", "tight", "--json")
+        code, doc, edoc = run_json(capsys, *argv, "--cost-cap", "1")
+        assert code == 2 and doc is None
+        first = edoc["error"]
+        assert first["predicted"] == pytest.approx(2.4e7, rel=0.05)
+        assert (first["breakdown"]["filter"], first["breakdown"]["degree"],
+                first["breakdown"]["shift"]) == ("shifted", 48, 0.0625)
+        code, doc, edoc = run_json(capsys, *argv)
         assert code == 2
         assert doc is None
         err = edoc["error"]
         assert err["type"] == "CostCapExceeded"
         assert err["cap"] == 1e9
-        assert err["predicted"] == pytest.approx(6.2e9, rel=0.05)
+        assert err["predicted"] == pytest.approx(8.3e10, rel=0.05)
         assert err["breakdown"]["filter"] == "shifted"
-        assert err["breakdown"]["degree"] == 48
-        assert err["breakdown"]["shift"] == 0.0625
-        # (0.0625, 48) is the choice of test 0 (chi = 2^(-5/2)), not a later one
-        first = shifted_test(0, 0.25, 2.0 ** -2.5)
-        assert (first.shift, first.r) == (0.0625, 48)
-        assert shifted_test(1, 0.25, 2.0 ** -2.5).r != 48
+        assert err["breakdown"]["degree"] == 32
+        assert err["breakdown"]["shift"] == 0.125
+        # (0.0625, 48) is the choice of test 0 (chi = 2^(-5/2)), (0.125, 32)
+        # that of test 1
+        for t, choice in ((0, (0.0625, 48)), (1, (0.125, 32))):
+            test = shifted_test(t, 0.25, 2.0 ** -2.5)
+            assert (test.shift, test.r) == choice
 
     def test_bad_flag_exits_one(self, capsys, z_file):
         code, _, _ = run(
@@ -465,6 +472,18 @@ class TestEstimate:
         )
         assert code == 0
         assert doc["result"]["e_star"] == -1.0
+
+    def test_delta_whose_per_test_share_underflows_names_delta(self, capsys,
+                                                               z_file):
+        # 5e-324 / 4 underflows to 0: refused by the configuration, under
+        # the flag's name, before any test runs
+        code, out, err = run(
+            capsys, "estimate", "--hamiltonian", z_file, "--state", "basis:0",
+            "--delta", "5e-324", "--epsilon", "1",
+        )
+        assert code == 1
+        assert out == ""
+        assert "delta = 5e-324" in err and "delta_total" not in err
 
     def test_out_of_memory_exits_one_with_a_json_error(
             self, capsys, pair_file, monkeypatch):

@@ -111,6 +111,12 @@ class TestSolverConfig:
         with pytest.raises(ValidationError):
             SolverConfig(**kw)
 
+    def test_refuses_a_delta_whose_per_test_share_underflows(self):
+        # delta / T is what each of the T tests runs at; 5e-324 / 4 is 0
+        with pytest.raises(ValidationError, match=r"^delta = 5e-324 is too small"):
+            SolverConfig(epsilon=1.0, delta=5e-324)
+        assert SolverConfig(epsilon=0.5, delta=1e-310).delta == 1e-310
+
     def test_accepts_numpy_integer_seed(self):
         assert SolverConfig(seed=np.int64(7)).seed == 7
         # kept as a Python int: a numpy one made json.dumps of a report raise
@@ -259,7 +265,7 @@ class TestEstimate:
         )
         assert abs(est.e_star - (-1.0)) <= tight.epsilon * d.kappa
         assert est.samples_used > 0
-        for cfg in (replace(tight, policy="strict"), replace(tight, cost_cap=1e3)):
+        for cfg in (replace(tight, policy="strict"), replace(tight, cost_cap=1e2)):
             with pytest.raises(CostCapExceeded) as info:
                 estimate_smallest_eigenvalue(
                     d, BasisState(1, 2), cfg, np.random.default_rng(0)
@@ -459,9 +465,9 @@ class TestUnguidedOnNQubits:
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_tight_stops_where_the_doubled_scan_stops(self, n):
-        # at n >= 2 the first tight test is past the default cap on both
+        # under a 1e8 cap both scans stop at the same test, with one plan
         terms = mixed_terms(n, 70 + n)
-        cfg = SolverConfig(epsilon=1.0, policy="tight", seed=9)
+        cfg = SolverConfig(epsilon=1.0, policy="tight", seed=9, cost_cap=1e8)
         with pytest.raises(CostCapExceeded) as got:
             solve_unguided((n, terms), cfg)
         with pytest.raises(CostCapExceeded) as want:
@@ -581,9 +587,9 @@ def shifted_bounds(c, r, t, epsilon, chi):
             (np.maximum(c - y_h, 1 - c) / (1 + c)) ** r)
 
 
-def log_cost(err, r, s):
-    """log of ceil(64/err^2) * max(r, 1) * s^r, the test's cost over reps."""
-    return (math.log(math.ceil(64 / (err * err))) + math.log(max(r, 1))
+def log_cost(margin, r, s):
+    """log of ceil(8/margin^2) * max(r, 1) * s^r, the test's cost over reps."""
+    return (math.log(math.ceil(8 / (margin * margin))) + math.log(max(r, 1))
             + r * math.log(s))
 
 
@@ -613,10 +619,10 @@ class TestLowPass:
                         y_h = band_edges(t, epsilon)[1]
                         c = np.linspace(max(y_h, 0.0), 1.0, 4000)[:, None]
                         yes, no = shifted_bounds(c, r, t, epsilon, chi)
-                        err = (yes - no) / 4
-                        err[:-1, ::2] = 0.0  # odd r runs at c = 1 alone
-                        # for a fixed r the cost falls as err rises
-                        best = min((log_cost(e, k, s) for e, k in zip(err.max(axis=0), r)
+                        margin = (yes - no) / 2
+                        margin[:-1, ::2] = 0.0  # odd r runs at c = 1 alone
+                        # for a fixed r the cost falls as the margin rises
+                        best = min((log_cost(e, k, s) for e, k in zip(margin.max(axis=0), r)
                                     if e > 1e-150), default=math.inf)
                         if best == math.inf:
                             with pytest.raises(DegreeOverflowError):
@@ -624,7 +630,7 @@ class TestLowPass:
                             refused += 1
                             continue
                         test = shifted_test(t, epsilon, chi, s)
-                        assert log_cost(test.err, test.r, s) <= best + 1e-9
+                        assert log_cost(test.margin, test.r, s) <= best + 1e-9
                         assert test.r % 2 == 0 or test.shift == 1.0
                         assert 1 <= test.r <= cap
                         shifted += test.shift < 1.0
@@ -644,7 +650,7 @@ class TestLowPass:
 
     def test_gap_below_float_resolution_is_refused(self):
         # tau + theta = 1 leaves only c = 1, whose no bound is 0; the yes
-        # bound 1e-160 * 0.25^r never gets err above 1e-150
+        # bound 1e-160 * 0.25^r never gets the margin above 1e-150
         with pytest.raises(ValidationError, match="float resolution"):
             shifted_test(3, 1.0, 1e-80)
 
@@ -695,18 +701,18 @@ class TestLowPass:
 
     def test_long_pauli_chain_stops_at_the_preflight(self):
         # A Pauli-only operator has s = 1, so only the chain length makes
-        # the cost grow with r: r = 124 here, 124 draws per chain
-        cfg = SolverConfig(epsilon=0.02, policy="tight", cost_cap=1e7)
+        # the cost grow with r: r = 116 here, 116 draws per chain
+        cfg = SolverConfig(epsilon=0.02, policy="tight", cost_cap=1e5)
         prime = shift_rescale(build_decomposition(1, Z_TERMS))
         assert prime.s == 1
         with pytest.raises(CostCapExceeded) as info:
             threshold_test(0, prime, BasisState(1, 2), cfg, np.random.default_rng(0))
         b = info.value.breakdown
         test = shifted_test(0, 0.02, 1.0)
-        assert b["degree"] == test.r == 124
+        assert b["degree"] == test.r == 116
         assert b["shift"] == test.shift == 0.005
         assert info.value.predicted == (
-            b["reps_per_power"] * b["chains_per_batch"] * 124
+            b["reps_per_power"] * b["chains_per_batch"] * 116
         )
 
     def test_decomposition_reconstructs_identity_minus_a_prime(self):
@@ -754,12 +760,12 @@ class TestLowPass:
         # test's decision is checked along with the bounds it rests on
         exact_calls = []
 
-        def exact_transform(psi, phi, op, P, eta, delta, rng, **kw):
-            exact_calls.append(P.degree)  # op: the TightTest's factors
-            return oracle.exact_sandwich(psi, dense_chain(op, P.degree), phi)
+        def exact_test(psi, decomp_prime, test, delta, rng, **kw):
+            exact_calls.append(test.degree)
+            return oracle.exact_sandwich(
+                psi, dense_chain(test.base(decomp_prime), test.degree), psi)
 
-        monkeypatch.setattr(eigensolve, "estimate_polynomial_transform",
-                            exact_transform)
+        monkeypatch.setattr(eigensolve, "estimate_threshold_test", exact_test)
         rng = np.random.default_rng(62)
         checked = 0
         shifts = []
@@ -843,7 +849,7 @@ class TestLowPass:
             else:
                 assert test.shift is None and test.r == 2 * len(test.shifts)
             assert b["degree"] == test.r
-            assert b["err_per_power"] == test.err
+            assert b["err_per_power"] == test.margin
             assert b["per_power"] == {test.r: info.value.predicted}
             assert info.value.predicted == (
                 b["reps_per_power"] * b["chains_per_batch"]
@@ -894,9 +900,9 @@ class TestLowPass:
 
 
 def reference_chebyshev_log_cost(t, epsilon, chi, s, m):
-    """log of ceil(64/err^2) * 2m * s^(2m) for the m-root Chebyshev test,
+    """log of ceil(8/margin^2) * 2m * s^(2m) for the m-root Chebyshev test,
     from its bounds recomputed root by root, or inf where they do not
-    separate above err 1e-150."""
+    separate above margin 1e-150."""
     y_tau, y_h = band_edges(t, epsilon)
     roots = [(1 + y_h) / 2 + (1 - y_h) / 2 * math.cos((2 * i - 1) * math.pi / (2 * m))
              for i in range(1, m + 1)]
@@ -905,10 +911,10 @@ def reference_chebyshev_log_cost(t, epsilon, chi, s, m):
     log_no = math.log(4) + 2 * m * math.log((1 - y_h) / 4) - 2 * log_scale
     if log_no >= log_yes:
         return math.inf
-    log_err = log_yes + math.log1p(-math.exp(log_no - log_yes)) - math.log(4)
-    if log_err <= math.log(1e-150):
+    log_margin = log_yes + math.log1p(-math.exp(log_no - log_yes)) - math.log(2)
+    if log_margin <= math.log(1e-150):
         return math.inf
-    return log_cost(math.exp(log_err), 2 * m, s)
+    return log_cost(math.exp(log_margin), 2 * m, s)
 
 
 class TestChebyshev:
@@ -990,7 +996,7 @@ class TestChebyshev:
                         shifted = shifted_test(t, epsilon, chi, s)
                         product = [reference_chebyshev_log_cost(t, epsilon, chi, s, m)
                                    for m in range(1, eigensolve.MAX_ROOTS + 1)]
-                        shifted_cost = log_cost(shifted.err, shifted.r, s)
+                        shifted_cost = log_cost(shifted.margin, shifted.r, s)
                         test = tight_test(t, epsilon, chi, s)
                         if test.filter == "chebyshev":
                             chebyshev += 1
@@ -1013,7 +1019,7 @@ class TestChebyshev:
 
     def test_first_unguided_test_keeps_the_shifted_power(self):
         # At t = 0 the yes edge is y = -1, where the product is far smaller
-        # than the shifted power: 6.2e9 against about 1.9e16 leaf operations
+        # than the shifted power: 2.4e7 against about 7.2e13 leaf operations
         # at epsilon 0.25 and n = 5
         chi = 2.0 ** -2.5
         test = tight_test(0, 0.25, chi)
@@ -1023,9 +1029,10 @@ class TestChebyshev:
         best_m = min(range(1, eigensolve.MAX_ROOTS + 1),
                      key=lambda m: reference_chebyshev_log_cost(0, 0.25, chi, 1, m))
         product = chebyshev_test(0, 0.25, chi, best_m)
+        gap = product.yes_bound - product.no_bound
         cost = transform.power_cost(rows, product.r,
-                                    *transform.batch_shape(product.err, 0.05 / T))
-        assert cost == pytest.approx(1.9e16, rel=0.05)
+                                    *transform.decision_shape(gap, 0.05 / T))
+        assert cost == pytest.approx(7.2e13, rel=0.05)
 
     def test_refusals_of_the_shifted_power_stand(self):
         # The product separates test 0 at chi 0.5 and epsilon 0.002 (m = 30,
@@ -1111,16 +1118,15 @@ class TestChebyshev:
         for test in tests:
             factors = test.base(prime)
             got = transform.estimate_polynomial_transform(
-                psi, psi, factors, test, test.err, 0.5, np.random.default_rng(5),
-                policy="tight")
-            want = transform.estimate_power(psi, psi, factors, test.r, test.err, 0.5,
-                                            np.random.default_rng(5))
+                psi, psi, factors, test, test.margin / 2, 0.5,
+                np.random.default_rng(5), policy="tight")
+            want = transform.estimate_power(psi, psi, factors, test.r, test.margin / 2,
+                                            0.5, np.random.default_rng(5))
             assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
 
-    @pytest.mark.slow
     def test_sampled_tight_test_picks_the_product(self):
         # The cheapest seeded case in which tight runs the product: epsilon
-        # 1, chi 0.5, delta 0.5, test 1 (m = 2, about 1.0e8 leaf operations)
+        # 1, chi 0.5, delta 0.5, test 1 (m = 2, about 4.2e5 leaf operations)
         rng = np.random.default_rng(73)
         terms = random_pauli_terms(rng, 3, 4)
         t, epsilon, chi = 1, 1.0, 0.5
@@ -1136,27 +1142,90 @@ class TestChebyshev:
         b = info.value.breakdown
         test = tight_test(t, epsilon, chi, prime.s)
         assert (b["filter"], b["degree"], b["shift"]) == ("chebyshev", 4, None)
-        assert info.value.predicted == pytest.approx(1.0e8, rel=0.05)
+        assert info.value.predicted == pytest.approx(4.2e5, rel=0.05)
         with recording() as counters:
             record = eigensolve._threshold_detail(
                 t, prime, psi, replace(cfg, cost_cap=None), np.random.default_rng(0))
         assert (record.filter, record.degree, record.shift) == ("chebyshev", 4, None)
         want = oracle.exact_sandwich(psi, dense_chain(test.base(prime), test.r), psi)
-        assert abs(record.estimate - want) <= test.err
+        assert abs(record.estimate - want) <= test.margin / 2
         assert want.real >= test.yes_bound * (1 - 1e-9) and record.yes
         assert 0 < counters.leaf_queries <= info.value.predicted
         assert record.to_dict()["filter"] == "chebyshev"
 
 
+def binomial_tail_at_half(k, p):
+    """P(Bin(k, p) >= k/2): the chance that np.median of k batches, each
+    wrong with probability p, is wrong (an even k averages the two middle
+    batches, so k/2 wrong ones suffice)."""
+    return sum(math.comb(k, j) * p ** j * (1 - p) ** (k - j)
+               for j in range((k + 1) // 2, k + 1))
+
+
+class TestDecisionCounts:
+    """A tight test draws K = ceil(ln(1/delta) / D(1/2 || 1/9)) batches of
+    t = ceil(8/e^2) chains at margin e = (yes - no)/2, and its median lands
+    on the wrong side of the midpoint with probability at most delta."""
+
+    def test_wrong_answers_at_both_band_edges_stay_within_delta(self):
+        # The ground energy of A' sits exactly at tau (yes) or tau + theta
+        # (no), and the guide puts the filtered weight on the bounds: in the
+        # yes case chi on the ground state and the rest on the top one, in
+        # the no case all on the ground state. delta 0.7 gives K = 1 batch,
+        # wrong with probability at most 1/9 (Cantelli); delta 0.25 gives
+        # K = 3, wrong at most P(Bin(3, 1/9) >= 2) = 25/729 <= delta.
+        divergence = math.log(81 / 32) / 2  # D(1/2 || 1/9)
+        runs = wrong = 0
+        expected = 0.0  # the sum of the per-run bounds on a wrong answer
+        filters = set()
+        for seed, t, chi in ((73, 1, 0.5), (92, 2, 0.8)):
+            terms = random_pauli_terms(np.random.default_rng(seed), 3, 4)
+            tau, theta = t / 4, 1 / 4  # epsilon 1
+            test = tight_test(t, 1.0, chi, 1)
+            filters.add(test.filter)
+            for edge, yes in ((tau, True), (tau + theta, False)):
+                prime = shift_rescale(build_decomposition(3, shifted_to(3, terms, edge)))
+                assert prime.s == 1
+                op = reconstruct(prime)
+                assert op.eigenvalues[0] == pytest.approx(edge, abs=1e-12)
+                weight = chi if yes else 1.0
+                psi = DenseState(weight * op.eigenvectors[:, 0]
+                                 + math.sqrt(1 - weight ** 2) * op.eigenvectors[:, -1])
+                truth = oracle.exact_sandwich(
+                    psi, dense_chain(test.base(prime), test.r), psi).real
+                if yes:
+                    assert test.yes_bound * (1 - 1e-9) <= truth <= 1.1 * test.yes_bound
+                else:
+                    assert truth == pytest.approx(test.no_bound, rel=1e-9)
+                for delta in (0.7, 0.25):
+                    k = math.ceil(math.log(1 / delta) / divergence)
+                    per_batch = math.ceil(8 / test.margin ** 2)
+                    bound = binomial_tail_at_half(k, 1 / 9)
+                    assert bound <= delta
+                    for run in range(30):
+                        with recording() as counters:
+                            estimate = transform.estimate_threshold_test(
+                                psi, prime, test, delta, np.random.default_rng(run))
+                        assert counters.chain_samples == k * per_batch
+                        wrong += (estimate.real >= test.midpoint) is not yes
+                        expected += bound
+                        runs += 1
+        assert filters == {"shifted", "chebyshev"} and runs == 240
+        # wrong answers are a sum of independent indicators, each with
+        # probability at most its bound: allow 4 standard deviations of a
+        # binomial count with that mean
+        assert wrong <= expected + 4 * math.sqrt(expected)
+
+
 def smallest_separating_power(t, epsilon, chi):
-    """(r, err) of the reference low-pass (c = 1) test: the smallest r with
-    chi^2 (1 - tau)^r >= 2 (1 - tau - theta)^r, or None past the cap."""
+    """(r, margin) of the reference low-pass (c = 1) test: the smallest r
+    with chi^2 (1 - tau)^r >= 2 (1 - tau - theta)^r, or None past the cap."""
     tau, theta = t * epsilon / 4, epsilon / 4
     b = max(0.0, 1 - tau - theta)
     for r in range(1, polyfilter.DEGREE_CAP + 1):
         yes, no = chi * chi * (1 - tau) ** r, b ** r
         if yes >= 2 * no:
-            return r, (yes - no) / 4
+            return r, (yes - no) / 2
     return None
 
 
@@ -1168,7 +1237,7 @@ def smallest_separating_power(t, epsilon, chi):
     s=st.integers(1, 16),
     delta=st.floats(1e-3, 0.5),
 )
-# the c = 1 power separates only at err 2.2e-168, too small to be counted
+# the c = 1 power separates only at margin 4.4e-168, too small to be counted
 @example(epsilon=0.0234375, place=0.9375, chi=0.001953125, s=1, delta=0.5)
 # at c = 1 the no ratio taken as (1 + c - 2 tau) - 2 theta rounded twice, to
 # 9.999999999926734e-06, below the exact 1 - epsilon
@@ -1192,12 +1261,13 @@ def test_shifted_bounds_properties(epsilon, place, chi, s, delta):
     # no more expensive than the c = 1 test under the preflight's own formula
     if reference is not None:
         rows = SimpleNamespace(s=s)  # all power_cost reads of an operator
-        chosen = transform.power_cost(rows, r, *transform.batch_shape(test.err, delta / T))
+        chosen = transform.power_cost(
+            rows, r, *transform.decision_shape(2 * test.margin, delta / T))
         try:
             reference_cost = transform.power_cost(
-                rows, reference[0], *transform.batch_shape(reference[1], delta / T))
+                rows, reference[0], *transform.decision_shape(2 * reference[1], delta / T))
         except ValidationError:
-            # ceil(64 / err^2) of the c = 1 power alone overflows a float,
+            # ceil(8 / margin^2) of the c = 1 power alone overflows a float,
             # so it costs more than the chosen test's float cost
             reference_cost = math.inf
         assert chosen <= reference_cost * (1 + 1e-9)
@@ -1207,7 +1277,7 @@ def test_shifted_bounds_properties(epsilon, place, chi, s, delta):
     # the no bound dominates |(c - y)/(1 + c)|^r on the band [y_h, 1]
     ys = np.linspace(y_h, 1.0, 2001)
     assert np.all(np.abs((c - ys) / (1 + c)) ** r <= test.no_bound * (1 + 1e-12))
-    assert test.err > 0
+    assert test.margin > 0
 
 
 def rounding_move(y_h, m):
@@ -1310,12 +1380,13 @@ def test_tight_test_is_the_cheapest_under_the_preflight(epsilon, place, chi, s):
         return
     rows = SimpleNamespace(s=s)
     delta = 0.05 / T
-    reps = transform.batch_shape(0.5, delta)[0]
+    reps = transform.decision_shape(1.0, delta)[0]
 
-    def preflight(r, err):
+    def preflight(r, margin):
         try:
-            return transform.power_cost(rows, r, *transform.batch_shape(err, delta))
-        except ValidationError:  # ceil(64/err^2) overflows a float
+            return transform.power_cost(rows, r,
+                                        *transform.decision_shape(2 * margin, delta))
+        except ValidationError:  # ceil(8/margin^2) overflows a float
             return math.inf
 
     def chain(r):
@@ -1324,22 +1395,22 @@ def test_tight_test_is_the_cheapest_under_the_preflight(epsilon, place, chi, s):
     tau, theta = t * epsilon / 4, epsilon / 4
     rivals = []
     for r in range(1, polyfilter.DEGREE_CAP + 1):
-        err = (chi * chi * (1 - tau) ** r - max(0.0, 1 - tau - theta) ** r) / 4
-        if err > 1e-150:
-            rivals.append((r, preflight(r, err)))
+        margin = (chi * chi * (1 - tau) ** r - max(0.0, 1 - tau - theta) ** r) / 2
+        if margin > 1e-150:
+            rivals.append((r, preflight(r, margin)))
     shifts = eigensolve._best_shifts(t, epsilon, chi)
     for r in range(2, polyfilter.DEGREE_CAP + 1, 2):
         yes, no = shifted_bounds(shifts[r - 1], r, t, epsilon, chi)
-        if (yes - no) / 4 > 1e-150:
-            rivals.append((r, preflight(r, (yes - no) / 4)))
+        if (yes - no) / 2 > 1e-150:
+            rivals.append((r, preflight(r, (yes - no) / 2)))
     if band_edges(t, epsilon)[1] < 1:
         for m in range(2, eigensolve.MAX_ROOTS + 1):
             try:
                 product = chebyshev_test(t, epsilon, chi, m)
             except ValidationError:
                 continue
-            if product.err > 1e-150:
-                rivals.append((product.r, preflight(product.r, product.err)))
-    chosen = preflight(pick.r, pick.err)
+            if product.margin > 1e-150:
+                rivals.append((product.r, preflight(product.r, product.margin)))
+    chosen = preflight(pick.r, pick.margin)
     for r, cost in rivals:
         assert chosen <= cost + chain(pick.r) + chain(r)

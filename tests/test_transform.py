@@ -2,6 +2,7 @@ import importlib
 import inspect
 import itertools
 import math
+from fractions import Fraction
 import pkgutil
 from types import SimpleNamespace
 
@@ -28,7 +29,13 @@ from eigensampler import (
 )
 from eigensampler.hamiltonian import shifted_operator
 from eigensampler.imm import ChainKernel
-from eigensampler.transform import POLICIES, batch_shape, power_error_budget
+from eigensampler.polyfilter import coefficient_l1
+from eigensampler.transform import (
+    POLICIES,
+    batch_shape,
+    decision_shape,
+    power_error_budget,
+)
 
 from helpers import (
     forced_pool,
@@ -378,6 +385,70 @@ class TestUncountableBatches:
         with pytest.raises(ValidationError):
             estimate_polynomial_transform(psi, psi, d, P, 1e-150, 0.1,
                                           np.random.default_rng(0), policy="strict")
+
+
+class TestDecisionShape:
+    """decision_shape(gap, delta) = (K, t): K = ceil(ln(1/delta) /
+    D(1/2 || 1/9)) batches of t = ceil(8/e^2) chains at margin e = gap/2."""
+
+    def test_median_of_the_batches_is_wrong_at_most_delta(self):
+        # P(Bin(K, 1/9) >= K/2) exactly, in integers: np.median of an even
+        # K averages the two middle batches, so K/2 wrong batches suffice
+        evens = 0
+        deltas = ([10.0 ** -k for k in range(1, 301, 3)] + [1e-300]
+                  + [j / 100 for j in range(1, 100)])
+        for delta in deltas:
+            k = decision_shape(0.5, delta)[0]
+            assert k == max(1, math.ceil(math.log(1 / delta) / (math.log(81 / 32) / 2)))
+            wrong = sum(math.comb(k, j) * 8 ** (k - j) for j in range((k + 1) // 2, k + 1))
+            num, den = delta.as_integer_ratio()
+            assert wrong * den <= num * 9 ** k  # wrong / 9^k <= delta
+            evens += k % 2 == 0
+        assert evens > 50
+        assert decision_shape(0.5, 1e-300)[0] == 1488
+        assert decision_shape(0.5, 0.99)[0] == 1
+
+    def test_one_batch_is_wrong_at_most_one_ninth(self):
+        # Cantelli: Var(Re mean) <= 1/t, so a batch is e or more off on one
+        # side with probability at most 1/(1 + t e^2) <= 1/9: t e^2 >= 8,
+        # exactly and in floats, with at most one chain to spare below 2^49
+        for gap in np.geomspace(1e-140, 1.0, 30001).tolist() + [0.5, 0.1, 2.0 ** -30]:
+            t = decision_shape(gap, 0.1)[1]
+            e = gap / 2
+            assert Fraction(t) * Fraction(e) ** 2 >= 8
+            assert 1 / (1 + t * e * e) <= 1 / 9
+            if t < 2 ** 49:
+                assert Fraction(t - 2) * Fraction(e) ** 2 < 8
+
+    @pytest.mark.parametrize("delta", [1e-310, 5e-324, 0.0])
+    def test_refuses_a_delta_whose_inverse_overflows(self, delta):
+        with pytest.raises(ValidationError, match="^delta = "):
+            decision_shape(0.5, delta)
+
+    def test_refuses_a_margin_whose_count_overflows(self):
+        with pytest.raises(ValidationError, match="^margin = "):
+            decision_shape(1e-200, 0.1)
+
+    def test_estimates_keep_their_shape(self):
+        # The estimate path did not move: a rectangle under tight draws
+        # ceil(18 ln(1/delta)) batches of c_r = ceil(t |a_r| / L1) chains,
+        # t = ceil(64/err^2), err = eta / L1
+        gen = np.random.default_rng(35)
+        d = shift_rescale(build_decomposition(2, random_pauli_terms(gen, 2, 3)))
+        psi = DenseState(random_state_vector(gen, 4))
+        P = build_rectangle_polynomial(0.25, 0.5, 0.2)
+        coeffs = P.coeffs[:P.degree + 1]
+        l1 = coefficient_l1(P)
+        t = math.ceil(64 / (1.0 / l1) ** 2)
+        chains = sum(max(1, math.ceil(t * abs(a) / l1)) for a in coeffs if a != 0)
+        reps = math.ceil(18 * math.log(1 / 0.5))
+        with recording() as c:
+            estimate_polynomial_transform(psi, psi, d, P, 1.0, 0.5,
+                                          np.random.default_rng(0), policy="tight")
+        assert c.chain_samples == reps * chains
+        with recording() as c:
+            estimate_power(psi, psi, d, 2, 0.25, 0.5, np.random.default_rng(0))
+        assert c.chain_samples == reps * math.ceil(64 / 0.25 ** 2)
 
 
 class TestPolynomialTransform:
