@@ -119,6 +119,18 @@ class SolverConfig:
     def interval_count(self):
         return math.ceil(4.0 / self.epsilon)
 
+    @property
+    def per_test_delta(self):
+        """delta / T, each test's share; ValidationError under tight and
+        strict when 1/share, and with it the repetition count, overflows."""
+        share = self.delta / self.interval_count
+        if self.policy != "oracle-exact" and 1.0 / share == math.inf:
+            raise ValidationError(
+                f"delta = {self.delta!r} is too small: its share delta / "
+                f"{self.interval_count} = {share!r} has no finite repetition count"
+            )
+        return share
+
 
 @dataclass
 class TestRecord:
@@ -343,12 +355,6 @@ class TightTest:
         """The factors whose chain the test's estimate cycles through."""
         return [shifted_operator(decomp_prime, c) for c in self.shifts]
 
-    def log_cost(self, s):
-        """log_test_cost of the recorded bounds at row sparsity s."""
-        with np.errstate(divide="ignore"):
-            log_yes, log_no = np.log([[self.yes_bound], [self.no_bound]])
-        return float(log_test_cost(log_yes, log_no - log_yes, self.r, s)[0])
-
 
 def _edges(t, epsilon):
     """(y_tau, y_h, empty): test t's band edges on the scale y, _bands's empty."""
@@ -384,10 +390,15 @@ def shifted_test(t, epsilon, chi, s=1):
     and ValidationError when every separating candidate's margin is below
     float resolution.
     """
+    return _shifted_pick(t, epsilon, chi, s)[0]
+
+
+def _shifted_pick(t, epsilon, chi, s):
+    """(shifted_test's TightTest, its log_test_cost; 0 for the constant test)."""
     y_tau, y_h, empty = _edges(t, epsilon)
     chi2 = chi * chi
     if empty:
-        return TightTest("shifted", (1.0,), 0, chi2, 0.0)
+        return TightTest("shifted", (1.0,), 0, chi2, 0.0), 0.0
     powers = np.arange(1, DEGREE_CAP + 1)
     shifts = _best_shifts(t, epsilon, chi)
     # each numerator one difference of c and a band edge, as TightTest proves
@@ -420,7 +431,7 @@ def shifted_test(t, epsilon, chi, s=1):
             f"test {t}: the shifted gap at c = {shift}, r = {r} is below float "
             f"resolution (epsilon {epsilon}, chi {chi})"
         )
-    return test
+    return test, float(costs[best])
 
 
 def _root_table(y_h):
@@ -443,9 +454,10 @@ def _rounding_moves(y_h):
         return np.where(spread < 1.0, -np.log1p(-spread), np.inf)
 
 
-def _chebyshev_log_costs(y_tau, y_h, chi, s):
-    """log_test_cost of the Chebyshev product of each m in [1, MAX_ROOTS],
-    inf where chebyshev_test refuses m."""
+def _chebyshev_table(y_tau, y_h, chi, s):
+    """(roots, used, costs): _root_table's, and the log_test_cost of the
+    Chebyshev product of each m in [1, MAX_ROOTS], inf where chebyshev_test
+    refuses m."""
     roots, used = _root_table(y_h)
     m = np.arange(1, MAX_ROOTS + 1)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -455,7 +467,17 @@ def _chebyshev_log_costs(y_tau, y_h, chi, s):
     log_no = math.log(4.0) + 2.0 * m * math.log((1.0 - y_h) / 4.0) - 2.0 * log_scale
     cost = log_test_cost(log_yes, log_no - log_yes, 2 * m, s)
     cost[_rounding_moves(y_h) > _ROOT_ROUNDING] = np.inf
-    return cost
+    return roots, used, cost
+
+
+def _chebyshev(roots, y_tau, y_h, chi):
+    """The Chebyshev TightTest of the m float roots of one _root_table row."""
+    m = roots.size
+    scale = 1.0 + np.abs(roots)
+    q_tau = float(np.prod((roots - y_tau) / scale))
+    no = 4.0 * ((1.0 - y_h) / 4.0) ** (2 * m) / float(np.prod(scale)) ** 2
+    return TightTest("chebyshev", tuple(roots.tolist()), 2 * m,
+                     chi * chi * q_tau * q_tau, no)
 
 
 def chebyshev_test(t, epsilon, chi, m):
@@ -490,35 +512,29 @@ def chebyshev_test(t, epsilon, chi, m):
             f"more than {_ROOT_ROUNDING} (epsilon {epsilon})"
         )
     roots, used = _root_table(y_h)
-    roots = roots[m - 1][used[m - 1]]
-    scale = 1.0 + np.abs(roots)
-    q_tau = float(np.prod((roots - y_tau) / scale))
-    no = 4.0 * ((1.0 - y_h) / 4.0) ** (2 * m) / float(np.prod(scale)) ** 2
-    return TightTest("chebyshev", tuple(roots.tolist()), 2 * m,
-                     chi * chi * q_tau * q_tau, no)
+    return _chebyshev(roots[m - 1][used[m - 1]], y_tau, y_h, chi)
 
 
 def tight_test(t, epsilon, chi, s=1):
     """The TightTest of interval t: shifted_test's power or the cheapest
     chebyshev_test over the m in [2, MAX_ROOTS] it accepts, whichever has
-    the lower log_test_cost of its recorded bounds, what the preflight
-    charges (K is shared, so it drops out); ties go to the power.
+    the lower log_test_cost, what the preflight charges (K is shared, so it
+    drops out); ties go to the power. Both costs are those the picks ranked
+    their candidates by, and the winner is built from the same root table.
 
     m = 1 is left out: its one root (1 + y_h)/2 = tau + theta makes it the
     shifted square at c = tau + theta, which the derived shift of r = 2
     never does worse than. shifted_test's refusals stand, so the product
     only ever replaces a runnable test by a cheaper one.
     """
-    shifted = shifted_test(t, epsilon, chi, s)
+    shifted, shifted_cost = _shifted_pick(t, epsilon, chi, s)
     y_tau, y_h, _ = _edges(t, epsilon)
-    if shifted.r == 0 or y_h >= 1.0:
+    if y_h >= 1.0:
         return shifted
-    costs = _chebyshev_log_costs(y_tau, y_h, chi, s)[1:]
-    m = int(np.argmin(costs)) + 2
-    if costs[m - 2] < np.inf:
-        product = chebyshev_test(t, epsilon, chi, m)
-        if product.log_cost(s) < shifted.log_cost(s):
-            return product
+    roots, used, costs = _chebyshev_table(y_tau, y_h, chi, s)
+    m = int(np.argmin(costs[1:])) + 2
+    if costs[m - 1] < shifted_cost:
+        return _chebyshev(roots[m - 1][used[m - 1]], y_tau, y_h, chi)
     return shifted
 
 
@@ -534,7 +550,7 @@ def _threshold_detail(t, decomp_prime, psi, cfg, rng):
     sequence of psi, so the test takes only the moments that earlier tests
     of the scan have not taken already.
     """
-    delta = cfg.delta / cfg.interval_count
+    delta = cfg.per_test_delta
     name, shift = "rectangle", None
     if cfg.policy == "tight":
         P = tight_test(t, cfg.epsilon, cfg.chi, decomp_prime.s)

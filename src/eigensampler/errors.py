@@ -8,16 +8,15 @@ class EigensamplerError(Exception):
 class HamiltonianFormatError(EigensamplerError, ValueError):
     """Malformed Hamiltonian file or text.
 
-    Carries the line number (1-based) and offending field when known.
+    Carries the line number (1-based) when known.
     """
 
-    def __init__(self, message, line=None, field=None):
+    def __init__(self, message, line=None):
         detail = message
         if line is not None:
             detail = f"line {line}: {detail}"
         super().__init__(detail)
         self.line = line
-        self.field = field
 
 
 class StateSpecError(EigensamplerError, ValueError):
@@ -68,8 +67,11 @@ class CostCapExceeded(EigensamplerError, RuntimeError):
     """Predicted sampling cost exceeds the configured cap.
 
     predicted and cap are floats (predicted counts overflow integers for
-    strict-policy parameters); breakdown maps each polynomial power to its
-    predicted leaf-operation count.
+    strict-policy parameters). breakdown is the whole plan that was refused:
+    the policy, degree, error target err_per_power, repetitions
+    reps_per_power, chains_per_batch, and the chains_per_power and
+    per_power leaf operations of each power, plus the filter and shift when
+    a threshold test of the solver raised it.
     """
 
     def __init__(self, predicted, cap, breakdown=None, message=None):

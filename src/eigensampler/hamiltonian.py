@@ -63,7 +63,7 @@ class LocalTerm:
         for ch in string:
             if ch not in _PAULI_CHARS:
                 raise HamiltonianFormatError(
-                    f"unexpected character {ch!r} in Pauli string", field="pauli"
+                    f"unexpected character {ch!r} in Pauli string {string!r}"
                 )
         support = tuple(q for q, ch in enumerate(string) if ch != "I")
         if kappa is not None:
@@ -111,8 +111,6 @@ class LocalTerm:
 def _finite(value, what):
     """value as a finite float, or a ValidationError that names it."""
     try:
-        if isinstance(value, (bool, str)):  # float() reads both
-            raise TypeError
         value = float(value)
     except (TypeError, ValueError):
         raise ValidationError(f"{what} must be a real number, got {value!r}") from None
@@ -355,6 +353,9 @@ class Decomposition:
         self.terms = terms
         self.kappa_i = kappa_i
         self.kappa = float(sum(kappa_i))
+        if not math.isfinite(self.kappa):
+            raise ValidationError(
+                f"the norm bounds sum to {self.kappa}, not a finite kappa")
         self.s = max((t.sparsity for t in terms), default=0)
         self.dimension = dims.pop() if dims else dimension
 
@@ -490,105 +491,41 @@ def _load_text(text):
             if n < 1:
                 raise HamiltonianFormatError("qubit count must be >= 1", line=lineno)
             continue
-        tokens = line.split()
-        kappa = None
-        if tokens and tokens[-1].startswith("KAPPA_I="):
-            kappa = _parse_real(tokens[-1][len("KAPPA_I="):], lineno, "KAPPA_I")
-            tokens = tokens[:-1]
         try:
-            if tokens and tokens[0] == "BLOCK":
-                terms.append(_parse_block_line(tokens, n, lineno, kappa))
-            else:
-                terms.append(_parse_pauli_line(tokens, n, lineno, kappa))
-        except (ValidationError, HamiltonianFormatError) as exc:
-            if isinstance(exc, HamiltonianFormatError) and exc.line is not None:
-                raise
+            terms.append(_term(n, _text_entry(line.split())))
+        except ValueError as exc:  # float's, int's, and both package errors
             raise HamiltonianFormatError(str(exc), line=lineno) from None
     if n is None:
         raise HamiltonianFormatError("empty input: missing 'n=<int>' header")
     return n, terms
 
 
-def _parse_real(token, lineno, field):
-    try:
-        value = float(token)
-    except ValueError:
-        raise HamiltonianFormatError(
-            f"expected a real number for {field}, got {token!r}",
-            line=lineno,
-            field=field,
-        ) from None
-    if not math.isfinite(value):
-        raise HamiltonianFormatError(
-            f"{field} must be finite, got {token!r}", line=lineno, field=field
-        )
-    return value
-
-
-def _parse_pauli_line(tokens, n, lineno, kappa):
+def _text_entry(tokens):
+    """The JSON entry of one text line's tokens, its block as one array.
+    A token that is no number raises float's or int's ValueError."""
+    entry = {}
+    if tokens and tokens[-1].startswith("KAPPA_I="):
+        entry["kappa"] = float(tokens.pop()[len("KAPPA_I="):])
+    if tokens and tokens[0] == "BLOCK":
+        if len(tokens) < 2 or not tokens[1].startswith("q="):
+            raise HamiltonianFormatError("BLOCK line must start 'BLOCK q=<comma list>'")
+        entry["qubits"] = [int(part) for part in tokens[1][2:].split(",") if part]
+        pairs = [token.split(",") for token in tokens[2:]]
+        if any(len(pair) != 2 for pair in pairs):
+            raise HamiltonianFormatError("block entries must be 're,im' pairs")
+        # each (re, im) row of floats is one complex value, bit for bit
+        values = np.array(pairs, dtype=float).reshape(-1, 2).view(complex)[:, 0]
+        side = math.isqrt(values.size)
+        # a count that is no square stays one row, which _term refuses
+        entry["block"] = (values.reshape(side, side) if side * side == values.size
+                          else values[None])
+        return entry
     if len(tokens) != 2:
         raise HamiltonianFormatError(
-            f"expected '<coeff> <Pauli string>', got {' '.join(tokens)!r}",
-            line=lineno,
+            f"expected '<coeff> <Pauli string>', got {' '.join(tokens)!r}"
         )
-    coeff = _parse_real(tokens[0], lineno, "coefficient")
-    string = tokens[1]
-    if len(string) != n:
-        raise HamiltonianFormatError(
-            f"Pauli string {string!r} has length {len(string)}, expected n={n}",
-            line=lineno,
-        )
-    for ch in string:
-        if ch not in _PAULI_CHARS:
-            raise HamiltonianFormatError(
-                f"unexpected character {ch!r} in Pauli string {string!r}",
-                line=lineno,
-                field="pauli",
-            )
-    return LocalTerm.from_pauli(coeff, string, kappa)
-
-
-def _parse_block_line(tokens, n, lineno, kappa):
-    if len(tokens) < 2 or not tokens[1].startswith("q="):
-        raise HamiltonianFormatError(
-            "BLOCK line must start 'BLOCK q=<comma list>'", line=lineno
-        )
-    try:
-        qubits = [int(part) for part in tokens[1][2:].split(",") if part != ""]
-    except ValueError:
-        raise HamiltonianFormatError(
-            f"bad qubit list {tokens[1]!r}", line=lineno, field="qubits"
-        ) from None
-    if not qubits:
-        raise HamiltonianFormatError("BLOCK needs at least one qubit", line=lineno)
-    if any(q < 0 or q >= n for q in qubits):
-        raise HamiltonianFormatError(
-            f"qubit list {qubits} outside [0, {n})", line=lineno, field="qubits"
-        )
-    k = len(qubits)
-    expected = 4**k
-    raw_entries = tokens[2:]
-    if len(raw_entries) != expected:
-        raise HamiltonianFormatError(
-            f"block on {k} qubits needs {expected} re,im entries, "
-            f"got {len(raw_entries)}",
-            line=lineno,
-        )
-    values = []
-    for token in raw_entries:
-        parts = token.split(",")
-        if len(parts) != 2:
-            raise HamiltonianFormatError(
-                f"expected 're,im' pair, got {token!r}", line=lineno
-            )
-        values.append(
-            complex(
-                _parse_real(parts[0], lineno, "block entry"),
-                _parse_real(parts[1], lineno, "block entry"),
-            )
-        )
-    block = np.array(values, dtype=complex).reshape(2**k, 2**k)
-    return LocalTerm.from_block(qubits, block, kappa)
+    entry.update(coeff=float(tokens[0]), pauli=tokens[1])
+    return entry
 
 
 def _load_json(text):
@@ -604,55 +541,66 @@ def _load_json(text):
         raise HamiltonianFormatError(f"'n' must be a positive integer, got {n!r}")
     terms = []
     for idx, entry in enumerate(data["terms"]):
-        if not isinstance(entry, dict):
-            raise HamiltonianFormatError(f"term {idx} is not an object")
-        kappa = entry.get("kappa")
         try:
-            if "pauli" in entry:
-                string = entry["pauli"]
-                if not isinstance(string, str) or len(string) != n:
-                    raise HamiltonianFormatError(
-                        f"term {idx}: Pauli string must have length n={n}"
-                    )
-                terms.append(
-                    LocalTerm.from_pauli(entry.get("coeff", 1.0), string, kappa)
-                )
-            elif "block" in entry:
-                qubits = entry.get("qubits", [])
-                if not all(type(q) is int and 0 <= q < n
-                           for q in _json_list(qubits, idx)):
-                    raise HamiltonianFormatError(
-                        f"term {idx}: qubits {qubits} must be integers in [0, {n})"
-                    )
-                block = _json_block(entry["block"], idx)
-                terms.append(LocalTerm.from_block(qubits, block, kappa))
-            else:
-                raise HamiltonianFormatError(
-                    f"term {idx} needs either 'pauli' or 'qubits'+'block'"
-                )
-        except ValidationError as exc:
+            terms.append(_term(n, entry))
+        except (ValidationError, HamiltonianFormatError) as exc:
             raise HamiltonianFormatError(f"term {idx}: {exc}") from None
     return n, terms
 
 
-def _json_block(rows, idx):
-    def scalar(entry):
-        if type(entry) in (int, float):
-            return complex(entry)
-        if (isinstance(entry, list) and len(entry) == 2
-                and all(type(part) in (int, float) for part in entry)):
-            return complex(entry[0], entry[1])
+def _term(n, entry):
+    """The LocalTerm of one entry on n qubits, from either format.
+
+    entry holds exactly one of a Pauli string ("pauli", with an optional real
+    "coeff", 1 by default) and a square block ("block", on a nonempty list of
+    distinct "qubits" in [0, n)), and an optional real "kappa" override. The
+    block is an array (text) or a list of rows of numbers and [re, im] pairs
+    (JSON). A real is an int or a float, never a bool or a string.
+    LocalTerm.from_pauli and from_block check the rest.
+    """
+    if not isinstance(entry, dict):
+        raise HamiltonianFormatError("a term must be an object")
+    if ("pauli" in entry) == ("block" in entry):
+        raise HamiltonianFormatError("a term needs exactly one of 'pauli' and 'block'")
+    kappa = entry.get("kappa")
+    if kappa is not None:
+        kappa = _number(kappa, "kappa")
+    if "pauli" in entry:
+        string = entry["pauli"]
+        if not isinstance(string, str) or len(string) != n:
+            raise HamiltonianFormatError(
+                f"Pauli string {string!r} must have length n={n}"
+            )
+        return LocalTerm.from_pauli(_number(entry.get("coeff", 1.0), "coefficient"),
+                                    string, kappa)
+    qubits = entry.get("qubits")
+    if not (isinstance(qubits, list) and qubits
+            and all(type(q) is int and 0 <= q < n for q in qubits)):
         raise HamiltonianFormatError(
-            f"term {idx}: block entries must be numbers or [re, im] pairs"
+            f"qubits {qubits!r} must be a nonempty list of integers in [0, {n})"
         )
+    rows = entry["block"]
+    if not isinstance(rows, np.ndarray):
+        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+            raise HamiltonianFormatError("block must be a list of rows")
+        rows = [[_scalar(x) for x in row] for row in rows]
+    if any(len(row) != len(rows) for row in rows):
+        raise HamiltonianFormatError("block must be square")
+    return LocalTerm.from_block(qubits, np.asarray(rows, dtype=complex), kappa)
 
-    rows = _json_list(rows, idx)
-    if any(len(_json_list(row, idx)) != len(rows) for row in rows):
-        raise HamiltonianFormatError(f"term {idx}: block must be square")
-    return [[scalar(entry) for entry in row] for row in rows]
+
+def _number(value, what):
+    """value, an int or a float, as a float."""
+    if type(value) not in (int, float):
+        raise HamiltonianFormatError(f"{what} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # a JSON integer past the largest float
+        raise HamiltonianFormatError(f"{what} overflows a float") from None
 
 
-def _json_list(value, idx):
-    if not isinstance(value, list):
-        raise HamiltonianFormatError(f"term {idx}: expected a list, got {value!r}")
-    return value
+def _scalar(entry):
+    """One JSON block entry, a number or an [re, im] pair, as a complex."""
+    if isinstance(entry, list) and len(entry) == 2:
+        return complex(_number(entry[0], "block entry"), _number(entry[1], "block entry"))
+    return complex(_number(entry, "block entry"))

@@ -10,6 +10,7 @@ import contextvars
 import math
 import os
 import struct
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -221,76 +222,56 @@ def make_state(spec, n_qubits=None):
 
     Accepts the CLI grammar (`basis:3`, `product:1,0;0.6,0.8`, `dense:path`,
     `maxent`), an integer basis index, an amplitude ndarray, or a list of
-    per-qubit amplitude pairs. n_qubits fixes the dimension where the spec
-    alone does not (basis, maxent) and is cross-checked elsewhere.
+    per-qubit amplitude pairs; a string is read into the object it names.
+    n_qubits fixes the dimension where the spec alone does not (basis,
+    maxent) and is checked against it elsewhere.
     """
     if isinstance(spec, StateAccessor):
         return spec
+    if is_maxent(spec):
+        if n_qubits is None:
+            raise StateSpecError("maxent needs the qubit count")
+        return MaxEntState(n_qubits)
     if isinstance(spec, str):
-        return _state_from_string(spec, n_qubits)
+        spec = _read_spec(spec)
     if isinstance(spec, (int, np.integer)) and not isinstance(spec, bool):
         if n_qubits is None:
             raise StateSpecError("basis state needs the qubit count")
         return BasisState(int(spec), 2**n_qubits)
     if isinstance(spec, np.ndarray):
         state = DenseState(spec)
-        _check_dimension(state, n_qubits)
-        return state
-    if isinstance(spec, (list, tuple)):
+    elif isinstance(spec, (list, tuple)):
         state = ProductState(spec)
-        _check_dimension(state, n_qubits)
-        return state
-    raise StateSpecError(f"cannot build a state from {type(spec).__name__}")
-
-
-def _check_dimension(state, n_qubits):
+    else:
+        raise StateSpecError(f"cannot build a state from {type(spec).__name__}")
     if n_qubits is not None and state.dimension != 2**n_qubits:
         raise StateSpecError(
-            f"state dimension {state.dimension} does not match "
-            f"{n_qubits} qubits"
+            f"state dimension {state.dimension} does not match {n_qubits} qubits"
         )
+    return state
 
 
-def _state_from_string(spec, n_qubits):
-    if is_maxent(spec):
-        if n_qubits is None:
-            raise StateSpecError("maxent needs the qubit count")
-        return MaxEntState(n_qubits)
+def _read_spec(spec):
+    """The basis index, amplitude pairs or amplitude array a spec string names."""
     kind, sep, rest = spec.partition(":")
-    if not sep:
-        raise StateSpecError(
-            f"bad state spec {spec!r}; expected basis:, product:, dense: or maxent"
-        )
-    if kind == "basis":
+    if kind == "basis" and sep:
         try:
-            index = int(rest)
+            return int(rest)
         except ValueError:
             raise StateSpecError(f"bad basis index {rest!r}") from None
-        if n_qubits is None:
-            raise StateSpecError("basis state needs the qubit count")
-        return BasisState(index, 2**n_qubits)
-    if kind == "product":
-        pairs = []
-        for q, chunk in enumerate(rest.split(";")):
-            parts = chunk.split(",")
-            if len(parts) != 2:
-                raise StateSpecError(
-                    f"qubit {q}: expected 'a,b' amplitudes, got {chunk!r}"
-                )
-            try:
-                pairs.append((complex(parts[0]), complex(parts[1])))
-            except ValueError:
-                raise StateSpecError(
-                    f"qubit {q}: bad complex literal in {chunk!r}"
-                ) from None
-        state = ProductState(pairs)
-        _check_dimension(state, n_qubits)
-        return state
-    if kind == "dense":
-        state = DenseState(read_dense_state_file(rest))
-        _check_dimension(state, n_qubits)
-        return state
-    raise StateSpecError(f"unknown state spec kind {kind!r}")
+    if kind == "product" and sep:
+        try:  # unpacking a chunk of other than two amplitudes raises it too
+            return [(complex(a), complex(b))
+                    for a, b in (chunk.split(",") for chunk in rest.split(";"))]
+        except ValueError:
+            raise StateSpecError(
+                f"bad product state {rest!r}; expected complex 'a,b' per qubit"
+            ) from None
+    if kind == "dense" and sep:
+        return read_dense_state_file(rest)
+    raise StateSpecError(
+        f"bad state spec {spec!r}; expected basis:, product:, dense: or maxent"
+    )
 
 
 def read_dense_state_file(path):
@@ -358,19 +339,25 @@ def clear_dead_amplitudes(j, amps, vals):
 
 
 def samples_per_batch(scale, eps, name):
-    """ceil(scale / eps^2), the samples of one repetition at error eps.
+    """ceil(scale / eps^2), the samples of one repetition at error eps: the
+    least t with t eps^2 >= scale, computed exactly, so no rounding of
+    eps^2 or of the quotient costs a sample or adds one.
 
-    Raises ValidationError when eps^2 underflows to 0 or the quotient
-    overflows to inf: such a count cannot be represented, let alone drawn.
+    Raises ValidationError when the count is past the largest float: it
+    cannot be charged as a cost, let alone drawn.
     """
-    square = eps * eps
-    count = scale / square if square > 0 else math.inf
-    if count == math.inf:
+    # Imported here: fractions (with decimal) adds about 2 ms to the
+    # package's import, and only a sampled run counts its batches.
+    from fractions import Fraction
+
+    square = Fraction(float(eps)) ** 2
+    count = math.ceil(Fraction(scale) / square) if square else math.inf
+    if count > sys.float_info.max:
         raise ValidationError(
             f"{name} = {eps!r} needs ceil({scale:g} / {name}^2) samples per "
             f"batch, which overflows a float"
         )
-    return math.ceil(count)
+    return count
 
 
 def repetitions(delta, per_log, formula):

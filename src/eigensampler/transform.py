@@ -231,11 +231,9 @@ def power_error_budget(P, eta, policy):
 
 # Chains per batch of a power: ceil(CHAIN_SCALE / err^2) for an estimate,
 # ceil(DECISION_SCALE / e^2) for a decision at margin e; no finite float
-# below MIN_ERR for either. DECISION_SCALE is 8 (1 + 2^-50): the float
-# quotient is within two roundings of the exact one, so its ceiling t keeps
-# t e^2 >= 8 exactly, at most one chain above ceil(8/e^2).
+# below MIN_ERR for either.
 CHAIN_SCALE = 64.0
-DECISION_SCALE = 8.0 + 2.0 ** -47
+DECISION_SCALE = 8.0
 MIN_ERR = 1e-150
 # D(1/2 || 1/9) = ln(81/32)/2, the Chernoff exponent of the median of
 # decision batches that each fail with probability at most 1/9.

@@ -485,6 +485,37 @@ class TestEstimate:
         assert out == ""
         assert "delta = 5e-324" in err and "delta_total" not in err
 
+    @pytest.mark.parametrize("policy", ["tight", "strict"])
+    def test_delta_without_a_repetition_count_names_delta(self, capsys, z_file,
+                                                          policy):
+        # 1e-310 / 4 is a nonzero share whose inverse overflows: refused
+        # with the user's delta and its share, before any test runs
+        code, out, err = run(
+            capsys, "estimate", "--hamiltonian", z_file, "--state", "basis:0",
+            "--policy", policy, "--delta", "1e-310", "--epsilon", "1",
+        )
+        assert code == 1
+        assert out == ""
+        message = json.loads(err)["error"]["message"]
+        assert message.startswith("delta = 1e-310 is too small")
+        assert "delta / 4 = 2.5e-311" in message
+
+    @pytest.mark.parametrize("policy", ["tight", "strict", "oracle-exact"])
+    def test_norm_bounds_whose_sum_overflows_exit_one(self, capsys, tmp_path,
+                                                      policy):
+        # each bound is finite, their sum kappa is not
+        path = tmp_path / "big.txt"
+        path.write_text("n=1\n1e308 Z\n1e308 X\n")
+        code, out, err = run(
+            capsys, "estimate", "--hamiltonian", str(path), "--state", "basis:0",
+            "--policy", policy, "--json",
+        )
+        assert code == 1
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "ValidationError"
+        assert error["message"].startswith("the norm bounds sum to inf")
+
     def test_out_of_memory_exits_one_with_a_json_error(
             self, capsys, pair_file, monkeypatch):
         # a batch past memory, as --cost-cap inf allows, without allocating

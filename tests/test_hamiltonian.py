@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -390,6 +391,52 @@ def test_load_from_file(tmp_path):
 def test_load_rejects_malformed_text(text):
     with pytest.raises((HamiltonianFormatError, ValidationError)):
         load_hamiltonian(text)
+
+
+# The same malformed term in both formats, on n = 2 after one good term:
+# (text line, JSON entry, what the message says).
+MALFORMED_TERMS = [
+    ("1.0 ZZZ", {"coeff": 1.0, "pauli": "ZZZ"}, "must have length n=2"),
+    ("1.0 ZQ", {"coeff": 1.0, "pauli": "ZQ"}, "unexpected character 'Q'"),
+    ("nan ZZ", {"coeff": float("nan"), "pauli": "ZZ"}, "coefficient must be finite"),
+    ("1.0 ZZ KAPPA_I=0.5", {"coeff": 1.0, "pauli": "ZZ", "kappa": 0.5},
+     "below the term norm"),
+    ("BLOCK q= 2,0", {"qubits": [], "block": [[2.0]]}, "nonempty list"),
+    ("BLOCK q=2 1,0 0,0 0,0 1,0", {"qubits": [2], "block": [[1, 0], [0, 1]]},
+     "integers in [0, 2)"),
+    ("BLOCK q=0 1,0 0,0 0,0", {"qubits": [0], "block": [[1, 0], [0]]},
+     "block must be square"),
+    ("BLOCK q=0,1 1,0 0,0 0,0 1,0", {"qubits": [0, 1], "block": [[1, 0], [0, 1]]},
+     "block on 2 qubits must be 4x4"),
+    ("BLOCK q=0,0 " + " ".join(["1,0"] * 16),
+     {"qubits": [0, 0], "block": [[1] * 4] * 4}, "duplicate qubits"),
+    ("BLOCK q=0 0,0 1,0 0,0 0,0", {"qubits": [0], "block": [[0, 1], [0, 0]]},
+     "not Hermitian"),
+    ("BLOCK q=0 1,0 0,0 0,0 inf,0", {"qubits": [0], "block": [[1, 0], [0, 1e400]]},
+     "non-finite entry"),
+]
+
+
+@pytest.mark.parametrize("line, entry, message", MALFORMED_TERMS,
+                         ids=[line for line, _, _ in MALFORMED_TERMS])
+def test_both_formats_refuse_a_malformed_term_alike(line, entry, message):
+    with pytest.raises(HamiltonianFormatError, match=r"^line 3: .*" + re.escape(message)):
+        load_hamiltonian(f"n=2\n0.5 XZ\n{line}\n")
+    doc = {"n": 2, "terms": [{"coeff": 0.5, "pauli": "XZ"}, entry]}
+    with pytest.raises(HamiltonianFormatError, match=r"^term 1: .*" + re.escape(message)):
+        load_hamiltonian(json.dumps(doc))
+
+
+@pytest.mark.parametrize("entry", [
+    {"coeff": 1.0, "pauli": "Z", "qubits": [0], "block": [[1, 0], [0, 1]]},
+    {"coeff": 1.0},
+    {"pauli": "Z", "coeff": 10 ** 400},
+])
+def test_json_term_holds_exactly_one_of_pauli_and_block(entry):
+    # a term with both is refused, not read as its Pauli string alone; an
+    # integer past the largest float is refused, not an OverflowError
+    with pytest.raises(HamiltonianFormatError, match="^term 0: "):
+        load_hamiltonian(json.dumps({"n": 1, "terms": [entry]}))
 
 
 def test_shift_rescale_spectrum_in_unit_interval():

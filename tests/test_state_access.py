@@ -3,6 +3,7 @@ import math
 import os
 import struct
 import tempfile
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -29,6 +30,7 @@ from eigensampler import state_access
 from eigensampler.state_access import (
     read_dense_state_file,
     sample_ratios,
+    samples_per_batch,
     write_dense_state_file,
 )
 
@@ -224,6 +226,21 @@ def test_inner_product_refuses_an_uncountable_batch():
     # ceil(8 / eps^2) samples per batch: eps^2 underflows to 0
     with pytest.raises(ValidationError):
         estimate_inner_product(psi, psi, 1.0, 1e-200, 0.1, np.random.default_rng(0))
+
+
+def test_samples_per_batch_is_the_least_exact_count():
+    # t eps^2 >= scale for t = samples_per_batch(scale, eps), and not for
+    # t - 1, in exact arithmetic: the float quotient of scale / eps^2 misses
+    # the count by one in either direction for some eps
+    for eps in np.geomspace(1e-140, 1.0, 30001).tolist():
+        for scale in (8.0, 64.0):
+            t = samples_per_batch(scale, eps, "eps")
+            assert Fraction(t) * Fraction(eps) ** 2 >= scale
+            assert Fraction(t - 1) * Fraction(eps) ** 2 < scale
+    # the float quotient 64 / (0.2/3)^2 rounds down to 14400, one short
+    assert samples_per_batch(64.0, 0.2 / 3.0, "err") == 14401
+    with pytest.raises(ValidationError, match="^err = 1e-155 needs"):
+        samples_per_batch(64.0, 1e-155, "err")
 
 
 def test_sample_ratios_moments():

@@ -332,7 +332,7 @@ class TestPredictCost:
         # strata in proportion to |a_r|: 1/3 and 2/3 of t, at err = eta / L1
         err = 0.2 / 3.0
         assert br["err_per_power"] == err
-        t = math.ceil(64.0 / (err * err))
+        t = math.ceil(Fraction(64) / Fraction(err) ** 2)
         assert br["chains_per_power"] == {0: math.ceil(t / 3), 2: math.ceil(2 * t / 3)}
         assert br["chains_per_batch"] == sum(br["chains_per_power"].values())
         assert total == pytest.approx(sum(br["per_power"].values()))
@@ -411,14 +411,13 @@ class TestDecisionShape:
     def test_one_batch_is_wrong_at_most_one_ninth(self):
         # Cantelli: Var(Re mean) <= 1/t, so a batch is e or more off on one
         # side with probability at most 1/(1 + t e^2) <= 1/9: t e^2 >= 8,
-        # exactly and in floats, with at most one chain to spare below 2^49
+        # exactly, with no chain to spare at any t
         for gap in np.geomspace(1e-140, 1.0, 30001).tolist() + [0.5, 0.1, 2.0 ** -30]:
             t = decision_shape(gap, 0.1)[1]
             e = gap / 2
             assert Fraction(t) * Fraction(e) ** 2 >= 8
-            assert 1 / (1 + t * e * e) <= 1 / 9
-            if t < 2 ** 49:
-                assert Fraction(t - 2) * Fraction(e) ** 2 < 8
+            assert 1 / (1 + Fraction(t) * Fraction(e) ** 2) <= Fraction(1, 9)
+            assert Fraction(t - 1) * Fraction(e) ** 2 < 8
 
     @pytest.mark.parametrize("delta", [1e-310, 5e-324, 0.0])
     def test_refuses_a_delta_whose_inverse_overflows(self, delta):
