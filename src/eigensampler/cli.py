@@ -36,6 +36,7 @@ from .oracle import (
     reconstruct,
 )
 from .polyfilter import band_report, build_rectangle_polynomial, coefficient_l1
+from .rng import make_generator
 from .state_access import DenseState, is_maxent, make_state
 from .transform import POLICIES
 
@@ -351,7 +352,7 @@ def run_bench(args):
     if args.n < 1 or args.k < 1 or args.m < 1:
         raise CliUsageError("--n, --k and --m must all be at least 1")
     cfg = _make_config(args)
-    gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(args.seed)))
+    gen = make_generator(args.seed)
     seed_words = np.random.SeedSequence(args.seed).generate_state(
         max(1, args.count), np.uint64
     )

@@ -248,16 +248,9 @@ class TightTest:
 
     That decision is what it pays for (transform.estimate_threshold_test):
     K batches of t = ceil(8/margin^2) chains, K * t * max(r, 1) * s^r leaf
-    operations at row sparsity s (transform.log_test_cost). Each chain's
-    sample Y has E Y = <psi|f|psi> and Var(Re Y) <= E|Y|^2 <= 1, so by
-    Cantelli a batch mean's real part lands margin or more from the truth,
-    on the midpoint's wrong side, with probability at most
-    1/(1 + t margin^2) <= 1/9: below the midpoint when the truth is at
-    least yes_bound, at or above it when the truth is at most no_bound.
-    np.median of the K batches is on the wrong side only if at least K/2
-    batches are, which by the Chernoff bound on that binomial tail has
-    probability at most exp(-K D(1/2 || 1/9)), at most delta for
-    K = ceil(ln(1/delta) / D(1/2 || 1/9)), D(1/2 || 1/9) = ln(81/32)/2.
+    operations at row sparsity s (transform.log_test_cost). The transform
+    module docstring proves that this K and t make the decision wrong with
+    probability at most delta.
 
     Write y = 2A' - I = A/kappa, with spectrum in [-1, 1], and
     y_tau = 2 tau - 1, y_h = 2 (tau + theta) - 1 for tau = t*epsilon/4 and
@@ -336,11 +329,6 @@ class TightTest:
     @property
     def degree(self):
         return self.r
-
-    @property
-    def coeffs(self):
-        """e_r: f is the single monomial of degree r in its factor chain."""
-        return np.eye(1, self.r + 1, self.r)[0]
 
     @property
     def margin(self):

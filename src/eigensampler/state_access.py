@@ -17,6 +17,7 @@ import numpy as np
 
 from . import instrument
 from .errors import StateSpecError, UndefinedRatioError, ValidationError
+from .hamiltonian import MAX_QUBITS
 from .rng import spawn_streams
 
 _NORM_TOL = 1e-8
@@ -87,13 +88,15 @@ class ProductState(StateAccessor):
 
     query_many reads amplitudes from tables built once per byte of the
     index: table k holds the product over qubits 8k .. 8k+7 for each value
-    of that byte, so a batch costs one gather per 8 qubits.
+    of that byte, so a batch costs one gather per 8 qubits. At most
+    MAX_QUBITS qubits are accepted.
     """
 
     def __init__(self, pairs):
         pairs = [(complex(a), complex(b)) for a, b in pairs]
         if not pairs:
             raise StateSpecError("product state needs at least one qubit")
+        _check_qubits("product state", len(pairs))
         for q, (a, b) in enumerate(pairs):
             nrm = abs(a) ** 2 + abs(b) ** 2
             if abs(nrm - 1.0) > _NORM_TOL:
@@ -146,6 +149,15 @@ class DenseState(StateAccessor):
         return np.where(keep, slot, self._alias_idx[slot])
 
 
+def _check_qubits(kind, n):
+    """The rule build_decomposition applies: basis indices are int64."""
+    if n > MAX_QUBITS:
+        raise StateSpecError(
+            f"{kind} of {n} qubits exceeds the limit of {MAX_QUBITS}: basis "
+            f"indices are 64-bit signed integers"
+        )
+
+
 def _byte_table(pairs):
     """Amplitude products of up to 8 qubits, indexed by their bits."""
     bits = np.arange(1 << len(pairs), dtype=np.int64)
@@ -182,12 +194,13 @@ class MaxEntState(StateAccessor):
 
     Index layout puts the first register in the low n bits, so the nonzero
     amplitudes sit where both halves agree: the amplitude at i + (i << n) is
-    2^(-n/2).
+    2^(-n/2). The 2n qubits must fit MAX_QUBITS, so n is at most 31.
     """
 
     def __init__(self, n):
         if n < 1:
             raise StateSpecError("maximally entangled state needs n >= 1")
+        _check_qubits("maximally entangled state", 2 * n)
         self.n = n
         self.half = 2**n
         self.dimension = self.half * self.half

@@ -23,8 +23,9 @@ every batch gives power r a fixed number of chains, proportional to |a_r|,
 and returns sum_r a_r times the mean of that stratum. One median
 amplification covers the whole polynomial; estimate_polynomial_transform
 proves the bound. A single power is the one-stratum case (estimate_power).
-One plan sizes the strata before any sampling: predict_cost charges it, and
-the sampler draws exactly its chain counts.
+One preflight plans every sampled estimate before it draws: it sizes the
+strata, charges them (predict_cost returns that plan), refuses a plan past
+the cost cap, and the sampler then draws exactly its chain counts.
 
 A tight threshold test is one power too, but it only makes a decision: is
 Re <psi|f|psi> at or above the midpoint of bounds yes > no, when the truth
@@ -144,23 +145,24 @@ def estimate_power(psi, phi, decomp, r, err, delta, rng):
     _check_budget("err", err)
     _check_budget("delta", delta)
     coeffs = {int(r): 1.0}
-    _, plan = _predict_strata(decomp, coeffs, batch_shape(err, delta))
-    return _estimate_strata(psi, phi, decomp, coeffs, plan["chains_per_power"],
-                            plan["reps_per_power"], rng)
+    _, plan = _preflight(decomp, coeffs, batch_shape(err, delta), {})
+    return _estimate_strata(psi, phi, decomp, coeffs, plan, rng)
 
 
-def _estimate_strata(psi, phi, decomp, coeffs, counts, reps, rng):
+def _estimate_strata(psi, phi, decomp, coeffs, plan, rng):
     """Median of reps batches of sum_r a_r * mean(Y_r over c_r chains).
 
-    coeffs maps each power r to its nonzero coefficient a_r, and counts maps
-    it to the c_r of the plan (_predict_strata), whose reps are the batches
-    (state_access.median_of). decomp is one decomposition
-    or a list of factors, as ChainSampler takes it; every stratum indexes
-    the same concatenated terms. A batch draws every stratum's chains in
-    order of r, then one guiding-state index per chain (uniform for
-    psi = None, see eigensolve). Raises ValidationError, before drawing
-    anything, when a stratum's index array is past numpy's size limit.
+    coeffs maps each power r to its coefficient a_r, and the plan of
+    _preflight gives each nonzero one's c_r (chains_per_power) and the reps
+    batches (reps_per_power, state_access.median_of). decomp is one
+    decomposition or a list of factors, as ChainSampler takes it; every
+    stratum indexes the same concatenated terms. A batch draws every
+    stratum's chains in order of r, then one guiding-state index per chain
+    (uniform for psi = None, see eigensolve). Raises ValidationError, before
+    drawing anything, when a stratum's index array is past numpy's size
+    limit.
     """
+    counts, reps = plan["chains_per_power"], plan["reps_per_power"]
     if not counts:
         return 0j
     for r, c in counts.items():
@@ -285,12 +287,11 @@ def log_test_cost(log_yes, log_ratio, r, s):
     or e <= MIN_ERR. The repetitions K are the same for every test of a
     scan, so they drop out of any comparison.
 
-    The count is the decision's, not an estimate's: the test only asks
-    whether Re <psi|f|psi> lies at or above the midpoint, e from both
-    bounds. The real part of a batch mean has variance at most 1/t, so by
-    Cantelli it lands on the wrong side with probability at most
-    1/(1 + t e^2) <= 1/9; by the Chernoff bound the median of K batches
-    does so with probability at most exp(-K D(1/2 || 1/9)) <= delta.
+    The count is the decision's, not an estimate's (the module docstring
+    proves it). It is the float ceil(8 exp(-2 log e)), so it may differ from
+    the exact count that decision_shape charges: by at most one chain per
+    batch, either way, while that count is below 2^40, and by float
+    rounding's relative share above it.
     """
     usable = log_ratio < 0.0
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -309,20 +310,24 @@ def log_test_cost(log_yes, log_ratio, r, s):
     return cost
 
 
-def _predict_strata(decomp, coeffs, shape):
-    """The plan of a stratified estimate of batch shape (reps, t):
-    (predicted leaf ops, breakdown), whose reps_per_power and
-    chains_per_power are what the sampler draws."""
+def _preflight(decomp, coeffs, shape, header, cost_cap=None):
+    """The plan of a stratified estimate of batch shape (reps, t), made once
+    before any sampling: (predicted leaf ops, breakdown). The breakdown is
+    header followed by reps_per_power, chains_per_batch, chains_per_power and
+    per_power; _estimate_strata draws exactly its reps_per_power batches of
+    chains_per_power chains. Raises CostCapExceeded, carrying the breakdown,
+    when the total is past cost_cap: the one cap check of every sampled
+    estimate."""
     reps, t = shape
     counts = chain_counts(coeffs, t)
     per_power = {r: power_cost(decomp, r, reps, c) for r, c in counts.items()}
-    breakdown = {
-        "reps_per_power": reps,
-        "chains_per_batch": float(sum(counts.values())),
-        "chains_per_power": counts,
-        "per_power": per_power,
-    }
-    return sum(per_power.values(), 0.0), breakdown
+    plan = {**header, "reps_per_power": reps,
+            "chains_per_batch": float(sum(counts.values())),
+            "chains_per_power": counts, "per_power": per_power}
+    predicted = sum(per_power.values(), 0.0)
+    if cost_cap is not None and predicted > cost_cap:
+        raise CostCapExceeded(predicted, cost_cap, plan)
+    return predicted, plan
 
 
 def predict_cost(decomp, P, eta, delta_total, policy="tight"):
@@ -336,10 +341,8 @@ def predict_cost(decomp, P, eta, delta_total, policy="tight"):
     overflow.
     """
     err = power_error_budget(P, eta, policy)
-    total, breakdown = _predict_strata(decomp, _coefficients(P),
-                                       batch_shape(err, delta_total))
-    return total, {"policy": policy, "degree": P.degree, "err_per_power": err,
-                   **breakdown}
+    return _preflight(decomp, _coefficients(P), batch_shape(err, delta_total),
+                      {"policy": policy, "degree": P.degree, "err_per_power": err})
 
 
 def _coefficients(P):
@@ -383,13 +386,13 @@ def estimate_polynomial_transform(psi, phi, decomp, P, eta, delta_total, rng,
     """
     _check_budget("eta", eta)
     _check_budget("delta_total", delta_total)
-    predicted, plan = predict_cost(decomp, P, eta, delta_total, policy=policy)
-    if cost_cap is not None and predicted > cost_cap:
-        raise CostCapExceeded(predicted, cost_cap, plan)
+    err = power_error_budget(P, eta, policy)
+    coeffs = _coefficients(P)
+    _, plan = _preflight(decomp, coeffs, batch_shape(err, delta_total),
+                         {"policy": policy, "degree": P.degree, "err_per_power": err},
+                         cost_cap)
     with nullcontext() if counters is None else instrument.recording(counters):
-        return _estimate_strata(psi, phi, decomp, _coefficients(P),
-                                plan["chains_per_power"], plan["reps_per_power"],
-                                rng)
+        return _estimate_strata(psi, phi, decomp, coeffs, plan, rng)
 
 
 def estimate_threshold_test(psi, decomp_prime, test, delta, rng, cost_cap=None):
@@ -397,21 +400,18 @@ def estimate_threshold_test(psi, decomp_prime, test, delta, rng, cost_cap=None):
     part lies on the right side of test.midpoint with probability at least
     1 - delta (the decision of the module docstring).
 
-    test is an eigensolve.TightTest: the one-monomial polynomial e_r of its
-    factor chain test.base(decomp_prime), with bounds yes_bound > no_bound.
-    It is planned once at decision_shape(yes_bound - no_bound, delta):
-    cost_cap, when given, is checked against the plan's total
+    test is an eigensolve.TightTest with bounds yes_bound > no_bound: the
+    power r = test.r of its factor chain test.base(decomp_prime), one
+    stratum. It is planned once at decision_shape(yes_bound - no_bound,
+    delta): cost_cap, when given, is checked against the plan's total
     (CostCapExceeded carries its breakdown, whose err_per_power is the
     margin e), and the sampler draws exactly its counts.
     """
     _check_budget("delta", delta)
     factors = test.base(decomp_prime)
-    coeffs = _coefficients(test)
-    shape = decision_shape(test.yes_bound - test.no_bound, delta)
-    predicted, plan = _predict_strata(factors, coeffs, shape)
-    plan = {"policy": "tight", "degree": test.degree, "err_per_power": test.margin,
-            **plan}
-    if cost_cap is not None and predicted > cost_cap:
-        raise CostCapExceeded(predicted, cost_cap, plan)
-    return _estimate_strata(psi, psi, factors, coeffs, plan["chains_per_power"],
-                            plan["reps_per_power"], rng)
+    coeffs = {test.r: 1.0}
+    _, plan = _preflight(factors, coeffs,
+                         decision_shape(test.yes_bound - test.no_bound, delta),
+                         {"policy": "tight", "degree": test.degree,
+                          "err_per_power": test.margin}, cost_cap)
+    return _estimate_strata(psi, psi, factors, coeffs, plan, rng)

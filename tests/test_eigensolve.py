@@ -1117,8 +1117,9 @@ class TestChebyshev:
         assert [test.filter for test in tests] == ["shifted", "chebyshev"]
         for test in tests:
             factors = test.base(prime)
+            e_r = SimpleNamespace(coeffs=np.eye(test.r + 1)[test.r], degree=test.r)
             got = transform.estimate_polynomial_transform(
-                psi, psi, factors, test, test.margin / 2, 0.5,
+                psi, psi, factors, e_r, test.margin / 2, 0.5,
                 np.random.default_rng(5), policy="tight")
             want = transform.estimate_power(psi, psi, factors, test.r, test.margin / 2,
                                             0.5, np.random.default_rng(5))

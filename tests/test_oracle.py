@@ -494,11 +494,11 @@ def test_oracle_imports_nothing_from_the_sampled_layers():
 
 
 def test_only_the_transform_raises_the_cost_cap():
-    # One preflight per sampled test: estimate_polynomial_transform checks
-    # the cap against the plan it samples, and every other module only
-    # passes its CostCapExceeded on.
+    # One preflight behind every sampled estimate: transform._preflight
+    # checks the cap against the plan the sampler then draws, from the one
+    # raise site, and every other module only passes its CostCapExceeded on.
     package = os.path.dirname(oracle.__file__)
-    raisers = set()
+    raisers = []
     for name in sorted(os.listdir(package)):
         if not name.endswith(".py"):
             continue
@@ -508,8 +508,8 @@ def test_only_the_transform_raises_the_cost_cap():
             if isinstance(node, ast.Raise) and node.exc is not None:
                 exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
                 if getattr(exc, "id", getattr(exc, "attr", None)) == "CostCapExceeded":
-                    raisers.add(name)
-    assert raisers == {"transform.py"}
+                    raisers.append(name)
+    assert raisers == ["transform.py"]
 
 
 def test_only_the_solver_names_the_doubling():

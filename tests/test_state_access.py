@@ -143,6 +143,34 @@ def test_maxent_state_amplitudes():
     assert abs(st.norm - 1.0) <= 1e-12
 
 
+def test_product_state_takes_at_most_63_qubits():
+    # 63 qubits fill a nonnegative int64 index; a 64th would wrap it
+    st = ProductState([(0, 1)] * 62 + [(0.6, 0.8)])
+    j = st.sample_many(np.random.default_rng(3), 16)
+    low = (1 << 62) - 1
+    assert (j >= 0).all() and ((j & low) == low).all()
+    top = (j >> 62) == 1
+    assert top.any() and not top.all()
+    assert np.array_equal(st.query_many(j), np.where(top, 0.8, 0.6) + 0j)
+    with pytest.raises(StateSpecError, match="limit of 63"):
+        ProductState([(0, 1)] * 64)
+    with pytest.raises(StateSpecError, match="limit of 63"):
+        make_state("product:" + ";".join(["0,1"] * 64))
+
+
+def test_maxent_state_takes_at_most_31_qubits_a_register():
+    st = MaxEntState(31)
+    j = st.sample_many(np.random.default_rng(4), 16)
+    half = (1 << 31) - 1
+    assert (j >= 0).all() and ((j & half) == (j >> 31)).all()
+    assert st.query_many(j) == pytest.approx(np.full(16, 2.0 ** -15.5), rel=1e-15)
+    for n in (32, 40):
+        with pytest.raises(StateSpecError, match="limit of 63"):
+            MaxEntState(n)
+    with pytest.raises(StateSpecError, match="limit of 63"):
+        make_state("maxent", 40)
+
+
 class TestMakeState:
     def test_grammar_variants(self, tmp_path):
         st = make_state("basis:3", 2)

@@ -34,6 +34,7 @@ from eigensampler.transform import (
     POLICIES,
     batch_shape,
     decision_shape,
+    log_test_cost,
     power_error_budget,
 )
 
@@ -418,6 +419,24 @@ class TestDecisionShape:
             assert Fraction(t) * Fraction(e) ** 2 >= 8
             assert 1 / (1 + Fraction(t) * Fraction(e) ** 2) <= Fraction(1, 9)
             assert Fraction(t - 1) * Fraction(e) ** 2 < 8
+
+    def test_ranked_count_is_within_one_chain_of_the_charged_count(self):
+        # log_test_cost ranks by the float ceil(8 exp(-2 log e)), decision_shape
+        # charges the exact least count; below 2^40 chains they differ by at
+        # most one chain per batch, at every ratio no/yes of the bounds
+        compared = 0
+        for ratio in (0.0, 1e-3, 0.5, 0.9):
+            yes = 2.0 * np.geomspace(2e-6, 0.5, 10001) / (1.0 - ratio)
+            yes = yes[yes <= 1.0]
+            no = yes * ratio
+            with np.errstate(divide="ignore"):
+                ranked = np.exp(log_test_cost(np.log(yes), np.log(no / yes), 0, 1))
+            for got, gap in zip(np.rint(ranked).tolist(), (yes - no).tolist()):
+                charged = decision_shape(gap, 0.1)[1]
+                if charged < 2 ** 40:
+                    assert abs(int(got) - charged) <= 1, gap
+                    compared += 1
+        assert compared > 30000
 
     @pytest.mark.parametrize("delta", [1e-310, 5e-324, 0.0])
     def test_refuses_a_delta_whose_inverse_overflows(self, delta):
