@@ -61,6 +61,7 @@ from .state_access import is_maxent, make_state
 from .transform import (
     MIN_ERR,
     POLICIES,
+    bounded_samples,
     estimate_polynomial_transform,
     estimate_threshold_test,
     log_test_cost,
@@ -247,10 +248,12 @@ class TightTest:
     which sits margin = gap/2 from both, gap = yes_bound - no_bound > 0.
 
     That decision is what it pays for (transform.estimate_threshold_test):
-    K batches of t = ceil(8/margin^2) chains, K * t * max(r, 1) * s^r leaf
-    operations at row sparsity s (transform.log_test_cost). The transform
-    module docstring proves that this K and t make the decision wrong with
-    probability at most delta.
+    K * t * max(r, 1) * s^r leaf operations at row sparsity s
+    (transform.log_test_cost), with K batches of t = ceil(8/margin^2)
+    chains, or, when every sample is bounded by B (the trace, a basis guide,
+    transform.bounded_samples), one batch of t = ceil(2 B^2 ln(1/delta) /
+    margin^2) chains. The transform module docstring proves that either
+    shape makes the decision wrong with probability at most delta.
 
     Write y = 2A' - I = A/kappa, with spectrum in [-1, 1], and
     y_tau = 2 tau - 1, y_h = 2 (tau + theta) - 1 for tau = t*epsilon/4 and
@@ -381,8 +384,9 @@ def shifted_test(t, epsilon, chi, s=1):
     return _shifted_pick(t, epsilon, chi, s)[0]
 
 
-def _shifted_pick(t, epsilon, chi, s):
-    """(shifted_test's TightTest, its log_test_cost; 0 for the constant test)."""
+def _shifted_pick(t, epsilon, chi, s, bounded_delta=None):
+    """(shifted_test's TightTest, its log_test_cost; 0 for the constant test),
+    ranked as log_test_cost ranks at bounded_delta."""
     y_tau, y_h, empty = _edges(t, epsilon)
     chi2 = chi * chi
     if empty:
@@ -397,7 +401,7 @@ def _shifted_pick(t, epsilon, chi, s):
     with np.errstate(divide="ignore"):
         log_yes = log_chi2 + powers * np.log(yes_ratio)
         log_ratio = powers * np.log(no_ratio / yes_ratio) - log_chi2
-    costs = log_test_cost(log_yes, log_ratio, powers, s)
+    costs = log_test_cost(log_yes, log_ratio, powers, s, bounded_delta)
     best = int(np.argmin(costs))
     if costs[best] == np.inf:
         if not (log_ratio < 0).any():
@@ -442,10 +446,10 @@ def _rounding_moves(y_h):
         return np.where(spread < 1.0, -np.log1p(-spread), np.inf)
 
 
-def _chebyshev_table(y_tau, y_h, chi, s):
-    """(roots, used, costs): _root_table's, and the log_test_cost of the
-    Chebyshev product of each m in [1, MAX_ROOTS], inf where chebyshev_test
-    refuses m."""
+def _chebyshev_table(y_tau, y_h, chi, s, bounded_delta=None):
+    """(roots, used, costs): _root_table's, and the log_test_cost (at
+    bounded_delta) of the Chebyshev product of each m in [1, MAX_ROOTS], inf
+    where chebyshev_test refuses m."""
     roots, used = _root_table(y_h)
     m = np.arange(1, MAX_ROOTS + 1)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -453,7 +457,7 @@ def _chebyshev_table(y_tau, y_h, chi, s):
         log_q = np.where(used, np.log(roots - y_tau), 0.0).sum(axis=1) - log_scale
     log_yes = 2.0 * math.log(chi) + 2.0 * log_q
     log_no = math.log(4.0) + 2.0 * m * math.log((1.0 - y_h) / 4.0) - 2.0 * log_scale
-    cost = log_test_cost(log_yes, log_no - log_yes, 2 * m, s)
+    cost = log_test_cost(log_yes, log_no - log_yes, 2 * m, s, bounded_delta)
     cost[_rounding_moves(y_h) > _ROOT_ROUNDING] = np.inf
     return roots, used, cost
 
@@ -503,23 +507,26 @@ def chebyshev_test(t, epsilon, chi, m):
     return _chebyshev(roots[m - 1][used[m - 1]], y_tau, y_h, chi)
 
 
-def tight_test(t, epsilon, chi, s=1):
+def tight_test(t, epsilon, chi, s=1, bounded_delta=None):
     """The TightTest of interval t: shifted_test's power or the cheapest
     chebyshev_test over the m in [2, MAX_ROOTS] it accepts, whichever has
-    the lower log_test_cost, what the preflight charges (K is shared, so it
-    drops out); ties go to the power. Both costs are those the picks ranked
-    their candidates by, and the winner is built from the same root table.
+    the lower log_test_cost, what the preflight charges; ties go to the
+    power. bounded_delta is the test's delta when its samples are bounded
+    (transform.bounded_samples), which sizes it as one Hoeffding batch, and
+    None otherwise, for the median of K batches (K is shared, so it drops
+    out). Both costs are those the picks ranked their candidates by, and
+    the winner is built from the same root table.
 
     m = 1 is left out: its one root (1 + y_h)/2 = tau + theta makes it the
     shifted square at c = tau + theta, which the derived shift of r = 2
     never does worse than. shifted_test's refusals stand, so the product
     only ever replaces a runnable test by a cheaper one.
     """
-    shifted, shifted_cost = _shifted_pick(t, epsilon, chi, s)
+    shifted, shifted_cost = _shifted_pick(t, epsilon, chi, s, bounded_delta)
     y_tau, y_h, _ = _edges(t, epsilon)
     if y_h >= 1.0:
         return shifted
-    roots, used, costs = _chebyshev_table(y_tau, y_h, chi, s)
+    roots, used, costs = _chebyshev_table(y_tau, y_h, chi, s, bounded_delta)
     m = int(np.argmin(costs[1:])) + 2
     if costs[m - 1] < shifted_cost:
         return _chebyshev(roots[m - 1][used[m - 1]], y_tau, y_h, chi)
@@ -532,7 +539,9 @@ def _threshold_detail(t, decomp_prime, psi, cfg, rng):
     Every sampled test is one transform call, which refuses it before any
     sampling when its plan exceeds the cost cap; the breakdown then also
     names the filter and shift. Under tight the filter is tight_test's
-    TightTest, sampled for its decision (estimate_threshold_test); under
+    TightTest, ranked by the count that its guide's samples allow
+    (transform.bounded_samples) and sampled for its decision
+    (estimate_threshold_test); under
     strict it is the rectangle polynomial (estimate_polynomial_transform).
     Under oracle-exact, decomp_prime may be the scan's ChebyshevMoments
     sequence of psi, so the test takes only the moments that earlier tests
@@ -541,7 +550,8 @@ def _threshold_detail(t, decomp_prime, psi, cfg, rng):
     delta = cfg.per_test_delta
     name, shift = "rectangle", None
     if cfg.policy == "tight":
-        P = tight_test(t, cfg.epsilon, cfg.chi, decomp_prime.s)
+        P = tight_test(t, cfg.epsilon, cfg.chi, decomp_prime.s,
+                       delta if bounded_samples(psi, decomp_prime) else None)
         name, shift = P.filter, P.shift
     else:
         P = _test_polynomial(t, cfg.epsilon, cfg.chi)

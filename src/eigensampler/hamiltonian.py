@@ -45,7 +45,9 @@ class LocalTerm:
       * block: dense Hermitian 2^k x 2^k matrix acting on `support`.
 
     kappa_override, when given, replaces the computed spectral norm as the
-    term's norm bound; it may only loosen the bound, never undercut it.
+    term's norm bound; it may only loosen the bound, never undercut it. It
+    keeps the bits it was given: one up to 1e-9 below the norm is accepted
+    here, and build_decomposition records the norm for it.
     """
 
     __slots__ = ("support", "block", "pauli", "coeff", "kappa_override")
@@ -374,8 +376,10 @@ def build_decomposition(n, local_terms):
     """Embed local terms on n qubits into a Decomposition.
 
     Norm bounds are the exact per-term spectral norms unless a term carries an
-    override (which has already been validated to dominate the norm). At most
-    MAX_QUBITS qubits are accepted.
+    override, which has been validated to lie at most 1e-9 below the norm;
+    the bound is then max(override, norm), so no bound undercuts a norm the
+    package computes. A block past DENSE_TERM_LIMIT qubits has no computed
+    norm and keeps its override. At most MAX_QUBITS qubits are accepted.
     """
     if n > MAX_QUBITS:
         raise ValidationError(
@@ -389,10 +393,11 @@ def build_decomposition(n, local_terms):
             handles.append(term_to_sparse(term, n))
         except ValidationError as exc:
             raise ValidationError(f"term {idx}: {exc}") from None
-        if term.kappa_override is not None:
-            bounds.append(term.kappa_override)
-        else:
-            bounds.append(compute_term_norm(term))
+        bound = term.kappa_override
+        if bound is None or term.is_pauli or len(term.support) <= DENSE_TERM_LIMIT:
+            norm = compute_term_norm(term)
+            bound = norm if bound is None else max(bound, norm)
+        bounds.append(bound)
     return Decomposition(handles, bounds, 2**n)
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import instrument
 from .errors import StateSpecError, UndefinedRatioError, ValidationError
-from .hamiltonian import MAX_QUBITS
+from .hamiltonian import MAX_QUBITS, BlockTermHandle, PermutationHandle
 from .rng import spawn_streams
 
 _NORM_TOL = 1e-8
@@ -66,8 +66,12 @@ class DenseVector(VectorAccessor):
 
 
 class BasisState(StateAccessor):
+    """The basis vector |index> of a space of the given dimension, which
+    needs at most MAX_QUBITS qubits."""
+
     def __init__(self, index, dimension):
         index = int(index)
+        _check_qubits("basis state", (int(dimension) - 1).bit_length())
         if not 0 <= index < dimension:
             raise StateSpecError(
                 f"basis index {index} outside [0, {dimension})"
@@ -226,6 +230,28 @@ def is_maxent(spec):
     return isinstance(spec, MaxEntState)
 
 
+def bounded_samples(psi, decomp):
+    """Whether every sample of a chain over decomp's terms, guided by psi,
+    is bounded by transform.sample_bound (see the transform module
+    docstring): true for psi = None (the normalized trace), a BasisState,
+    and a MaxEntState when every term acts on its first register alone, a
+    PermutationHandle through its x and sign masks and a BlockTermHandle
+    through its support. Any other handle counts as touching both
+    registers."""
+    if psi is None or isinstance(psi, BasisState):
+        return True
+    if not isinstance(psi, MaxEntState):
+        return False
+    second = ~(psi.half - 1)
+    for h in decomp.terms:
+        if isinstance(h, PermutationHandle):
+            if (h.perm_xmask | h.perm_signmask) & second:
+                return False
+        elif not (isinstance(h, BlockTermHandle) and max(h.support, default=0) < psi.n):
+            return False
+    return True
+
+
 # ---------------------------------------------------------------------------
 # Spec grammar: basis:<idx> | product:<a0,b0;a1,b1;...> | dense:<path> | maxent
 
@@ -365,6 +391,11 @@ def samples_per_batch(scale, eps, name):
 
     square = Fraction(float(eps)) ** 2
     count = math.ceil(Fraction(scale) / square) if square else math.inf
+    return _check_count(count, name, eps, scale)
+
+
+def _check_count(count, name, eps, scale):
+    """count, or ValidationError when it is past the largest float."""
     if count > sys.float_info.max:
         raise ValidationError(
             f"{name} = {eps!r} needs ceil({scale:g} / {name}^2) samples per "
@@ -373,19 +404,72 @@ def samples_per_batch(scale, eps, name):
     return count
 
 
-def repetitions(delta, per_log, formula):
-    """ceil(per_log * ln(1/delta)) repetitions, at least 1, for the count
-    that formula names.
+def hoeffding_samples(bound, eps, delta, name):
+    """The least t >= 1 with t eps^2 / (2 bound^2) >= ln(1/delta): one batch
+    of samples in [-bound, bound] whose mean is eps or more off on a given
+    side with probability at most delta (Hoeffding's inequality).
 
-    Raises ValidationError when 1/delta overflows to inf, as it does for a
-    delta below about 5.6e-309 and for one that underflowed to 0.
+    The comparison is exact. bound and eps enter as the rationals their
+    floats are, and ln(1/delta) is bracketed by decimal's correctly rounded
+    logarithm, at twice the digits until both ends of the bracket give the
+    same count (ln(1/delta) is transcendental for every float delta < 1, so
+    they do). Raises ValidationError when 1/delta or the count overflows a
+    float, as repetitions and samples_per_batch do.
     """
+    from decimal import Decimal, localcontext
+
+    _inverse(delta, "ceil(2 B^2 ln(1/delta) / e^2) chains")
+    log_inverse = -math.log(delta)
+    scale = 2.0 * bound * bound * log_inverse  # names the count in a refusal
+    if not eps or not math.isfinite(bound):
+        return _check_count(math.inf, name, eps, scale)
+    if not log_inverse:  # delta = 1
+        return 1
+    # 2 bound^2 / eps^2 = num / den, in integers
+    bound_num, bound_den = float(bound).as_integer_ratio()
+    eps_num, eps_den = float(eps).as_integer_ratio()
+    num, den = 2 * (bound_num * eps_den) ** 2, (bound_den * eps_num) ** 2
+    # the count's order of magnitude, in logarithms so nothing overflows
+    magnitude = math.log10(2.0 * log_inverse) + 2.0 * (math.log10(bound)
+                                                      - math.log10(abs(eps)))
+    if magnitude > 309:  # far past the largest float, about 1.8e308
+        return _check_count(math.inf, name, eps, scale)
+    # enough digits, as a rule, to settle the ceiling of a count this large
+    digits = 40 + max(0, math.ceil(magnitude))
+    while True:
+        with localcontext() as ctx:
+            ctx.prec = digits
+            log = -Decimal(float(delta)).ln()
+            # log = m 10^u, within half a unit in its last place of ln(1/delta)
+            u = log.adjusted() - digits + 1
+            m = int(log.scaleb(-u))
+        # the counts num/den (2m -+ 1) 10^u / 2 at both ends of that bracket
+        top, bottom = num * 10 ** max(u, 0), 2 * den * 10 ** max(-u, 0)
+        low, high = (-(-top * (2 * m + side) // bottom) for side in (-1, 1))
+        if low == high:
+            return _check_count(max(1, low), name, eps, scale)
+        digits *= 2
+
+
+def _inverse(delta, formula):
+    """1/delta, or ValidationError when it overflows to inf, as it does for
+    a delta below about 5.6e-309 and for one that underflowed to 0."""
     inverse = 1.0 / delta if delta > 0 else math.inf
     if inverse == math.inf:
         raise ValidationError(
             f"delta = {delta!r} is too small: 1/delta overflows a float, so "
-            f"{formula} repetitions cannot be counted"
+            f"{formula} cannot be counted"
         )
+    return inverse
+
+
+def repetitions(delta, per_log, formula):
+    """ceil(per_log * ln(1/delta)) repetitions, at least 1, for the count
+    that formula names.
+
+    Raises ValidationError when 1/delta overflows to inf (_inverse).
+    """
+    inverse = _inverse(delta, f"{formula} repetitions")
     return max(1, math.ceil(per_log * math.log(inverse)))
 
 

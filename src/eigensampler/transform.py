@@ -47,6 +47,33 @@ Vazirani (1986), with the constants of Lugosi and Mendelson (2019):
 
 That is about 260 times fewer chains than a complex estimate within
 (yes - no)/4, whose batches median_reps and ceil(64/err^2) size.
+
+For some guides every sample is bounded, and then one batch and a one-sided
+Hoeffding bound (Hoeffding 1963) do with about 8.6 times fewer chains
+(state_access.bounded_samples says which pairs of guide and
+decomposition qualify):
+
+* The guides. Under psi = None, the normalized trace, Y = (F_x)_aa / q(x)
+  for a uniform start row a. Under a BasisState |b>, j = b and phi = psi,
+  so Y = (F_x)_bb / q(x). Under a MaxEntState on the doubled system, with
+  j = i + (i << n), Y = (F_x)_ii / q(x) when every term acts on the first
+  register only: each leaf then keeps the high half i, and its amplitude is
+  nonzero only where its low half is i too, with the ratio 1. A term that
+  touches the second register moves the high half, the leaves reach other
+  diagonal pairs, and Y can grow to about 2^(n/2); such a pair, and every
+  other guide, keeps the median count.
+* The bound. No entry of F_x exceeds prod_j ||F_{x_j}||, and each stored
+  bound kappa_i is at least its term's computed norm (build_decomposition),
+  so |Re Y| <= |Y| <= 1 in exact arithmetic, and |Re Y| <= B =
+  sample_bound(r, s) in floats (its docstring accounts for the rounding).
+* The count. The t samples of one batch are independent and lie in
+  [-B, B], so by Hoeffding's inequality their mean lands e or more below
+  its expectation (or above it) with probability at most
+  exp(-t e^2 / (2 B^2)), at most delta for the least t with
+  t e^2 / (2 B^2) >= ln(1/delta), which decision_shape computes exactly.
+  That is about 2 ln(1/delta)/e^2 chains against the median's
+  K ceil(8/e^2), about 17.2 ln(1/delta)/e^2. One batch has no median, so
+  it runs on one thread and holds all of its (t, r) chain indices at once.
 """
 
 import itertools
@@ -62,7 +89,9 @@ from .hamiltonian import KAPPA_TOL, Decomposition
 from .imm import ChainKernel, chain_entry  # noqa: F401
 from .polyfilter import coefficient_l1
 from .state_access import (
+    bounded_samples,
     clear_dead_amplitudes,
+    hoeffding_samples,
     median_of,
     median_reps,
     repetitions,
@@ -248,15 +277,48 @@ def batch_shape(err, delta):
     return median_reps(delta), samples_per_batch(CHAIN_SCALE, err, "err")
 
 
-def decision_shape(gap, delta):
+def decision_shape(gap, delta, bound=None):
     """(reps, t) of a threshold test whose bounds are gap apart, wrong with
-    probability at most delta (see the module docstring):
-    K = ceil(ln(1/delta) / D(1/2 || 1/9)) batches of t = ceil(8/e^2) chains
-    at margin e = gap/2. Raises ValidationError when 1/delta or t overflows
-    a float."""
+    probability at most delta (see the module docstring), at margin
+    e = gap/2. With bound None, K = ceil(ln(1/delta) / D(1/2 || 1/9))
+    batches of t = ceil(8/e^2) chains; with samples bounded by B = bound
+    (sample_bound), one batch of the least t >= 1 with
+    t e^2 / (2 B^2) >= ln(1/delta). Raises ValidationError when 1/delta or
+    t overflows a float."""
+    if bound is not None:
+        return 1, hoeffding_samples(bound, gap / 2.0, delta, "margin")
     reps = repetitions(delta, 1.0 / DECISION_DIVERGENCE,
                        "ceil(ln(1/delta) / D(1/2 || 1/9))")
     return reps, samples_per_batch(DECISION_SCALE, gap / 2.0, "margin")
+
+
+def sample_bound(r, s):
+    """B = exp(r 2^-32) (1 + (s^r - 1) s^r 2^-50), at least |Y| for every
+    chain of r factors of row sparsity at most s under a bounded guide
+    (state_access.bounded_samples), float rounding included; elementwise for an array r,
+    inf where s^r overflows.
+
+    In exact arithmetic |Y| <= 1 (the module docstring). With u = 2^-53:
+    * Each factor gets a relative slack of 2^-32, far above what rounding
+      adds per factor: the stored entries and bounds, scaled by at most
+      three rounded factors (shift_rescale, shifted_operator), move a norm
+      by at most 2^(k/2) 4u <= 2^-45 for a block of k <= DENSE_TERM_LIMIT
+      qubits; LAPACK puts a block's computed norm within a small multiple of
+      its dimension 2^k <= 2^12 times u of the true one; a leaf takes at
+      most two complex products per factor, each within 2^1.5 u; the mass
+      q(x) and the final division take one rounding per factor. A block
+      past DENSE_TERM_LIMIT qubits has no computed norm, and its KAPPA_I
+      override is taken on trust.
+    * A chain has at most s^r leaves, each at most prod_j ||F_{x_j}|| in
+      size, as no entry exceeds the norm. Summing them adds at most
+      (s^r - 1) u s^r times that, and their products' own rounding at most
+      6 r u s^r times it, which for s >= 2 is below 6 (s^r - 1) u s^r. With
+      s = 1 there is one leaf and nothing is summed.
+    """
+    r = np.asarray(r, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        leaves = float(max(s, 1)) ** r
+        return np.exp(r * 2.0 ** -32) * (1.0 + (leaves - 1.0) * leaves * 2.0 ** -50)
 
 
 def chain_counts(coeffs, t):
@@ -270,31 +332,40 @@ def chain_counts(coeffs, t):
     return {r: max(1, math.ceil(t * a / l1)) for r, a in sorted(coeffs.items())}
 
 
+def _sparsity(decomp):
+    """Row sparsity s of a decomposition, the largest of a factor list's."""
+    return max(f.s for f in decomp) if isinstance(decomp, (list, tuple)) else decomp.s
+
+
 def power_cost(decomp, r, reps, count):
     """Planned leaf operations of the power-r stratum: reps batches of count
     chains, each charged max(r, 1) * s^r (r index draws, at most s^r leaves,
     s the row sparsity, the largest of a factor list's). Saturates to inf."""
-    s = max(f.s for f in decomp) if isinstance(decomp, (list, tuple)) else decomp.s
-    return float(reps) * float(count) * max(r, 1) * _power_pow(max(s, 1), r)
+    return float(reps) * float(count) * max(r, 1) * _power_pow(max(_sparsity(decomp), 1), r)
 
 
-def log_test_cost(log_yes, log_ratio, r, s):
-    """log(ceil(8/e^2) * max(r, 1) * s^r), what power_cost charges a
+def log_test_cost(log_yes, log_ratio, r, s, bounded_delta=None):
+    """log(ceil(c/e^2) * max(r, 1) * s^r), what power_cost charges a
     threshold test of power r and row sparsity s per repetition under
     decision_shape, at margin e = (yes - no)/2 for float arrays
     log_yes = log(yes) and log_ratio = log(no/yes) of one shape, in
     logarithms so nothing overflows; inf where the bounds do not separate
-    or e <= MIN_ERR. The repetitions K are the same for every test of a
-    scan, so they drop out of any comparison.
+    or e <= MIN_ERR. With bounded_delta None the scale c is 8, and the
+    repetitions K, the same for every test of a scan, drop out of any
+    comparison. For samples bounded by B = sample_bound(r, s), tested at
+    delta = bounded_delta, c = 2 B^2 ln(1/delta) and there is one batch.
 
     The count is the decision's, not an estimate's (the module docstring
-    proves it). It is the float ceil(8 exp(-2 log e)), so it may differ from
+    proves it). It is the float ceil(c exp(-2 log e)), so it may differ from
     the exact count that decision_shape charges: by at most one chain per
     batch, either way, while that count is below 2^40, and by float
     rounding's relative share above it.
     """
     usable = log_ratio < 0.0
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        scale = DECISION_SCALE
+        if bounded_delta is not None:
+            scale = 2.0 * sample_bound(r, s) ** 2 * -math.log(bounded_delta)
         # one buffer holds log(e), then ceil(8/e^2), then the log cost
         cost = np.log1p(-np.exp(log_ratio))
         cost += log_yes
@@ -302,7 +373,7 @@ def log_test_cost(log_yes, log_ratio, r, s):
         usable &= cost > math.log(MIN_ERR)
         cost *= -2.0
         np.exp(cost, out=cost)
-        cost *= DECISION_SCALE
+        cost *= scale
         np.ceil(cost, out=cost)
         np.log(cost, out=cost)
         cost += np.log(np.maximum(r, 1)) + r * math.log(max(s, 1))
@@ -403,15 +474,19 @@ def estimate_threshold_test(psi, decomp_prime, test, delta, rng, cost_cap=None):
     test is an eigensolve.TightTest with bounds yes_bound > no_bound: the
     power r = test.r of its factor chain test.base(decomp_prime), one
     stratum. It is planned once at decision_shape(yes_bound - no_bound,
-    delta): cost_cap, when given, is checked against the plan's total
-    (CostCapExceeded carries its breakdown, whose err_per_power is the
-    margin e), and the sampler draws exactly its counts.
+    delta, bound), with bound = sample_bound(r, s) when bounded_samples(psi,
+    decomp_prime) and None otherwise: cost_cap, when given, is checked
+    against the plan's total (CostCapExceeded carries its breakdown, whose
+    err_per_power is the margin e), and the sampler draws exactly its
+    counts.
     """
     _check_budget("delta", delta)
     factors = test.base(decomp_prime)
     coeffs = {test.r: 1.0}
+    bound = (float(sample_bound(test.r, _sparsity(factors)))
+             if bounded_samples(psi, decomp_prime) else None)
     _, plan = _preflight(factors, coeffs,
-                         decision_shape(test.yes_bound - test.no_bound, delta),
+                         decision_shape(test.yes_bound - test.no_bound, delta, bound),
                          {"policy": "tight", "degree": test.degree,
                           "err_per_power": test.margin}, cost_cap)
     return _estimate_strata(psi, psi, factors, coeffs, plan, rng)

@@ -16,7 +16,7 @@ from eigensampler import (
     transform,
 )
 from eigensampler.cli import main
-from eigensampler.eigensolve import shifted_test
+from eigensampler.eigensolve import tight_test
 from eigensampler.state_access import write_dense_state_file
 
 from helpers import forced_pool, random_state_vector
@@ -120,9 +120,10 @@ class TestEstimate:
         assert out1 == out2
         assert json.loads(out1)["result"]["transcript"][0]["filter"] == "shifted"
         # nor does a run whose test 1, a Chebyshev product, stops at the cap
+        # (test 0 is predicted at 3,222 leaf operations, test 1 at 58,552)
         _, status = run_fresh("estimate", "--hamiltonian", z_file, "--state",
                               "basis:0", "--epsilon", "1.0", "--chi", "0.5",
-                              "--delta", "0.5", "--cost-cap", "1e5", "--json")
+                              "--delta", "0.25", "--cost-cap", "1e4", "--json")
         assert status == {"code": 2, "heavy": []}
         # the same run under oracle-exact builds rectangles, so it loads them
         _, exact = run_fresh(*argv, "--policy", "oracle-exact")
@@ -159,7 +160,8 @@ class TestEstimate:
         code, doc, _ = run_json(capsys, *argv)
         assert code == 0
         assert abs(doc["result"]["e_star"] - (-1.0)) <= 0.25 * doc["result"]["kappa"]
-        for extra in (("--policy", "strict"), ("--cost-cap", "1000")):
+        # test 0 is predicted at 910 leaf operations
+        for extra in (("--policy", "strict"), ("--cost-cap", "100")):
             code, _, edoc = run_json(capsys, *argv, *extra)
             assert code == 2
             err = edoc["error"]
@@ -340,9 +342,9 @@ class TestEstimate:
     def test_unguided_five_qubits_stops_at_cost_cap(self, capsys, tmp_path):
         # The README's worked example: under tight the first unguided test of
         # a 5-qubit Pauli Hamiltonian at epsilon 0.25 is the power r = 48 of
-        # the operator shifted by c = 0.0625, predicted at 2.4e7 leaf
-        # operations, below the default cap; the second, r = 32 at
-        # c = 0.125, is predicted at 8.3e10, above it.
+        # the operator shifted by c = 0.0625, predicted at 2.672e6 leaf
+        # operations (one batch of 55,673 chains), below the default cap;
+        # the second, r = 32 at c = 0.125, is predicted at 9.257e9, above it.
         path = tmp_path / "five.txt"
         path.write_text("n=5\n1.0 ZZIII\n0.5 XIIII\n-0.7 IXYZI\n0.3 IIIZZ\n")
         argv = ("estimate", "--hamiltonian", str(path), "--state", "maxent",
@@ -350,7 +352,9 @@ class TestEstimate:
         code, doc, edoc = run_json(capsys, *argv, "--cost-cap", "1")
         assert code == 2 and doc is None
         first = edoc["error"]
-        assert first["predicted"] == pytest.approx(2.4e7, rel=0.05)
+        assert first["predicted"] == 2672304
+        assert first["breakdown"]["reps_per_power"] == 1
+        assert first["breakdown"]["chains_per_power"] == {"48": 55673}
         assert (first["breakdown"]["filter"], first["breakdown"]["degree"],
                 first["breakdown"]["shift"]) == ("shifted", 48, 0.0625)
         code, doc, edoc = run_json(capsys, *argv)
@@ -359,15 +363,16 @@ class TestEstimate:
         err = edoc["error"]
         assert err["type"] == "CostCapExceeded"
         assert err["cap"] == 1e9
-        assert err["predicted"] == pytest.approx(8.3e10, rel=0.05)
+        assert err["predicted"] == pytest.approx(9.257e9, rel=1e-3)
         assert err["breakdown"]["filter"] == "shifted"
         assert err["breakdown"]["degree"] == 32
         assert err["breakdown"]["shift"] == 0.125
         # (0.0625, 48) is the choice of test 0 (chi = 2^(-5/2)), (0.125, 32)
-        # that of test 1
+        # that of test 1, ranked by either count
         for t, choice in ((0, (0.0625, 48)), (1, (0.125, 32))):
-            test = shifted_test(t, 0.25, 2.0 ** -2.5)
-            assert (test.shift, test.r) == choice
+            for bounded_delta in (None, 0.05 / 16):
+                test = tight_test(t, 0.25, 2.0 ** -2.5, 1, bounded_delta)
+                assert (test.shift, test.r) == choice
 
     def test_bad_flag_exits_one(self, capsys, z_file):
         code, _, _ = run(

@@ -265,7 +265,8 @@ class TestEstimate:
         )
         assert abs(est.e_star - (-1.0)) <= tight.epsilon * d.kappa
         assert est.samples_used > 0
-        for cfg in (replace(tight, policy="strict"), replace(tight, cost_cap=1e2)):
+        # test 0 is predicted at 82 leaf operations
+        for cfg in (replace(tight, policy="strict"), replace(tight, cost_cap=10.0)):
             with pytest.raises(CostCapExceeded) as info:
                 estimate_smallest_eigenvalue(
                     d, BasisState(1, 2), cfg, np.random.default_rng(0)
@@ -465,9 +466,10 @@ class TestUnguidedOnNQubits:
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_tight_stops_where_the_doubled_scan_stops(self, n):
-        # under a 1e8 cap both scans stop at the same test, with one plan
+        # under a 1e7 cap both scans stop at the same test, with one plan:
+        # test 1 (2.4e7 leaf operations) at n = 2, test 0 (6.1e7) at n = 3
         terms = mixed_terms(n, 70 + n)
-        cfg = SolverConfig(epsilon=1.0, policy="tight", seed=9, cost_cap=1e8)
+        cfg = SolverConfig(epsilon=1.0, policy="tight", seed=9, cost_cap=1e7)
         with pytest.raises(CostCapExceeded) as got:
             solve_unguided((n, terms), cfg)
         with pytest.raises(CostCapExceeded) as want:
@@ -701,19 +703,19 @@ class TestLowPass:
 
     def test_long_pauli_chain_stops_at_the_preflight(self):
         # A Pauli-only operator has s = 1, so only the chain length makes
-        # the cost grow with r: r = 116 here, 116 draws per chain
-        cfg = SolverConfig(epsilon=0.02, policy="tight", cost_cap=1e5)
+        # the cost grow with r: r = 120 here, 120 draws per chain, in one
+        # batch of 136 chains (a basis guide's samples are bounded)
+        cfg = SolverConfig(epsilon=0.02, policy="tight", cost_cap=1e4)
         prime = shift_rescale(build_decomposition(1, Z_TERMS))
         assert prime.s == 1
         with pytest.raises(CostCapExceeded) as info:
             threshold_test(0, prime, BasisState(1, 2), cfg, np.random.default_rng(0))
         b = info.value.breakdown
-        test = shifted_test(0, 0.02, 1.0)
-        assert b["degree"] == test.r == 116
+        test = tight_test(0, 0.02, 1.0, 1, cfg.per_test_delta)
+        assert b["degree"] == test.r == 120
         assert b["shift"] == test.shift == 0.005
-        assert info.value.predicted == (
-            b["reps_per_power"] * b["chains_per_batch"] * 116
-        )
+        assert (b["reps_per_power"], b["chains_per_batch"]) == (1, 136)
+        assert info.value.predicted == 136 * 120
 
     def test_decomposition_reconstructs_identity_minus_a_prime(self):
         # (c I - y)/(1 + c) with y = 2A' - I; c = 1 is I - A' with the bounds
@@ -1217,6 +1219,62 @@ class TestDecisionCounts:
         # binomial count with that mean
         assert wrong <= expected + 4 * math.sqrt(expected)
 
+    @pytest.mark.parametrize("guide", ["trace", "basis"])
+    def test_bounded_batch_is_wrong_within_delta_at_both_band_edges(self, guide):
+        # The trace and a basis guide bound every sample by B, so a test
+        # draws one batch of t = ceil(2 B^2 ln(1/delta) / e^2) chains, on the
+        # wrong side with probability at most delta (Hoeffding). On one
+        # qubit, Z + c I has y = 1 at |0> and y* = (c - 1)/(c + 1) at |1>,
+        # and c puts y* at y_tau (yes) or y_h (no); the identity alone puts
+        # it at y_h = 1. The basis guide |1> (chi 1) weighs f(y*) alone,
+        # exactly on the bounds; the trace (chi^2 = 1/2) weighs
+        # (f(y*) + f(1))/2, on both bounds for the c = 1 power and on the no
+        # bound for the even power at c = tau + theta, whose band maximum is
+        # at both ends.
+        basis = guide == "basis"
+        chi = 1.0 if basis else 2.0 ** -0.5
+        runs = wrong = 0
+        expected = 0.0
+        picks = set()
+        for t in ((0, 1) if basis else (0, 3)):
+            test = tight_test(t, 1.0, chi, 1, 0.25)
+            picks.add((test.r, test.shift))
+            tau, theta = t / 4, 1 / 4
+            for edge, yes in ((tau, True), (tau + theta, False)):
+                y = 2 * edge - 1
+                if y == 1:
+                    terms = [LocalTerm.from_pauli(1.0, "I")]
+                else:
+                    c = (1 + y) / (1 - y)
+                    terms = Z_TERMS + ([LocalTerm.from_pauli(c, "I")] if c else [])
+                prime = shift_rescale(build_decomposition(1, terms))
+                f = dense_chain(test.base(prime), test.r)
+                truth = (f[1, 1] if basis else np.trace(f) / 2).real
+                if yes:
+                    assert truth >= test.yes_bound * (1 - 1e-9)
+                else:
+                    assert truth <= test.no_bound * (1 + 1e-9) + 1e-12
+                if basis or not yes or test.shift == 1.0:
+                    bound = test.yes_bound if yes else test.no_bound
+                    assert truth == pytest.approx(bound, rel=1e-9, abs=1e-12)
+                psi = BasisState(1, 2) if basis else None
+                for delta in (0.7, 0.25):
+                    reps, per_batch = transform.decision_shape(
+                        2 * test.margin, delta, transform.sample_bound(test.r, 1))
+                    assert reps == 1
+                    assert abs(per_batch - 2 * math.log(1 / delta) / test.margin ** 2) <= 1
+                    for run in range(30):
+                        with recording() as counters:
+                            estimate = transform.estimate_threshold_test(
+                                psi, prime, test, delta, np.random.default_rng(run))
+                        assert counters.chain_samples == per_batch
+                        wrong += (estimate.real >= test.midpoint) is not yes
+                        expected += delta
+                        runs += 1
+        assert picks == ({(2, 0.25), (1, 1.0)} if basis else {(6, 0.25), (1, 1.0)})
+        assert runs == 240
+        assert wrong <= expected + 4 * math.sqrt(expected)
+
 
 def smallest_separating_power(t, epsilon, chi):
     """(r, margin) of the reference low-pass (c = 1) test: the smallest r
@@ -1367,27 +1425,31 @@ def test_derived_shift_maximizes_the_gap(epsilon, place, chi, half):
     place=st.floats(0.0, 1.0, exclude_max=True),
     chi=st.floats(1e-3, 1.0),
     s=st.integers(1, 16),
+    bounded=st.booleans(),
 )
-def test_tight_test_is_the_cheapest_under_the_preflight(epsilon, place, chi, s):
+def test_tight_test_is_the_cheapest_under_the_preflight(epsilon, place, chi, s,
+                                                        bounded):
     # power_cost, the cost the cap checks, of tight_test's pick is at
     # most that of every c = 1 power, every even power at its derived shift
-    # and every accepted Chebyshev m >= 2. The slack: one chain on each
-    # side, since the choice rounds the counts up in logarithms
+    # and every accepted Chebyshev m >= 2, for the median's shape and for
+    # one batch of bounded samples. The slack: one chain on each side,
+    # since the choice rounds the counts up in logarithms
     T = math.ceil(4 / epsilon)
     t = min(int(place * T), T - 1)
+    delta = 0.05 / T
     try:
-        pick = tight_test(t, epsilon, chi, s)
+        pick = tight_test(t, epsilon, chi, s, delta if bounded else None)
     except (DegreeOverflowError, ValidationError):
         return
     rows = SimpleNamespace(s=s)
-    delta = 0.05 / T
-    reps = transform.decision_shape(1.0, delta)[0]
+    reps = 1 if bounded else transform.decision_shape(1.0, delta)[0]
 
     def preflight(r, margin):
+        bound = float(transform.sample_bound(r, s)) if bounded else None
         try:
-            return transform.power_cost(rows, r,
-                                        *transform.decision_shape(2 * margin, delta))
-        except ValidationError:  # ceil(8/margin^2) overflows a float
+            return transform.power_cost(
+                rows, r, *transform.decision_shape(2 * margin, delta, bound))
+        except ValidationError:  # the count overflows a float
             return math.inf
 
     def chain(r):

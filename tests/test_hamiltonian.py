@@ -203,6 +203,18 @@ def test_kappa_override_must_dominate_norm():
         LocalTerm.from_pauli(0.5, "Z", kappa=0.4)
 
 
+def test_bound_never_undercuts_the_norm():
+    # an override up to 1e-9 below the norm is accepted and kept as given,
+    # but the bound recorded for it is the norm, so ||A_i|| / kappa_i <= 1
+    norm, override = 1.5e-9, 1.5e-9 - 1e-10
+    terms = [LocalTerm.from_pauli(norm, "Z", kappa=override),
+             LocalTerm.from_block((0,), np.diag([norm, -norm]), kappa=override)]
+    assert [t.kappa_override for t in terms] == [override, override]
+    assert build_decomposition(1, terms).kappa_i == [norm, norm]
+    # an override above the norm is still the bound
+    assert build_decomposition(1, [LocalTerm.from_pauli(norm, "Z", kappa=1.0)]).kappa_i == [1.0]
+
+
 def test_build_decomposition_totals():
     rng = np.random.default_rng(3)
     terms = [

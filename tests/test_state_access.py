@@ -158,6 +158,20 @@ def test_product_state_takes_at_most_63_qubits():
         make_state("product:" + ";".join(["0,1"] * 64))
 
 
+def test_basis_state_takes_at_most_63_qubits():
+    # the index is an int64, so 2^63 - 1 is the largest it can name
+    top = (1 << 63) - 1
+    st = BasisState(top, 1 << 63)
+    assert np.array_equal(st.sample_many(np.random.default_rng(5), 3), [top] * 3)
+    assert st.query(top) == 1.0
+    assert make_state(f"basis:{top}", 63).index == top
+    for index in (1 << 63, 0):
+        with pytest.raises(StateSpecError, match="limit of 63"):
+            BasisState(index, 1 << 64)
+        with pytest.raises(StateSpecError, match="limit of 63"):
+            make_state(f"basis:{index}", 64)
+
+
 def test_maxent_state_takes_at_most_31_qubits_a_register():
     st = MaxEntState(31)
     j = st.sample_many(np.random.default_rng(4), 16)

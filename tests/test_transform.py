@@ -2,19 +2,27 @@ import importlib
 import inspect
 import itertools
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 import pkgutil
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import eigensampler
 from eigensampler import (
+    BasisState,
     ChainSampler,
     CostCapExceeded,
     Counters,
+    Decomposition,
     DenseState,
+    LocalTerm,
+    MaxEntState,
+    ProductState,
     ValidationError,
     build_decomposition,
     build_rectangle_polynomial,
@@ -27,15 +35,19 @@ from eigensampler import (
     recording,
     shift_rescale,
 )
-from eigensampler.hamiltonian import shifted_operator
+from eigensampler.eigensolve import chebyshev_test, doubled_terms, tight_test
+from eigensampler.hamiltonian import ExplicitSparseHandle, shifted_operator
 from eigensampler.imm import ChainKernel
 from eigensampler.polyfilter import coefficient_l1
+from eigensampler.state_access import bounded_samples
 from eigensampler.transform import (
     POLICIES,
     batch_shape,
     decision_shape,
+    estimate_threshold_test,
     log_test_cost,
     power_error_budget,
+    sample_bound,
 )
 
 from helpers import (
@@ -421,31 +433,76 @@ class TestDecisionShape:
             assert Fraction(t - 1) * Fraction(e) ** 2 < 8
 
     def test_ranked_count_is_within_one_chain_of_the_charged_count(self):
-        # log_test_cost ranks by the float ceil(8 exp(-2 log e)), decision_shape
+        # log_test_cost ranks by the float ceil(c exp(-2 log e)), decision_shape
         # charges the exact least count; below 2^40 chains they differ by at
-        # most one chain per batch, at every ratio no/yes of the bounds
+        # most one chain per batch, at every ratio no/yes of the bounds, for
+        # the median's c = 8 and for a bounded batch's c = 2 B^2 ln(1/delta).
+        # (r, s, bounded delta): the median's shape, then bounded samples at
+        # two deltas, one with a bound B(6, 4) above 1
+        for r, s, bounded_delta in ((0, 1, None), (0, 1, 0.1), (6, 4, 1e-6)):
+            self.check_ranked_count(r, s, bounded_delta)
+
+    @staticmethod
+    def check_ranked_count(r, s, bounded_delta):
+        bound = None if bounded_delta is None else float(sample_bound(r, s))
+        per_chain = max(r, 1) * float(s) ** r
         compared = 0
         for ratio in (0.0, 1e-3, 0.5, 0.9):
             yes = 2.0 * np.geomspace(2e-6, 0.5, 10001) / (1.0 - ratio)
             yes = yes[yes <= 1.0]
             no = yes * ratio
             with np.errstate(divide="ignore"):
-                ranked = np.exp(log_test_cost(np.log(yes), np.log(no / yes), 0, 1))
+                ranked = np.exp(log_test_cost(np.log(yes), np.log(no / yes), r, s,
+                                              bounded_delta)) / per_chain
             for got, gap in zip(np.rint(ranked).tolist(), (yes - no).tolist()):
-                charged = decision_shape(gap, 0.1)[1]
+                charged = decision_shape(gap, bounded_delta or 0.1, bound)[1]
                 if charged < 2 ** 40:
                     assert abs(int(got) - charged) <= 1, gap
                     compared += 1
         assert compared > 30000
 
+    def test_one_hoeffding_batch_is_wrong_at_most_delta(self):
+        # Hoeffding: the mean of t samples in [-B, B] is e or more off on one
+        # side with probability at most exp(-t e^2 / (2 B^2)) <= delta:
+        # t e^2 / (2 B^2) >= ln(1/delta), exactly, with no chain to spare.
+        # ln(1/delta) is taken at 450 digits once per delta, checked through
+        # decimal's exp, and bracketed by half a unit in its last digit
+        logs = {}
+        for delta in (0.5, 0.1, 1e-3, 1e-9, 1e-40, 3e-300):
+            with localcontext() as ctx:
+                ctx.prec = 450
+                log = -Decimal(delta).ln()
+                assert abs(log.exp() * Decimal(delta) - 1) < Decimal(10) ** -440
+            half_unit = Fraction(10) ** (log.adjusted() - 449) / 2
+            logs[delta] = [(Fraction(log) + side * half_unit).as_integer_ratio()
+                           for side in (-1, 1)]
+        bounds = (1.0, float(sample_bound(200, 1)), float(sample_bound(6, 4)), 1.5)
+        # counts up to about 1e62, then a few near the largest float
+        gaps = (np.geomspace(1e-30, 1.0, 30001).tolist()
+                + [1e-140, 3e-120, 1e-100, 1e-60, 0.5, 0.1, 2.0 ** -30])
+        for i, gap in enumerate(gaps):
+            delta = list(logs)[i % len(logs)]
+            bound = bounds[(i // len(logs)) % len(bounds)]
+            reps, t = decision_shape(gap, delta, bound)
+            # t e^2 / (2 B^2) = t p / q, compared in integers
+            p, q = (Fraction(gap / 2) ** 2 / (2 * Fraction(bound) ** 2)).as_integer_ratio()
+            (low, low_den), (high, high_den) = logs[delta]
+            assert reps == 1
+            assert t * p * high_den >= high * q, (gap, delta, bound)
+            assert t == 1 or (t - 1) * p * low_den < low * q, (gap, delta, bound)
+        assert decision_shape(0.5, 1.0, 1.0) == (1, 1)
+
     @pytest.mark.parametrize("delta", [1e-310, 5e-324, 0.0])
     def test_refuses_a_delta_whose_inverse_overflows(self, delta):
-        with pytest.raises(ValidationError, match="^delta = "):
-            decision_shape(0.5, delta)
+        # for the median's shape and for a bounded batch alike
+        for bound in (None, 1.0):
+            with pytest.raises(ValidationError, match="^delta = "):
+                decision_shape(0.5, delta, bound)
 
     def test_refuses_a_margin_whose_count_overflows(self):
-        with pytest.raises(ValidationError, match="^margin = "):
-            decision_shape(1e-200, 0.1)
+        for gap, bound in ((1e-200, None), (1e-200, 1.0), (0.5, math.inf), (0.0, 1.0)):
+            with pytest.raises(ValidationError, match="^margin = "):
+                decision_shape(gap, 0.1, bound)
 
     def test_estimates_keep_their_shape(self):
         # The estimate path did not move: a rectangle under tight draws
@@ -753,3 +810,110 @@ def test_one_query_form_per_layer():
 
 def test_module_constant_tuples():
     assert POLICIES == ("strict", "tight", "oracle-exact")
+
+
+def doubled_pair(n, terms):
+    """(MaxEntState(n), shift_rescale of H (x) I on 2n qubits)."""
+    return MaxEntState(n), shift_rescale(build_decomposition(2 * n, doubled_terms(terms, n)))
+
+
+class TestBoundedSamples:
+    """The guides whose samples |Y| stay within sample_bound(r, s), which a
+    tight decision sizes as one Hoeffding batch; every other guide keeps the
+    median of K batches of ceil(8/e^2) chains."""
+
+    def test_which_pairs_are_bounded(self):
+        gen = np.random.default_rng(90)
+        n = 2
+        terms = random_pauli_terms(gen, n, 3) + [random_block_term(gen, n, 2)]
+        prime = shift_rescale(build_decomposition(n, terms))
+        assert bounded_samples(None, prime)
+        assert bounded_samples(BasisState(1, 4), prime)
+        assert not bounded_samples(DenseState(random_state_vector(gen, 4)), prime)
+        assert not bounded_samples(ProductState([(1, 0), (0, 1)]), prime)
+        psi, doubled = doubled_pair(n, terms)
+        assert bounded_samples(psi, doubled)
+        # an x mask, a sign mask or a block support on the second register
+        # (3 of the 4 qubits always include qubit 2 or 3)
+        for term in (LocalTerm.from_pauli(0.5, "IIXI"), LocalTerm.from_pauli(0.5, "IIIZ"),
+                     LocalTerm.from_pauli(0.5, "ZIIY"), random_block_term(gen, 4, 3)):
+            d = shift_rescale(build_decomposition(2 * n, doubled_terms(terms, n) + [term]))
+            assert not bounded_samples(psi, d), term
+        # a handle of any other kind counts as touching both registers
+        diagonal = ExplicitSparseHandle([([i], [0.5]) for i in range(16)])
+        assert not bounded_samples(psi, Decomposition([diagonal], [0.5]))
+
+    def test_unbounded_guides_keep_the_median_shape(self):
+        # a MaxEntState on an operator that touches its second register,
+        # and dense and product guides, draw K batches of ceil(8/e^2) chains
+        gen = np.random.default_rng(91)
+        n = 2
+        terms = random_pauli_terms(gen, n, 3)
+        psi, _ = doubled_pair(n, terms)
+        both = shift_rescale(build_decomposition(
+            2 * n, doubled_terms(terms, n) + [LocalTerm.from_pauli(0.3, "XIZI")]))
+        single = shift_rescale(build_decomposition(n, terms))
+        test = tight_test(1, 1.0, 0.5, 1)
+        delta = 0.25
+        median = decision_shape(test.yes_bound - test.no_bound, delta)
+        bounded = decision_shape(test.yes_bound - test.no_bound, delta,
+                                 float(sample_bound(test.r, 1)))
+        assert median[0] > 1 and bounded[0] == 1
+        for guide, prime, shape in (
+                (psi, both, median),
+                (DenseState(random_state_vector(gen, 4)), single, median),
+                (ProductState([(0.6, 0.8), (1, 0)]), single, median),
+                (None, single, bounded), (BasisState(2, 4), single, bounded)):
+            with pytest.raises(CostCapExceeded) as info:
+                estimate_threshold_test(guide, prime, test, delta,
+                                        np.random.default_rng(0), cost_cap=1.0)
+            plan = info.value.breakdown
+            assert (plan["reps_per_power"], plan["chains_per_batch"]) == shape
+            with recording() as counters:
+                estimate_threshold_test(guide, prime, test, delta, np.random.default_rng(0))
+            assert counters.chain_samples == shape[0] * shape[1]
+
+
+def single_test_samples(psi, prime, factors_of, r, count, seed):
+    """The samples Y of count chains of the power-r factor chain, as
+    _estimate_strata computes them for one batch."""
+    factors = factors_of(prime)
+    sampler = ChainSampler(factors, r)
+    rng = np.random.default_rng(seed)
+    chains = sampler.sample_many(rng, count)
+    if psi is None:
+        j = rng.integers(0, sampler.dimension, size=count)
+        amps = np.ones(count, dtype=complex)
+    else:
+        j = psi.sample_many(rng, count)
+        amps = np.asarray(psi.query_many(j), dtype=complex)
+    vals = ChainKernel(sampler.terms).values(chains, j, psi)
+    return vals / (amps * sampler.masses(chains))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 3),
+       blocks=st.integers(0, 2), shift=st.floats(-1.0, 1.0),
+       r=st.integers(0, 12), chebyshev=st.booleans())
+def test_bounded_samples_stay_within_the_bound(seed, n, blocks, shift, r, chebyshev):
+    # every sampled |Y| under the trace, a basis guide and a MaxEntState on
+    # H (x) I stays at or below B = sample_bound(r, s), for Pauli and block
+    # terms, one shifted factor or the Chebyshev roots of a band
+    gen = np.random.default_rng(seed)
+    terms = random_pauli_terms(gen, n, 3)
+    terms += [random_block_term(gen, n, min(n, 2)) for _ in range(blocks)]
+    if blocks:
+        r = min(r, 5)  # at most 4^5 leaves a chain
+    if chebyshev:
+        roots = chebyshev_test(1, 1.0, 0.5, 3).shifts
+        factors_of = (lambda prime: [shifted_operator(prime, c) for c in roots])
+    else:
+        factors_of = (lambda prime: [shifted_operator(prime, shift)])
+    prime = shift_rescale(build_decomposition(n, terms))
+    psi, doubled = doubled_pair(n, terms)
+    for guide, d in ((None, prime), (BasisState(int(gen.integers(2 ** n)), 2 ** n), prime),
+                     (psi, doubled)):
+        assert bounded_samples(guide, d)
+        ys = single_test_samples(guide, d, factors_of, r, 200, seed)
+        bound = sample_bound(r, max(f.s for f in factors_of(d)))
+        assert np.all(np.abs(ys) <= bound), (np.abs(ys).max(), bound)
